@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on a verification failure or an invalid
-object (bad permutation word, bad path word, b-file mismatch), 2 on usage
-errors.  Identical argv produces byte-identical standard output, except
-that JSON verification reports embed wall-clock fields.
+Exit codes: 0 on success, 1 on a verification failure, an invalid
+object (bad permutation word, bad path word, b-file mismatch) or a size
+refused by the enumeration guard, 2 on usage errors.  Identical argv
+produces byte-identical standard output, except that JSON verification
+reports embed wall-clock fields.
 """
 
 from __future__ import annotations

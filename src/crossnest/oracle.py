@@ -6,9 +6,14 @@ Family sizes grow fast, so sizes above a guard (default 12, override with
 the CROSSNEST_ENUM_LIMIT environment variable or allow_large=True) are
 refused rather than silently churning.
 
-``run_suite`` executes named checks, each an exhaustive scan up to the
-smaller of its own bound and the caller's max_n, and returns a report
-whose counterexamples are the lexicographically first failures.
+The named checks are the rows of one table, ``_CHECKS``: a name, a suite,
+a size bound, labels for the two sides, and ``cases(cap)``, a generator of
+``(where, lhs, rhs)`` over every object up to size ``cap``.  The two sides
+of a row are always different computations.  ``run_suite`` holds the only
+comparison loop: for each row of the suite it draws cases up to the smaller
+of the row's bound and the caller's max_n, stops at the first
+``lhs != rhs`` and only then formats that case, so the report's
+counterexamples are the lexicographically first failures.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from __future__ import annotations
 import enum
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
+from itertools import zip_longest
+from typing import Callable, Iterable, Iterator
 
 from .bijections import involution_shape_path, phi1, phi2, phi3, phi3_inverse
 from .paths import (
@@ -31,7 +38,7 @@ from .paths import (
 )
 from .permutations import (
     PermClass,
-    _crs_nes_inv,
+    _fp_exc_crs_nes_inv,
     enumerate_class,
     head_tail_pairs,
     one_line,
@@ -106,6 +113,11 @@ def _enum_limit() -> int:
         ) from None
 
 
+def _tally(keys: Iterable[tuple[int, ...]], variables: tuple[str, ...]) -> MultiPoly:
+    """The polynomial that sums one monomial x^key for each key."""
+    return MultiPoly.from_terms(variables, Counter(keys))
+
+
 def distribution(
     cls: PermClass, n: int, spec: StatSpec, *, allow_large: bool = False
 ) -> MultiPoly:
@@ -120,19 +132,11 @@ def distribution(
             f"n={n} exceeds the enumeration guard ({limit}); raise "
             f"{ENUM_LIMIT_ENV} or pass allow_large=True"
         )
-    counts: dict[tuple[int, ...], int] = {}
-    for w in enumerate_class(n, cls):
-        crs, nes, _ = _crs_nes_inv(w)
-        fp = exc = 0
-        for i, v in enumerate(w, start=1):
-            if v == i:
-                fp += 1
-            elif v > i:
-                exc += 1
-        key = spec.exponents(fp, exc, crs, nes)
-        counts[key] = counts.get(key, 0) + 1
-    result = MultiPoly.from_terms(spec.variables, counts)
-    return result if counts else MultiPoly.zero(spec.variables)
+    stats = map(_fp_exc_crs_nes_inv, enumerate_class(n, cls))
+    return _tally(
+        (spec.exponents(fp, exc, crs, nes) for fp, exc, crs, nes, _ in stats),
+        spec.variables,
+    )
 
 
 @dataclass(frozen=True)
@@ -175,241 +179,173 @@ class VerificationReport:
         }
 
 
-CheckFn = Callable[[int], "str | None"]
+Case = tuple[object, object, object]
+Cases = Callable[[int], Iterable[Case]]
+Sides = tuple[object, object]
 
 
-def _perm_fp_exc(w: tuple[int, ...]) -> tuple[int, int]:
-    fp = exc = 0
-    for i, v in enumerate(w, start=1):
-        if v == i:
-            fp += 1
-        elif v > i:
-            exc += 1
-    return fp, exc
+@dataclass(frozen=True)
+class _Check:
+    """One named identity, checked on every object up to a size cap.
+
+    ``cases(cap)`` lazily yields ``(where, lhs, rhs)``: ``where`` is the
+    object (a path, a permutation word, or a label such as ``"n=3"``), and
+    ``labels`` name ``lhs`` and ``rhs`` in the counterexample.
+    """
+
+    name: str
+    suite: str
+    bound: int
+    labels: tuple[str, str]
+    cases: Cases
 
 
-def _check_inv_identity(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for w in enumerate_class(n, PermClass.ALL):
-            crs, nes, inv = _crs_nes_inv(w)
-            _, exc = _perm_fp_exc(w)
-            if inv != exc + crs + 2 * nes:
-                return f"n={n} word={one_line(w)}: inv={inv}, exc+crs+2*nes={exc + crs + 2 * nes}"
-    return None
+# Helpers and case producers shared by the rows.  Each ``sides`` callable
+# returns the pair (lhs, rhs) for one object.  Rows look up the functions
+# under test when they run, so patching a name in this module reaches every
+# check that uses it.
 
 
-def _check_head_tail_roundtrip(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for w in enumerate_class(n, PermClass.ALL):
-            back = permutation_from_head_tail(head_tail_pairs(w), n)
-            if back != w:
-                return f"n={n} word={one_line(w)}: rebuilt {one_line(back)}"
-    return None
+def _enumerated(cls: PermClass, n: int, spec: StatSpec) -> MultiPoly | UniPoly:
+    """``distribution`` past the guard, as a ``UniPoly`` for one-variable specs."""
+    poly = distribution(cls, n, spec, allow_large=True)
+    return poly.as_unipoly("q") if len(spec.variables) == 1 else poly
 
 
-def _check_class_tails(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for w in enumerate_class(n, PermClass.S321_B3142):
-            pairs = head_tail_pairs(w)
-            tails = tuple(t for _, t in pairs)
-            for a, b in zip(tails, tails[1:]):
-                if b < a + 2:
-                    return f"n={n} word={one_line(w)}: tails {tails} too close"
-            rec = perm_statistics(w)
-            if rec.des_set != tuple(sorted(tails)) or rec.exc_set != tuple(sorted(tails)):
-                return (
-                    f"n={n} word={one_line(w)}: tails {tuple(sorted(tails))}, "
-                    f"des {rec.des_set}, exc {rec.exc_set}"
-                )
-    return None
+def _each_member(cls: PermClass, sides: Callable[[tuple[int, ...]], Sides]) -> Cases:
+    """Cases over the members of ``cls`` up to size cap; ``sides(word)``."""
+    return lambda cap: (
+        (w, *sides(w)) for n in range(cap + 1) for w in enumerate_class(n, cls)
+    )
 
 
-def _check_class_nonnesting(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for w in enumerate_class(n, PermClass.S321_B3142):
-            _, nes, _ = _crs_nes_inv(w)
-            if nes:
-                return f"n={n} word={one_line(w)}: nes={nes}"
-    return None
+def _each_path(sides: Callable[[str], Sides]) -> Cases:
+    """Cases over the paths up to length cap; ``sides(path)``."""
+    return lambda cap: (
+        (p, *sides(p)) for n in range(cap + 1) for p in enumerate_paths(n)
+    )
 
 
-def _check_area_down(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            if r.area != 2 * r.sh_d + r.sh_h - r.down:
-                return f"{p}: area={r.area}, 2*sh_d+sh_h-down={2 * r.sh_d + r.sh_h - r.down}"
-    return None
+def _each_path_stats(sides: Callable[[str, PathStatRecord], Sides]) -> Cases:
+    """Like ``_each_path`` with ``sides(path, path_statistics(path))``."""
+    return _each_path(lambda p: sides(p, path_statistics(p)))
 
 
-def _check_area_up(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            if r.area != 2 * r.sh_u + r.sh_h + r.up:
-                return f"{p}: area={r.area}, 2*sh_u+sh_h+up={2 * r.sh_u + r.sh_h + r.up}"
-    return None
+def _each_size(sides: Callable[[int], Sides]) -> Cases:
+    """Cases over the sizes n up to cap; ``sides(n)``."""
+    return lambda cap: ((f"n={n}", *sides(n)) for n in range(cap + 1))
 
 
-def _check_height_sums(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            if r.sh_u != r.sh_d - r.down:
-                return f"{p}: sh_u={r.sh_u}, sh_d-down={r.sh_d - r.down}"
-    return None
+def _versus_series(name: str, other: Callable[[int], object], var: str = "") -> Cases:
+    """Cases over the sizes n up to cap: ``other(n)`` and t^n of preset ``name``.
+
+    With ``var`` the coefficient is compared as a ``UniPoly`` in it.
+    """
+
+    def cases(cap: int) -> Iterator[Case]:
+        series = named_series(name, cap)
+        for n in range(cap + 1):
+            coeff = series.coefficient(n)
+            yield f"n={n}", other(n), coeff.as_unipoly(var) if var else coeff
+
+    return cases
 
 
-def _check_strip_roundtrip(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            back = path_from_head_tail(strip_decomposition(p), n)
-            if back != p:
-                return f"{p}: rebuilt {back}"
-    return None
+def _series_terms(sides: Callable[[int], tuple[PowerSeries, PowerSeries]]) -> Cases:
+    """Cases over the terms t^0..t^cap of the two series ``sides(cap)``."""
+
+    def cases(cap: int) -> Iterator[Case]:
+        lhs, rhs = sides(cap)
+        for n in range(cap + 1):
+            yield f"t^{n}", lhs.coefficient(n), rhs.coefficient(n)
+
+    return cases
 
 
-def _check_matchings(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            for pairs in (sequential_matching(p), tunnel_matching(p)):
-                if len(pairs) != r.up:
-                    return f"{p}: {len(pairs)} pairs for {r.up} up steps"
-                touched = [a for a, _ in pairs] + [b for _, b in pairs]
-                if any(a >= b for a, b in pairs) or len(set(touched)) != len(touched):
-                    return f"{p}: matching {pairs} not a perfect up/down pairing"
-    return None
+# Row-specific sides and cases.
 
 
-def _check_path_counts(cap: int) -> str | None:
-    for n in range(cap + 1):
-        count = sum(1 for _ in enumerate_paths(n))
-        if count != motzkin_number(n):
-            return f"n={n}: {count} paths, recurrence gives {motzkin_number(n)}"
-    return None
+def _inv_sides(w: tuple[int, ...]) -> Sides:
+    _, exc, crs, nes, inv = _fp_exc_crs_nes_inv(w)
+    return inv, exc + crs + 2 * nes
 
 
-def _check_phi1_transport(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            img = phi1(p)
-            crs, nes, _ = _crs_nes_inv(img)
-            fp, exc = _perm_fp_exc(img)
-            if (fp, exc, crs, nes) != (r.hor, r.up, 2 * r.sh_u, r.sh_h):
-                return (
-                    f"{p}: image stats {(fp, exc, crs, nes)}, "
-                    f"path predicts {(r.hor, r.up, 2 * r.sh_u, r.sh_h)}"
-                )
-    return None
+def _tail_sides(w: tuple[int, ...]) -> Sides:
+    # In head order the tails must climb by at least 2, and then sorted
+    # tails, descent set and excedance set coincide.
+    tails = tuple(t for _, t in head_tail_pairs(w))
+    spaced = all(b >= a + 2 for a, b in zip(tails, tails[1:]))
+    rec = perm_statistics(w)
+    return (spaced, tails, tails), (True, rec.des_set, rec.exc_set)
 
 
-def _check_phi2_transport(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            img = phi2(p)
-            crs, nes, _ = _crs_nes_inv(img)
-            fp, exc = _perm_fp_exc(img)
-            if (fp, exc, crs, nes) != (r.hor, r.up, 0, 2 * r.sh_u + r.sh_h):
-                return (
-                    f"{p}: image stats {(fp, exc, crs, nes)}, "
-                    f"path predicts {(r.hor, r.up, 0, 2 * r.sh_u + r.sh_h)}"
-                )
-    return None
+def _matching_sides(p: str, r: PathStatRecord) -> Sides:
+    # A perfect up/down pairing has one pair per up step, 2*up distinct
+    # ends, and each pair opens before it closes.
+    shapes = []
+    for pairs in (sequential_matching(p), tunnel_matching(p)):
+        ends = {end for pair in pairs for end in pair}
+        shapes.append((len(pairs), len(ends), all(a < b for a, b in pairs)))
+    return tuple(shapes), ((r.up, 2 * r.up, True),) * 2
 
 
-def _check_phi3_transport(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            img = phi3(p)
-            crs, nes, inv = _crs_nes_inv(img)
-            _, exc = _perm_fp_exc(img)
-            if (exc, crs) != (r.up, r.sh_u + r.sh_h):
-                return (
-                    f"{p}: image (exc, crs)={(exc, crs)}, "
-                    f"path predicts {(r.up, r.sh_u + r.sh_h)}"
-                )
-            if inv != r.area - r.sh_u:
-                return f"{p}: image inv={inv}, area-sh_u={r.area - r.sh_u}"
-    return None
+def _phi1_predicts(r: PathStatRecord) -> tuple[int, ...]:
+    """(fp, exc, crs, nes) of the path's image under phi1."""
+    return r.hor, r.up, 2 * r.sh_u, r.sh_h
 
 
-def _check_phi_bijectivity(cap: int) -> str | None:
+def _phi2_predicts(r: PathStatRecord) -> tuple[int, ...]:
+    """(fp, exc, crs, nes) of the path's image under phi2."""
+    return r.hor, r.up, 0, 2 * r.sh_u + r.sh_h
+
+
+def _phi3_sides(p: str, r: PathStatRecord) -> Sides:
+    _, exc, crs, _, inv = _fp_exc_crs_nes_inv(phi3(p))
+    return (exc, crs, inv), (r.up, r.sh_u + r.sh_h, r.area - r.sh_u)
+
+
+def _phi_bijectivity(cap: int) -> Iterator[Case]:
+    # Sorted images against the class in its lexicographic order; the class
+    # has no repeats, so a repeated image shows up as a mismatch.
     targets = (
-        (phi1, PermClass.I4321),
-        (phi2, PermClass.I3412),
-        (phi3, PermClass.S321_B3142),
+        ("phi1", phi1, PermClass.I4321),
+        ("phi2", phi2, PermClass.I3412),
+        ("phi3", phi3, PermClass.S321_B3142),
     )
     for n in range(cap + 1):
         paths = list(enumerate_paths(n))
-        for fn, cls in targets:
-            images = [fn(p) for p in paths]
-            expected = list(enumerate_class(n, cls))
-            if len(set(images)) != len(images) or sorted(images) != expected:
-                return f"n={n}: {fn.__name__} images do not match its class"
-    return None
+        for label, fn, cls in targets:
+            images = sorted(fn(p) for p in paths)
+            where = f"n={n} {label}"
+            for image, member in zip_longest(images, enumerate_class(n, cls)):
+                yield where, image, member
 
 
-def _check_phi_roundtrips(cap: int) -> str | None:
-    for n in range(cap + 1):
-        for p in enumerate_paths(n):
-            if involution_shape_path(phi1(p)) != p:
-                return f"{p}: phi1 then shape path differs"
-            if involution_shape_path(phi2(p)) != p:
-                return f"{p}: phi2 then shape path differs"
-            if phi3_inverse(phi3(p)) != p:
-                return f"{p}: phi3 then phi3_inverse differs"
-    return None
-
-
-def _check_qmotzkin_at_one(cap: int) -> str | None:
-    for n in range(cap + 1):
-        m = motzkin_number(n)
-        if q_motzkin(n).evaluate(1) != m:
-            return f"n={n}: first kind evaluates to {q_motzkin(n).evaluate(1)}, not {m}"
-        if q_motzkin_tilde(n).evaluate(1) != m:
-            return f"n={n}: second kind evaluates to {q_motzkin_tilde(n).evaluate(1)}, not {m}"
-    return None
-
-
-def _check_tableau_recursion(cap: int) -> str | None:
+def _tableau_recursion(cap: int) -> Iterator[Case]:
     table = h_tableau(cap)
     for n in range(1, cap + 1):
         for i in range(1, n + 1):
-            direct = table[n][i]
-            rhs = h_recursion_rhs(n, i, table)
-            if direct != rhs:
-                return f"(n={n}, i={i}): tableau {direct}, closed form {rhs}"
-    return None
+            yield f"(n={n}, i={i})", table[n][i], h_recursion_rhs(n, i, table)
 
 
-def _check_tableau_first_column(cap: int) -> str | None:
+def _tableau_first_column(cap: int) -> Iterator[Case]:
     table = h_tableau(cap)
     for n in range(cap + 1):
-        if table[n][0] != q_motzkin_tilde(n):
-            return f"n={n}: column {table[n][0]}, recurrence {q_motzkin_tilde(n)}"
-    return None
+        yield f"n={n}", table[n][0], q_motzkin_tilde(n)
 
 
-def _check_tableau_row_pair(cap: int) -> str | None:
+def _tableau_row_pair(cap: int) -> Iterator[Case]:
     table = h_tableau(cap)
     for n in range(1, cap + 1):
-        expect = table[n - 1][0]
-        if n >= 2:
-            expect = expect + table[n - 1][1]
-        if table[n][0] != expect:
-            return f"n={n}: H(n,0) != H(n-1,0) + H(n-1,1)"
-    return None
+        below = table[n - 1][0] + (table[n - 1][1] if n >= 2 else 0)
+        yield f"n={n}", table[n][0], below
 
 
 def _uni_level(fn: Callable[[int], UniPoly]) -> Callable[[int], MultiPoly]:
     return lambda k: MultiPoly.from_unipoly(fn(k), ("q",), "q")
 
 
-def _check_dumont(cap: int) -> str | None:
+def _dumont(cap: int) -> Iterator[Case]:
     shapes = (
         ("constant", lambda k: UniPoly((1,)), lambda k: UniPoly((1,))),
         (
@@ -424,21 +360,10 @@ def _check_dumont(cap: int) -> str | None:
         table = stieltjes_tableau(alpha, beta, cap)
         for n in range(cap + 1):
             got = series.coefficient(n).as_unipoly("q")
-            if got != table[n][0]:
-                return f"{label} levels, n={n}: series {got}, tableau {table[n][0]}"
-    return None
+            yield f"{label} levels, n={n}", got, table[n][0]
 
 
-def _check_a_series(cap: int) -> str | None:
-    series = named_series("A", cap)
-    for n in range(cap + 1):
-        got = series.coefficient(n).as_unipoly("q")
-        if got != q_motzkin(n):
-            return f"n={n}: fraction {got}, recurrence {q_motzkin(n)}"
-    return None
-
-
-def _check_mtilde_equation(cap: int) -> str | None:
+def _mtilde_equation(cap: int) -> tuple[PowerSeries, PowerSeries]:
     v = ("q",)
     m = named_series("Mtilde", cap)
     mq = m.scale_argument(MultiPoly.variable(v, "q"))
@@ -446,160 +371,128 @@ def _check_mtilde_equation(cap: int) -> str | None:
     one = PowerSeries.one(v, cap)
     bracket = one - mq.shift(2).scale(q)
     t_plus_t2 = PowerSeries.one(v, cap).shift(1) + PowerSeries.one(v, cap).shift(2)
-    lhs = m * bracket
-    rhs = bracket + t_plus_t2 * m
-    if lhs != rhs:
-        for n in range(cap + 1):
-            if lhs.coefficient(n) != rhs.coefficient(n):
-                return f"t^{n}: {lhs.coefficient(n)} vs {rhs.coefficient(n)}"
-    return None
+    return m * bracket, bracket + t_plus_t2 * m
 
 
-def _check_main12(cap: int) -> str | None:
-    lhs = named_series("main12-lhs", cap)
-    rhs = named_series("main12-rhs", cap)
-    for n in range(cap + 1):
-        if lhs.coefficient(n) != rhs.coefficient(n):
-            return f"t^{n}: {lhs.coefficient(n)} vs {rhs.coefficient(n)}"
-    return None
-
-
-def _check_i_abcd_vs_paths(cap: int) -> str | None:
-    v = ("a", "b", "c", "d")
-    series = named_series("I-abcd", cap)
-    for n in range(cap + 1):
-        counts: dict[tuple[int, ...], int] = {}
-        for p in enumerate_paths(n):
-            r = path_statistics(p)
-            key = (r.hor, r.up, r.sh_u, r.sh_h)
-            counts[key] = counts.get(key, 0) + 1
-        direct = MultiPoly.from_terms(v, counts)
-        if series.coefficient(n) != direct:
-            return f"n={n}: fraction {series.coefficient(n)}, paths {direct}"
-    return None
-
-
-def _dist(cls: PermClass, n: int, spec: StatSpec) -> MultiPoly:
-    return distribution(cls, n, spec, allow_large=True)
-
-
-def _check_dist_4321(cap: int) -> str | None:
-    for n in range(cap + 1):
-        got = _dist(PermClass.I4321, n, StatSpec.CRS_PLUS_NES).as_unipoly("q")
-        if got != q_motzkin(n):
-            return f"n={n}: enumeration {got}, polynomial {q_motzkin(n)}"
-    return None
-
-
-def _check_dist_3412(cap: int) -> str | None:
-    for n in range(cap + 1):
-        got = _dist(PermClass.I3412, n, StatSpec.NES).as_unipoly("q")
-        if got != q_motzkin(n):
-            return f"n={n}: enumeration {got}, polynomial {q_motzkin(n)}"
-    return None
-
-
-def _check_dist_321(cap: int) -> str | None:
+def _dist_321(cap: int) -> Iterator[Case]:
     table = h_tableau(cap)
     for n in range(cap + 1):
-        got = _dist(PermClass.S321_B3142, n, StatSpec.CRS).as_unipoly("q")
-        if got != q_motzkin_tilde(n) or got != table[n][0]:
-            return f"n={n}: enumeration {got}, polynomial {q_motzkin_tilde(n)}"
-    return None
+        got = _enumerated(PermClass.S321_B3142, n, StatSpec.CRS)
+        yield f"n={n}", got, q_motzkin_tilde(n)
+        yield f"n={n}", got, table[n][0]
 
 
-def _check_dist_4321_joint(cap: int) -> str | None:
-    series = named_series("I4321-joint", cap)
-    for n in range(cap + 1):
-        got = _dist(PermClass.I4321, n, StatSpec.JOINT_FP_EXC_CRS_NES)
-        if got != series.coefficient(n):
-            return f"n={n}: enumeration {got}, fraction {series.coefficient(n)}"
-    return None
-
-
-def _check_dist_3412_joint(cap: int) -> str | None:
-    series = named_series("I3412-joint", cap)
-    for n in range(cap + 1):
-        got = _dist(PermClass.I3412, n, StatSpec.JOINT_FP_EXC_CRS_NES)
-        if got != series.coefficient(n):
-            return f"n={n}: enumeration {got}, fraction {series.coefficient(n)}"
-    return None
-
-
-def _check_dist_321_joint(cap: int) -> str | None:
-    series = named_series("S321-exc-crs", cap)
-    for n in range(cap + 1):
-        got = _dist(PermClass.S321_B3142, n, StatSpec.JOINT_EXC_CRS)
-        if got != series.coefficient(n):
-            return f"n={n}: enumeration {got}, fraction {series.coefficient(n)}"
-    return None
-
-
-def _check_dist_transport(cap: int) -> str | None:
+def _dist_transport(cap: int) -> Iterator[Case]:
+    # Each matching transports path statistics to one family's joint
+    # statistic; the tally over paths must equal the family's enumeration.
+    transports = (
+        ("sequential-matching", _phi1_predicts,
+         PermClass.I4321, StatSpec.JOINT_FP_EXC_CRS_NES),
+        ("tunnel-matching", _phi2_predicts,
+         PermClass.I3412, StatSpec.JOINT_FP_EXC_CRS_NES),
+        ("strip", lambda r: (r.up, r.sh_u + r.sh_h),
+         PermClass.S321_B3142, StatSpec.JOINT_EXC_CRS),
+    )
     for n in range(cap + 1):
         stats = [path_statistics(p) for p in enumerate_paths(n)]
-
-        def tally(keyfn: Callable[[PathStatRecord], tuple[int, ...]], variables):
-            counts: dict[tuple[int, ...], int] = {}
-            for r in stats:
-                key = keyfn(r)
-                counts[key] = counts.get(key, 0) + 1
-            return MultiPoly.from_terms(variables, counts)
-
-        via1 = tally(lambda r: (r.hor, r.up, 2 * r.sh_u, r.sh_h), ("x", "y", "p", "q"))
-        if via1 != _dist(PermClass.I4321, n, StatSpec.JOINT_FP_EXC_CRS_NES):
-            return f"n={n}: sequential-matching transport disagrees"
-        via2 = tally(
-            lambda r: (r.hor, r.up, 0, 2 * r.sh_u + r.sh_h), ("x", "y", "p", "q")
-        )
-        if via2 != _dist(PermClass.I3412, n, StatSpec.JOINT_FP_EXC_CRS_NES):
-            return f"n={n}: tunnel-matching transport disagrees"
-        via3 = tally(lambda r: (r.up, r.sh_u + r.sh_h), ("y", "q"))
-        if via3 != _dist(PermClass.S321_B3142, n, StatSpec.JOINT_EXC_CRS):
-            return f"n={n}: strip transport disagrees"
-    return None
+        for label, key, cls, spec in transports:
+            yield (
+                f"n={n} {label}",
+                _tally(map(key, stats), spec.variables),
+                _enumerated(cls, n, spec),
+            )
 
 
-@dataclass(frozen=True)
-class _Check:
-    name: str
-    suite: str
-    bound: int
-    fn: CheckFn
+def _abcd_tally(n: int) -> MultiPoly:
+    stats = map(path_statistics, enumerate_paths(n))
+    return _tally(((r.hor, r.up, r.sh_u, r.sh_h) for r in stats), ("a", "b", "c", "d"))
 
+
+_PHI12_LABELS = ("image (fp, exc, crs, nes)", "path (hor, up, 2*sh_u, sh_h)")
 
 _CHECKS: tuple[_Check, ...] = (
-    _Check("inv-identity", "statistics", 8, _check_inv_identity),
-    _Check("head-tail-roundtrip", "statistics", 8, _check_head_tail_roundtrip),
-    _Check("class-tails-des-exc", "statistics", 9, _check_class_tails),
-    _Check("class-nonnesting", "statistics", 9, _check_class_nonnesting),
-    _Check("area-down-identity", "paths", 12, _check_area_down),
-    _Check("area-up-identity", "paths", 12, _check_area_up),
-    _Check("height-sum-difference", "paths", 12, _check_height_sums),
-    _Check("strip-roundtrip", "paths", 10, _check_strip_roundtrip),
-    _Check("matchings-perfect", "paths", 10, _check_matchings),
-    _Check("path-count-recurrence", "paths", 12, _check_path_counts),
-    _Check("phi1-transport", "bijections", 10, _check_phi1_transport),
-    _Check("phi2-transport", "bijections", 10, _check_phi2_transport),
-    _Check("phi3-transport", "bijections", 10, _check_phi3_transport),
-    _Check("phi-bijectivity", "bijections", 9, _check_phi_bijectivity),
-    _Check("phi-roundtrips", "bijections", 10, _check_phi_roundtrips),
-    _Check("qmotzkin-at-one", "qpoly", 30, _check_qmotzkin_at_one),
-    _Check("tableau-recursion", "qpoly", 25, _check_tableau_recursion),
-    _Check("tableau-first-column", "qpoly", 30, _check_tableau_first_column),
-    _Check("tableau-row-pair", "qpoly", 30, _check_tableau_row_pair),
-    _Check("dumont-expansion", "qpoly", 20, _check_dumont),
-    _Check("a-series-recurrence", "qpoly", 20, _check_a_series),
-    _Check("mtilde-functional-equation", "qpoly", 20, _check_mtilde_equation),
-    _Check("main12-identity", "qpoly", 40, _check_main12),
-    _Check("i-abcd-vs-paths", "qpoly", 10, _check_i_abcd_vs_paths),
-    _Check("dist-4321-crs-nes", "distributions", 10, _check_dist_4321),
-    _Check("dist-3412-nes", "distributions", 10, _check_dist_3412),
-    _Check("dist-321-crs", "distributions", 9, _check_dist_321),
-    _Check("dist-4321-joint-fraction", "distributions", 9, _check_dist_4321_joint),
-    _Check("dist-3412-joint-fraction", "distributions", 9, _check_dist_3412_joint),
-    _Check("dist-321-joint-fraction", "distributions", 9, _check_dist_321_joint),
-    _Check("dist-path-transport", "distributions", 9, _check_dist_transport),
+    _Check("inv-identity", "statistics", 8, ("inv", "exc+crs+2*nes"),
+           _each_member(PermClass.ALL, _inv_sides)),
+    _Check("head-tail-roundtrip", "statistics", 8, ("rebuilt", "word"),
+           _each_member(PermClass.ALL, lambda w: (
+               permutation_from_head_tail(head_tail_pairs(w), len(w)), w))),
+    _Check("class-tails-des-exc", "statistics", 9,
+           ("(spaced, tails, tails)", "(True, des, exc)"),
+           _each_member(PermClass.S321_B3142, _tail_sides)),
+    _Check("class-nonnesting", "statistics", 9, ("nes", "expected"),
+           _each_member(PermClass.S321_B3142, lambda w: (
+               _fp_exc_crs_nes_inv(w)[3], 0))),
+    _Check("area-down-identity", "paths", 12, ("area", "2*sh_d+sh_h-down"),
+           _each_path_stats(lambda p, r: (r.area, 2 * r.sh_d + r.sh_h - r.down))),
+    _Check("area-up-identity", "paths", 12, ("area", "2*sh_u+sh_h+up"),
+           _each_path_stats(lambda p, r: (r.area, 2 * r.sh_u + r.sh_h + r.up))),
+    _Check("height-sum-difference", "paths", 12, ("sh_u", "sh_d-down"),
+           _each_path_stats(lambda p, r: (r.sh_u, r.sh_d - r.down))),
+    _Check("strip-roundtrip", "paths", 10, ("rebuilt", "path"),
+           _each_path(lambda p: (
+               path_from_head_tail(strip_decomposition(p), len(p)), p))),
+    _Check("matchings-perfect", "paths", 10,
+           ("(pairs, ends, opens first)", "(up, 2*up, True)"),
+           _each_path_stats(_matching_sides)),
+    _Check("path-count-recurrence", "paths", 12, ("paths", "recurrence"),
+           _each_size(lambda n: (
+               sum(1 for _ in enumerate_paths(n)), motzkin_number(n)))),
+    _Check("phi1-transport", "bijections", 10, _PHI12_LABELS,
+           _each_path_stats(lambda p, r: (
+               _fp_exc_crs_nes_inv(phi1(p))[:4], _phi1_predicts(r)))),
+    _Check("phi2-transport", "bijections", 10, _PHI12_LABELS,
+           _each_path_stats(lambda p, r: (
+               _fp_exc_crs_nes_inv(phi2(p))[:4], _phi2_predicts(r)))),
+    _Check("phi3-transport", "bijections", 10,
+           ("image (exc, crs, inv)", "path (up, sh_u+sh_h, area-sh_u)"),
+           _each_path_stats(_phi3_sides)),
+    _Check("phi-bijectivity", "bijections", 9, ("sorted image", "class member"),
+           _phi_bijectivity),
+    _Check("phi-roundtrips", "bijections", 10,
+           ("(shape of phi1, shape of phi2, phi3_inverse of phi3)", "path"),
+           _each_path(lambda p: (
+               (involution_shape_path(phi1(p)), involution_shape_path(phi2(p)),
+                phi3_inverse(phi3(p))),
+               (p, p, p)))),
+    _Check("qmotzkin-at-one", "qpoly", 30, ("(M(1), Mtilde(1))", "Motzkin"),
+           _each_size(lambda n: (
+               (q_motzkin(n).evaluate(1), q_motzkin_tilde(n).evaluate(1)),
+               (motzkin_number(n),) * 2))),
+    _Check("tableau-recursion", "qpoly", 25, ("tableau", "closed form"),
+           _tableau_recursion),
+    _Check("tableau-first-column", "qpoly", 30, ("column", "recurrence"),
+           _tableau_first_column),
+    _Check("tableau-row-pair", "qpoly", 30, ("H(n,0)", "H(n-1,0)+H(n-1,1)"),
+           _tableau_row_pair),
+    _Check("dumont-expansion", "qpoly", 20, ("series", "tableau"), _dumont),
+    _Check("a-series-recurrence", "qpoly", 20, ("recurrence", "fraction"),
+           _versus_series("A", lambda n: q_motzkin(n), "q")),
+    _Check("mtilde-functional-equation", "qpoly", 20, ("lhs", "rhs"),
+           _series_terms(_mtilde_equation)),
+    _Check("main12-identity", "qpoly", 40, ("lhs", "rhs"),
+           _series_terms(lambda cap: (
+               named_series("main12-lhs", cap), named_series("main12-rhs", cap)))),
+    _Check("i-abcd-vs-paths", "qpoly", 10, ("paths", "fraction"),
+           _versus_series("I-abcd", _abcd_tally)),
+    _Check("dist-4321-crs-nes", "distributions", 10, ("enumeration", "polynomial"),
+           _each_size(lambda n: (
+               _enumerated(PermClass.I4321, n, StatSpec.CRS_PLUS_NES), q_motzkin(n)))),
+    _Check("dist-3412-nes", "distributions", 10, ("enumeration", "polynomial"),
+           _each_size(lambda n: (
+               _enumerated(PermClass.I3412, n, StatSpec.NES), q_motzkin(n)))),
+    _Check("dist-321-crs", "distributions", 9, ("enumeration", "polynomial"),
+           _dist_321),
+    _Check("dist-4321-joint-fraction", "distributions", 9, ("enumeration", "fraction"),
+           _versus_series("I4321-joint", lambda n: _enumerated(
+               PermClass.I4321, n, StatSpec.JOINT_FP_EXC_CRS_NES))),
+    _Check("dist-3412-joint-fraction", "distributions", 9, ("enumeration", "fraction"),
+           _versus_series("I3412-joint", lambda n: _enumerated(
+               PermClass.I3412, n, StatSpec.JOINT_FP_EXC_CRS_NES))),
+    _Check("dist-321-joint-fraction", "distributions", 9, ("enumeration", "fraction"),
+           _versus_series("S321-exc-crs", lambda n: _enumerated(
+               PermClass.S321_B3142, n, StatSpec.JOINT_EXC_CRS))),
+    _Check("dist-path-transport", "distributions", 9, ("paths", "enumeration"),
+           _dist_transport),
 )
 
 SUITES: tuple[str, ...] = (
@@ -629,8 +522,15 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
     suite_start = time.perf_counter()
     for check in selected:
         cap = min(check.bound, max_n)
+        counterexample = None
         start = time.perf_counter()
-        counterexample = check.fn(cap)
+        for where, lhs, rhs in check.cases(cap):
+            if lhs != rhs:
+                if isinstance(where, tuple):
+                    where = f"n={len(where)} word={one_line(where)}"
+                left, right = check.labels
+                counterexample = f"{where}: {left}={lhs}, {right}={rhs}"
+                break
         elapsed = int((time.perf_counter() - start) * 1000)
         results.append(
             CheckResult(

@@ -285,17 +285,3 @@ def path_from_head_tail(
         w[r - 1] = "d"
     word = "".join(w)
     return check_path(word)
-
-
-def path_to_json(word: str) -> dict:
-    """JSON-friendly form of a path."""
-    w = check_path(word)
-    return {"n": len(w), "word": w}
-
-
-def path_from_json(data: dict) -> str:
-    """Inverse of ``path_to_json``, validating both fields."""
-    word = check_path(str(data["word"]))
-    if int(data["n"]) != len(word):
-        raise ValueError(f"length field {data['n']} does not match word {word!r}")
-    return word

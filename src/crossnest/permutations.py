@@ -26,17 +26,22 @@ from typing import Iterator, Sequence
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
-    """True when ``word`` lists each of 1..n exactly once.
+    """True when ``word`` lists each of 1..n exactly once, as plain ints.
+
+    Python counts a bool as an int, but ``True`` is not the letter 1, so
+    bools (and other int subclasses) are refused.
 
     >>> is_permutation_word((2, 1, 3))
     True
     >>> is_permutation_word((1, 1))
     False
+    >>> is_permutation_word((2, True))
+    False
     """
     n = len(word)
     seen = [False] * (n + 1)
     for v in word:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v]:
+        if type(v) is not int or not 1 <= v <= n or seen[v]:
             return False
         seen[v] = True
     return True
@@ -125,11 +130,20 @@ class StatRecord:
     is_involution: bool
 
 
-def _crs_nes_inv(w: tuple[int, ...]) -> tuple[int, int, int]:
-    crs = nes = inv = 0
+def _fp_exc_crs_nes_inv(w: tuple[int, ...]) -> tuple[int, int, int, int, int]:
+    """Fixed points, excedances, crossings, nestings and inversions in one pass.
+
+    The statistics kernel behind ``perm_statistics``, ``distribution`` and the
+    oracle checks; it trusts ``w`` to be a valid permutation word.
+    """
+    fp = exc = crs = nes = inv = 0
     n = len(w)
     for i in range(1, n + 1):
         si = w[i - 1]
+        if si == i:
+            fp += 1
+        elif si > i:
+            exc += 1
         for j in range(i + 1, n + 1):
             sj = w[j - 1]
             if si > sj:
@@ -138,7 +152,7 @@ def _crs_nes_inv(w: tuple[int, ...]) -> tuple[int, int, int]:
                 crs += 1
             elif (j < sj < si) or (sj < si <= i):
                 nes += 1
-    return crs, nes, inv
+    return fp, exc, crs, nes, inv
 
 
 def perm_statistics(word: Sequence[int]) -> StatRecord:
@@ -150,18 +164,15 @@ def perm_statistics(word: Sequence[int]) -> StatRecord:
     """
     w = check_permutation(word)
     n = len(w)
-    crs, nes, inv = _crs_nes_inv(w)
-    exc_set = tuple(i for i in range(1, n + 1) if w[i - 1] > i)
-    des_set = tuple(i for i in range(1, n) if w[i - 1] > w[i])
-    fp = sum(1 for i in range(1, n + 1) if w[i - 1] == i)
+    fp, exc, crs, nes, inv = _fp_exc_crs_nes_inv(w)
     return StatRecord(
-        exc=len(exc_set),
+        exc=exc,
         fp=fp,
         crs=crs,
         nes=nes,
         inv=inv,
-        exc_set=exc_set,
-        des_set=des_set,
+        exc_set=tuple(i for i in range(1, n + 1) if w[i - 1] > i),
+        des_set=tuple(i for i in range(1, n) if w[i - 1] > w[i]),
         is_involution=all(w[w[i] - 1] == i + 1 for i in range(n)),
     )
 

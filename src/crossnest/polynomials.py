@@ -21,7 +21,7 @@ Both render to a canonical text form: terms ascending by total exponent
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # Exponents are packed into a single int key, _EXP_BITS bits per variable.
 # Keys of same-shape monomials add under multiplication with no carries as
@@ -111,10 +111,6 @@ class UniPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
-
-    @classmethod
-    def const(cls, c: int) -> "UniPoly":
-        return cls((c,))
 
     @classmethod
     def q_power(cls, k: int) -> "UniPoly":
@@ -377,32 +373,6 @@ class MultiPoly:
         out = _convolve(a, b)
         return MultiPoly(self.variables, {e: c for e, c in enumerate(out) if c})
 
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise ValueError("exponent must be nonnegative")
-        acc = MultiPoly.one(self.variables)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def substitute(self, assignments: Mapping[str, int]) -> "MultiPoly":
-        """Replace some variables by integers; the result keeps all variables."""
-        unknown = set(assignments) - set(self.variables)
-        if unknown:
-            raise ValueError(f"unknown variables: {sorted(unknown)}")
-        idx = {v: i for i, v in enumerate(self.variables)}
-        n = len(self.variables)
-        data: dict[int, int] = {}
-        for k, c in self._terms.items():
-            exps = list(_unpack(k, n))
-            for v, val in assignments.items():
-                i = idx[v]
-                c *= val ** exps[i]
-                exps[i] = 0
-            key = _pack(exps)
-            data[key] = data.get(key, 0) + c
-        return MultiPoly(self.variables, data)
-
     def evaluate(self, assignments: Mapping[str, int]) -> int:
         """Evaluate with every variable assigned an integer."""
         missing = set(self.variables) - set(assignments)
@@ -435,12 +405,6 @@ class MultiPoly:
             out[e] = c
         return UniPoly(out)
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        n = len(self.variables)
-        return max(sum(_unpack(k, n)) for k in self._terms)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -462,7 +426,3 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.variables!r}, {str(self)!r})"
-
-
-def _iter_terms(p: MultiPoly) -> Iterator[tuple[tuple[int, ...], int]]:
-    return iter(p.terms_sorted())

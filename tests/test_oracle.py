@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+from crossnest.bijections import phi2
+from crossnest.cli import cmd_dispatch
 from crossnest.oracle import (
+    _CHECKS,
     DEFAULT_ENUM_LIMIT,
     ENUM_LIMIT_ENV,
+    SUITES,
     SizeLimitError,
     StatSpec,
     distribution,
@@ -131,3 +135,117 @@ class TestRunSuite:
             assert check["pass"] is True
             assert "counterexample" not in check
         json.dumps(data)
+
+
+# The check table as (name, suite, bound), in table order.  Bounds may only
+# go up; names and suites are part of the CLI's output.
+CHECK_TABLE = (
+    ("inv-identity", "statistics", 8),
+    ("head-tail-roundtrip", "statistics", 8),
+    ("class-tails-des-exc", "statistics", 9),
+    ("class-nonnesting", "statistics", 9),
+    ("area-down-identity", "paths", 12),
+    ("area-up-identity", "paths", 12),
+    ("height-sum-difference", "paths", 12),
+    ("strip-roundtrip", "paths", 10),
+    ("matchings-perfect", "paths", 10),
+    ("path-count-recurrence", "paths", 12),
+    ("phi1-transport", "bijections", 10),
+    ("phi2-transport", "bijections", 10),
+    ("phi3-transport", "bijections", 10),
+    ("phi-bijectivity", "bijections", 9),
+    ("phi-roundtrips", "bijections", 10),
+    ("qmotzkin-at-one", "qpoly", 30),
+    ("tableau-recursion", "qpoly", 25),
+    ("tableau-first-column", "qpoly", 30),
+    ("tableau-row-pair", "qpoly", 30),
+    ("dumont-expansion", "qpoly", 20),
+    ("a-series-recurrence", "qpoly", 20),
+    ("mtilde-functional-equation", "qpoly", 20),
+    ("main12-identity", "qpoly", 40),
+    ("i-abcd-vs-paths", "qpoly", 10),
+    ("dist-4321-crs-nes", "distributions", 10),
+    ("dist-3412-nes", "distributions", 10),
+    ("dist-321-crs", "distributions", 9),
+    ("dist-4321-joint-fraction", "distributions", 9),
+    ("dist-3412-joint-fraction", "distributions", 9),
+    ("dist-321-joint-fraction", "distributions", 9),
+    ("dist-path-transport", "distributions", 9),
+)
+
+VERIFY_ALL_3 = (
+    "pass a-series-recurrence (n≤3)\n"
+    "pass area-down-identity (n≤3)\n"
+    "pass area-up-identity (n≤3)\n"
+    "pass class-nonnesting (n≤3)\n"
+    "pass class-tails-des-exc (n≤3)\n"
+    "pass dist-321-crs (n≤3)\n"
+    "pass dist-321-joint-fraction (n≤3)\n"
+    "pass dist-3412-joint-fraction (n≤3)\n"
+    "pass dist-3412-nes (n≤3)\n"
+    "pass dist-4321-crs-nes (n≤3)\n"
+    "pass dist-4321-joint-fraction (n≤3)\n"
+    "pass dist-path-transport (n≤3)\n"
+    "pass dumont-expansion (n≤3)\n"
+    "pass head-tail-roundtrip (n≤3)\n"
+    "pass height-sum-difference (n≤3)\n"
+    "pass i-abcd-vs-paths (n≤3)\n"
+    "pass inv-identity (n≤3)\n"
+    "pass main12-identity (n≤3)\n"
+    "pass matchings-perfect (n≤3)\n"
+    "pass mtilde-functional-equation (n≤3)\n"
+    "pass path-count-recurrence (n≤3)\n"
+    "pass phi-bijectivity (n≤3)\n"
+    "pass phi-roundtrips (n≤3)\n"
+    "pass phi1-transport (n≤3)\n"
+    "pass phi2-transport (n≤3)\n"
+    "pass phi3-transport (n≤3)\n"
+    "pass qmotzkin-at-one (n≤3)\n"
+    "pass strip-roundtrip (n≤3)\n"
+    "pass tableau-first-column (n≤3)\n"
+    "pass tableau-recursion (n≤3)\n"
+    "pass tableau-row-pair (n≤3)\n"
+    "suite all: 31/31 checks passed\n"
+)
+
+
+class TestCheckTable:
+    def test_names_suites_bounds(self):
+        assert tuple((c.name, c.suite, c.bound) for c in _CHECKS) == CHECK_TABLE
+
+    def test_reports_sorted_by_name(self):
+        names = [c.name for c in run_suite("all", 1).checks]
+        assert names == sorted(name for name, _, _ in CHECK_TABLE)
+        for suite in SUITES[1:]:
+            names = [c.name for c in run_suite(suite, 1).checks]
+            assert names == sorted(n for n, s, _ in CHECK_TABLE if s == suite)
+
+    def test_verify_all_stdout(self, capsys):
+        assert cmd_dispatch(("verify", "--suite", "all", "--max-n", "3")) == 0
+        assert capsys.readouterr().out == VERIFY_ALL_3
+
+
+class TestFailurePath:
+    """Real checks pointed at a broken function report the first failure."""
+
+    def test_phi1_swapped_for_phi2(self, capsys, monkeypatch):
+        monkeypatch.setattr("crossnest.oracle.phi1", phi2)
+        assert cmd_dispatch(("verify", "--suite", "bijections", "--max-n", "4")) == 1
+        out = capsys.readouterr().out
+        assert (
+            "FAIL phi1-transport (n≤4)\n"
+            "  counterexample: uudd: image (fp, exc, crs, nes)=(0, 2, 0, 2), "
+            "path (hor, up, 2*sh_u, sh_h)=(0, 2, 2, 0)\n"
+        ) in out
+        assert "pass phi2-transport (n≤4)\n" in out
+        assert "pass phi3-transport (n≤4)\n" in out
+
+    def test_head_tail_pairs_broken(self, monkeypatch):
+        monkeypatch.setattr("crossnest.oracle.head_tail_pairs", lambda w: ())
+        by_name = {c.name: c for c in run_suite("statistics", 4).checks}
+        roundtrip = by_name["head-tail-roundtrip"]
+        assert not roundtrip.passed
+        assert roundtrip.counterexample == (
+            "n=2 word=2 1: rebuilt=(1, 2), word=(2, 1)"
+        )
+        assert by_name["inv-identity"].passed

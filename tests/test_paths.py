@@ -8,9 +8,7 @@ from crossnest.paths import (
     enumerate_paths,
     parse_path,
     path_from_head_tail,
-    path_from_json,
     path_statistics,
-    path_to_json,
     sequential_matching,
     step_height,
     strip_decomposition,
@@ -65,13 +63,6 @@ class TestParsing:
         assert check_path("uhd") == "uhd"
         with pytest.raises(ValueError):
             check_path("UHD")
-
-    def test_json_round_trip(self):
-        data = path_to_json(SHOWCASE_PATH)
-        assert data == {"n": 16, "word": SHOWCASE_PATH}
-        assert path_from_json(data) == SHOWCASE_PATH
-        with pytest.raises(ValueError):
-            path_from_json({"n": 3, "word": "ud"})
 
 
 class TestHeights:

@@ -38,6 +38,10 @@ class TestBasics:
         assert not is_permutation_word((2,))
         assert not is_permutation_word((1, 1))
         assert not is_permutation_word((0, 1))
+        # bool is a subclass of int, but True is not the letter 1.
+        assert not is_permutation_word((2, True))
+        with pytest.raises(ValueError):
+            perm_statistics((True,))
 
     def test_check_rejects(self):
         with pytest.raises(ValueError):

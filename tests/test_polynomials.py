@@ -140,10 +140,8 @@ class TestMultiPoly:
         poly = x * x + x * y + y * y + x + y + 1
         assert str(poly) == "1 + y + x + y^2 + x*y + x^2"
 
-    def test_substitute_and_evaluate(self):
+    def test_evaluate(self):
         m = MultiPoly.monomial(VARS, {"y": 1, "q": 2}, 3) + MultiPoly.one(VARS)
-        at_y1 = m.substitute({"y": 1})
-        assert at_y1 == MultiPoly.monomial(VARS, {"q": 2}, 3) + MultiPoly.one(VARS)
         assert m.evaluate({"x": 0, "y": 1, "p": 0, "q": 2}) == 13
         with pytest.raises(ValueError):
             m.evaluate({"y": 1})
@@ -166,10 +164,6 @@ class TestMultiPoly:
             tuple(naive_convolve(list(range(1, 50)), list(range(3, 40))))
         )
         assert (a * b).as_unipoly("q") == expected
-
-    def test_pow(self):
-        q = MultiPoly.variable(("q",), "q")
-        assert (q + 1) ** 2 == q * q + 2 * q + 1
 
     def test_exponent_bound_enforced(self):
         with pytest.raises(ValueError):
