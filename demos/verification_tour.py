@@ -16,8 +16,7 @@ def main() -> None:
     # Every named check, capped at a desk-scale size.
     report = run_suite("all", 6)
     for check in report.checks:
-        print(f"{'pass' if check.passed else 'FAIL'}"
-              f" {check.name} ({check.bounds})")
+        print(f"{check.status} {check.name} ({check.bounds})")
     good = sum(1 for c in report.checks if c.passed)
     print(f"suite all: {good}/{len(report.checks)} checks passed"
           f" in {report.elapsed_ms} ms")

@@ -2,9 +2,12 @@
 
 Exit codes: 0 on success, 1 on a verification failure, an invalid
 object (bad permutation word, bad path word, b-file mismatch) or a size
-refused by the enumeration guard, 2 on usage errors.  Identical argv
-produces byte-identical standard output, except that JSON verification
-reports embed wall-clock fields.
+refused by the enumeration guard, 2 on usage errors.  A verification
+failure is any check that is not ``pass``: ``FAIL`` (a counterexample,
+or an exception raised by the check) or ``empty`` (it compared nothing,
+as the tableau checks do at ``--max-n 0``).  Identical argv produces
+byte-identical standard output, except that JSON verification reports
+embed wall-clock fields.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_json_dict(), ensure_ascii=False))
     else:
         for check in report.checks:
-            print(f"{'pass' if check.passed else 'FAIL'} {check.name} ({check.bounds})")
+            print(f"{check.status} {check.name} ({check.bounds})")
             if check.counterexample is not None:
                 print(f"  counterexample: {check.counterexample}")
         good = sum(1 for c in report.checks if c.passed)

@@ -13,7 +13,10 @@ of a row are always different computations.  ``run_suite`` holds the only
 comparison loop: for each row of the suite it draws cases up to the smaller
 of the row's bound and the caller's max_n, stops at the first
 ``lhs != rhs`` and only then formats that case, so the report's
-counterexamples are the lexicographically first failures.
+counterexamples are the lexicographically first failures.  It counts the
+cases it compared: a row with none does not pass (its status is
+``empty``), and a row whose cases raise fails with the exception as its
+counterexample, placed after the last case drawn, while the suite goes on.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ from .qmotzkin import (
     motzkin_number,
     q_motzkin,
     q_motzkin_tilde,
-    stieltjes_tableau,
 )
-from .series import FractionSpec, PowerSeries, jfraction_series, named_series
+from .series import PowerSeries, named_series
 
 DEFAULT_ENUM_LIMIT = 12
 ENUM_LIMIT_ENV = "CROSSNEST_ENUM_LIMIT"
@@ -141,17 +143,28 @@ def distribution(
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's outcome; ``objects`` counts the cases it compared."""
+
     name: str
     bounds: str
     passed: bool
     counterexample: str | None
     elapsed_ms: int
+    objects: int = 0
+
+    @property
+    def status(self) -> str:
+        """``pass``, ``FAIL``, or ``empty`` for a check with nothing to compare."""
+        if self.passed:
+            return "pass"
+        return "FAIL" if self.counterexample is not None else "empty"
 
     def to_json_dict(self) -> dict:
         data: dict = {
             "name": self.name,
             "range": self.bounds,
             "pass": self.passed,
+            "objects": self.objects,
             "elapsed_ms": self.elapsed_ms,
         }
         if self.counterexample is not None:
@@ -341,26 +354,17 @@ def _tableau_row_pair(cap: int) -> Iterator[Case]:
         yield f"n={n}", table[n][0], below
 
 
-def _uni_level(fn: Callable[[int], UniPoly]) -> Callable[[int], MultiPoly]:
-    return lambda k: MultiPoly.from_unipoly(fn(k), ("q",), "q")
-
-
 def _dumont(cap: int) -> Iterator[Case]:
-    shapes = (
-        ("constant", lambda k: UniPoly((1,)), lambda k: UniPoly((1,))),
-        (
-            "geometric",
-            lambda k: UniPoly.q_power(k - 1),
-            lambda k: UniPoly.q_power(k - 1),
-        ),
+    # Two j-fraction presets against recurrences that never build a tableau.
+    recurrences = (
+        ("motzkin", lambda n: UniPoly((motzkin_number(n),))),
+        ("main12-rhs", q_motzkin_tilde),
     )
-    for label, alpha, beta in shapes:
-        spec = FractionSpec.jfraction(("q",), _uni_level(alpha), _uni_level(beta))
-        series = jfraction_series(spec, cap)
-        table = stieltjes_tableau(alpha, beta, cap)
+    for name, recurrence in recurrences:
+        series = named_series(name, cap)
         for n in range(cap + 1):
             got = series.coefficient(n).as_unipoly("q")
-            yield f"{label} levels, n={n}", got, table[n][0]
+            yield f"{name} n={n}", got, recurrence(n)
 
 
 def _mtilde_equation(cap: int) -> tuple[PowerSeries, PowerSeries]:
@@ -464,7 +468,7 @@ _CHECKS: tuple[_Check, ...] = (
            _tableau_first_column),
     _Check("tableau-row-pair", "qpoly", 30, ("H(n,0)", "H(n-1,0)+H(n-1,1)"),
            _tableau_row_pair),
-    _Check("dumont-expansion", "qpoly", 20, ("series", "tableau"), _dumont),
+    _Check("dumont-expansion", "qpoly", 20, ("series", "recurrence"), _dumont),
     _Check("a-series-recurrence", "qpoly", 20, ("recurrence", "fraction"),
            _versus_series("A", lambda n: q_motzkin(n), "q")),
     _Check("mtilde-functional-equation", "qpoly", 20, ("lhs", "rhs"),
@@ -495,6 +499,7 @@ _CHECKS: tuple[_Check, ...] = (
            _dist_transport),
 )
 
+
 SUITES: tuple[str, ...] = (
     "all",
     "statistics",
@@ -503,6 +508,12 @@ SUITES: tuple[str, ...] = (
     "qpoly",
     "distributions",
 )
+
+
+def _where_text(where: object) -> str:
+    if isinstance(where, tuple):
+        return f"n={len(where)} word={one_line(where)}"
+    return str(where)
 
 
 def run_suite(suite: str, max_n: int) -> VerificationReport:
@@ -523,22 +534,33 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
     for check in selected:
         cap = min(check.bound, max_n)
         counterexample = None
+        objects = 0
+        where: object = None
         start = time.perf_counter()
-        for where, lhs, rhs in check.cases(cap):
-            if lhs != rhs:
-                if isinstance(where, tuple):
-                    where = f"n={len(where)} word={one_line(where)}"
-                left, right = check.labels
-                counterexample = f"{where}: {left}={lhs}, {right}={rhs}"
-                break
+        try:
+            for where, lhs, rhs in check.cases(cap):
+                objects += 1
+                if lhs != rhs:
+                    left, right = check.labels
+                    counterexample = (
+                        f"{_where_text(where)}: {left}={lhs}, {right}={rhs}"
+                    )
+                    break
+        except Exception as exc:  # a raising check fails; the suite goes on
+            place = (
+                "before the first case" if where is None
+                else f"after {_where_text(where)}"
+            )
+            counterexample = f"{place}: raised {type(exc).__name__}: {exc}"
         elapsed = int((time.perf_counter() - start) * 1000)
         results.append(
             CheckResult(
                 name=check.name,
                 bounds=f"n≤{cap}",
-                passed=counterexample is None,
+                passed=counterexample is None and objects > 0,
                 counterexample=counterexample,
                 elapsed_ms=elapsed,
+                objects=objects,
             )
         )
     total = int((time.perf_counter() - suite_start) * 1000)

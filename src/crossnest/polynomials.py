@@ -32,7 +32,7 @@ _EXP_MASK = (1 << _EXP_BITS) - 1
 
 # Products of dense coefficient lists switch to single-bigint packing above
 # this size*size threshold; below it schoolbook wins on constant factors.
-_KARA_CUTOFF = 256
+_PACK_CUTOFF = 256
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -48,7 +48,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     la, lb = len(a), len(b)
-    if la * lb <= _KARA_CUTOFF or min(a) < 0 or min(b) < 0:
+    if la * lb <= _PACK_CUTOFF or min(a) < 0 or min(b) < 0:
         out = [0] * (la + lb - 1)
         for i, x in enumerate(a):
             if x:

@@ -12,13 +12,16 @@ Setting q = 1 in either recovers the Motzkin numbers.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from functools import cache
+from itertools import islice
+from typing import Any, Callable, Iterator, Sequence
 
 from .polynomials import UNI_ONE, UniPoly
 
 _motzkin_cache: list[int] = [1, 1]
 _q_motzkin_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]
 _q_tilde_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]
+_h_rows: list[list[UniPoly]] = [[UNI_ONE]]
 
 
 def motzkin_number(n: int) -> int:
@@ -78,8 +81,39 @@ def q_motzkin_tilde(n: int) -> UniPoly:
 LevelSeq = Callable[[int], "UniPoly | int"]
 
 
-def _as_poly(value: "UniPoly | int") -> UniPoly:
-    return value if isinstance(value, UniPoly) else UniPoly((value,))
+def _tableau_rows(
+    alpha: Callable[[int], Any],
+    beta: Callable[[int], Any],
+    row: list,
+    n: int = 0,
+    top: Callable[[int], int] | None = None,
+) -> Iterator[list]:
+    """Yield rows n+1, n+2, ... of a Stieltjes tableau, given its row n.
+
+    Each row follows from the one before by the recurrence of
+    ``stieltjes_tableau``, entries missing from it counting as zero.  Row m
+    keeps the entries i = 0..min(m, top(m)), all of them without ``top``;
+    ``top`` must not grow by more than one per row.  Entries are polynomials
+    of one type, level values polynomials of that type or ints; each level
+    is consulted once, and only for level >= 1.
+    """
+    alpha, beta = cache(alpha), cache(beta)
+    zero = row[0] * 0
+    prev = row
+    while True:
+        n += 1
+        last = len(prev) - 1
+        width = n if top is None else min(n, top(n))
+        cur = []
+        for i in range(width + 1):
+            acc = prev[i + 1] if i < last else zero
+            if i <= last:
+                acc = acc + alpha(i + 1) * prev[i]
+            if i:
+                acc = acc + beta(i) * prev[i - 1]
+            cur.append(acc)
+        yield cur
+        prev = cur
 
 
 def stieltjes_tableau(
@@ -98,36 +132,31 @@ def stieltjes_tableau(
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows: list[list[UniPoly]] = [[UNI_ONE]]
-    for n in range(1, n_max + 1):
-        prev = rows[-1]
-        row: list[UniPoly] = []
-        for i in range(n + 1):
-            acc = UniPoly(())
-            if i >= 1:
-                acc = acc + _as_poly(beta(i)) * prev[i - 1]
-            if i <= n - 1:
-                acc = acc + _as_poly(alpha(i + 1)) * prev[i]
-            if i + 1 <= n - 1:
-                acc = acc + prev[i + 1]
-            row.append(acc)
-        rows.append(row)
+    rows = [[UNI_ONE]]
+    rows += islice(_tableau_rows(alpha, beta, rows[0]), n_max)
     return rows
+
+
+def _h_level(i: int) -> UniPoly:
+    return UniPoly.q_power(i - 1)
 
 
 def h_tableau(n_max: int) -> list[list[UniPoly]]:
     """Tableau with alpha(i) = beta(i) = q^(i-1).
 
+    Rows are cached and extended on demand; each call returns fresh lists.
     Its first column reproduces ``q_motzkin_tilde``:
 
     >>> str(h_tableau(4)[4][0])
     '5 + 3*q + q^2'
     """
-
-    def level(i: int) -> UniPoly:
-        return UniPoly.q_power(i - 1)
-
-    return stieltjes_tableau(level, level, n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    rows = _h_rows
+    if len(rows) <= n_max:
+        more = _tableau_rows(_h_level, _h_level, rows[-1], len(rows) - 1)
+        rows += islice(more, n_max + 1 - len(rows))
+    return [list(row) for row in rows[: n_max + 1]]
 
 
 def h_recursion_rhs(n: int, i: int, table: Sequence[Sequence[UniPoly]]) -> UniPoly:

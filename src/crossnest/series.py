@@ -9,21 +9,27 @@ coefficient is a ``MultiPoly`` over one fixed variable tuple.  A
 * ``nested``:    1 / (1 - c_1 / (1 - c_2 / ...)) where each c_k is
   L_k t + Q_k t^2 and either part may vanish.
 
-``jfraction_series`` expands a spec to a given order.  The truncation
-depth defaults to just past the last level that can influence the result:
-level k of a j-fraction first shows up at order 2(k-1)+1, so ceil(N/2)+1
-levels always suffice; for the nested shape the analogous bound uses the
-minimum t-degree of each c_k.  Passing a larger depth must not change the
-output, and tests pin that down.
+``jfraction_series`` expands a spec to a given order.  A j-fraction's t^n
+coefficient is the weighted count of Motzkin paths of length n (Flajolet,
+1980), which is column 0 of the Stieltjes tableau with alpha = a and
+beta = b, so j-fractions are read off the tableau's rows; row n only keeps
+the heights <= N - n from which a path can still return to 0 by t^N.  A
+given ``depth`` truncates the fraction: levels past it count as zero.  The
+nested shape is expanded level by level from the deepest level up; its
+default depth is just past the last level that can influence the result,
+from the minimum t-degree of each c_k.  Passing a larger depth must not
+change the output of either shape, and tests pin that down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import Callable, Sequence
 
 from .polynomials import MultiPoly, UniPoly
-from .qmotzkin import q_motzkin, q_motzkin_tilde
+from .qmotzkin import _tableau_rows, q_motzkin, q_motzkin_tilde
 
 Level = Callable[[int], MultiPoly]
 
@@ -166,53 +172,24 @@ class FractionSpec:
         )
 
 
-def _level_j(
-    a: MultiPoly, b: MultiPoly, inner: Sequence[MultiPoly], order: int
-) -> list[MultiPoly]:
-    """Coefficients of 1 / (1 - a t - b t^2 G) with G given by ``inner``."""
-    variables = a.variables
-    out = [MultiPoly.one(variables)]
-    a_zero = a.is_zero()
-    b_zero = b.is_zero()
-    for m in range(1, order + 1):
-        term = MultiPoly.zero(variables)
-        if not a_zero:
-            term = term + a * out[m - 1]
-        if m >= 2 and not b_zero:
-            s = MultiPoly.zero(variables)
-            for r in range(min(m - 1, len(inner)) ):
-                g = inner[r]
-                if not g.is_zero():
-                    s = s + g * out[m - 2 - r]
-            term = term + b * s
-        out.append(term)
-    return out
-
-
 def _level_nested(
     lin: MultiPoly, quad: MultiPoly, inner: Sequence[MultiPoly], order: int
 ) -> list[MultiPoly]:
     """Coefficients of 1 / (1 - (lin t + quad t^2) G) with G from ``inner``."""
     variables = lin.variables
     out = [MultiPoly.one(variables)]
-    lin_zero = lin.is_zero()
-    quad_zero = quad.is_zero()
+    # conv[j] is the t^j coefficient of G * out, needed at j = m-1 and m-2.
+    conv: list[MultiPoly] = []
     for m in range(1, order + 1):
-        term = MultiPoly.zero(variables)
-        if not lin_zero:
-            s = MultiPoly.zero(variables)
-            for r in range(min(m, len(inner))):
-                g = inner[r]
-                if not g.is_zero():
-                    s = s + g * out[m - 1 - r]
-            term = term + lin * s
-        if m >= 2 and not quad_zero:
-            s = MultiPoly.zero(variables)
-            for r in range(min(m - 1, len(inner))):
-                g = inner[r]
-                if not g.is_zero():
-                    s = s + g * out[m - 2 - r]
-            term = term + quad * s
+        s = MultiPoly.zero(variables)
+        for r in range(min(m, len(inner))):
+            g = inner[r]
+            if not g.is_zero():
+                s = s + g * out[m - 1 - r]
+        conv.append(s)
+        term = lin * s
+        if m >= 2:
+            term = term + quad * conv[m - 2]
         out.append(term)
     return out
 
@@ -238,25 +215,27 @@ def jfraction_series(
 ) -> PowerSeries:
     """Expand a continued fraction to a truncated power series.
 
-    Each level is only expanded to the order still visible from the top,
-    so deeper levels get cheaper; levels past the default depth cannot
-    change the output at all.
+    A j-fraction is read off the first column of its Stieltjes tableau; a
+    nested fraction is expanded level by level, each level only to the
+    order still visible from the top.  Levels past ``depth`` count as zero.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     variables = spec.variables
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be nonnegative")
     if spec.kind == "jfraction":
         if spec.alpha is None or spec.beta is None:
             raise ValueError("j-fraction spec needs alpha and beta")
-        if depth is None:
-            depth = (order + 1) // 2 + 1
-        # Order needed at level k, anchored at the top: two powers of t are
-        # consumed by each surrounding b t^2 factor.
-        cur: list[MultiPoly] = [MultiPoly.one(variables)]
-        for k in range(depth, 0, -1):
-            target = max(0, order - 2 * (k - 1))
-            cur = _level_j(spec.alpha(k), spec.beta(k), cur, target)
-        return PowerSeries(variables, _pad(cur, order, variables))
+        alpha = spec.alpha
+        if depth is not None:
+            # Heights stay <= depth, so alpha(depth + 1) is the only level
+            # past the depth that the tableau consults.
+            alpha = lambda k: spec.alpha(k) if k <= depth else 0
+        cut = order if depth is None else depth
+        one = MultiPoly.one(variables)
+        rows = _tableau_rows(alpha, spec.beta, [one], top=lambda n: min(order - n, cut))
+        return PowerSeries(variables, [one] + [row[0] for row in islice(rows, order)])
     if spec.kind == "nested":
         if spec.linear is None or spec.quadratic is None:
             raise ValueError("nested spec needs linear and quadratic parts")
@@ -288,75 +267,30 @@ def _pad(
     return out
 
 
-def _mono(variables: tuple[str, ...], spec: dict[str, int]) -> MultiPoly:
-    return MultiPoly.monomial(variables, spec)
+# The j-fraction presets, one row each: variables, then the exponents of
+# alpha(k) and of beta(k) as {variable: (base, slope)}, meaning
+# variable^(base + slope * (k - 1)) at level k.
+_J_PRESETS: dict[str, tuple[tuple[str, ...], dict, dict]] = {
+    "motzkin": (("q",), {}, {}),
+    "I-abcd": (("a", "b", "c", "d"),
+               {"a": (1, 0), "d": (0, 1)}, {"b": (1, 0), "c": (0, 1)}),
+    "I4321-joint": (("x", "y", "p", "q"),
+                    {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "p": (0, 2)}),
+    "I3412-joint": (("x", "y", "p", "q"),
+                    {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "q": (0, 2)}),
+    "A": (("q",), {"q": (0, 1)}, {"q": (0, 2)}),
+    "S321-exc-crs": (("y", "q"), {"q": (0, 1)}, {"y": (1, 0), "q": (0, 1)}),
+    "main12-rhs": (("q",), {"q": (0, 1)}, {"q": (0, 1)}),
+}
 
 
-def _preset_motzkin(order: int) -> PowerSeries:
-    v = ("q",)
-    one = MultiPoly.one(v)
-    spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
-    return jfraction_series(spec, order)
+def _j_spec(variables: tuple[str, ...], alpha: dict, beta: dict) -> FractionSpec:
+    def level(exps: dict) -> Level:
+        return lambda k: MultiPoly.monomial(
+            variables, {v: base + slope * (k - 1) for v, (base, slope) in exps.items()}
+        )
 
-
-def _preset_i_abcd(order: int) -> PowerSeries:
-    v = ("a", "b", "c", "d")
-    spec = FractionSpec.jfraction(
-        v,
-        lambda k: _mono(v, {"a": 1, "d": k - 1}),
-        lambda k: _mono(v, {"b": 1, "c": k - 1}),
-    )
-    return jfraction_series(spec, order)
-
-
-def _preset_i4321_joint(order: int) -> PowerSeries:
-    v = ("x", "y", "p", "q")
-    spec = FractionSpec.jfraction(
-        v,
-        lambda k: _mono(v, {"x": 1, "q": k - 1}),
-        lambda k: _mono(v, {"y": 1, "p": 2 * (k - 1)}),
-    )
-    return jfraction_series(spec, order)
-
-
-def _preset_i3412_joint(order: int) -> PowerSeries:
-    v = ("x", "y", "p", "q")
-    spec = FractionSpec.jfraction(
-        v,
-        lambda k: _mono(v, {"x": 1, "q": k - 1}),
-        lambda k: _mono(v, {"y": 1, "q": 2 * (k - 1)}),
-    )
-    return jfraction_series(spec, order)
-
-
-def _preset_a(order: int) -> PowerSeries:
-    v = ("q",)
-    spec = FractionSpec.jfraction(
-        v,
-        lambda k: _mono(v, {"q": k - 1}),
-        lambda k: _mono(v, {"q": 2 * (k - 1)}),
-    )
-    return jfraction_series(spec, order)
-
-
-def _preset_s321_exc_crs(order: int) -> PowerSeries:
-    v = ("y", "q")
-    spec = FractionSpec.jfraction(
-        v,
-        lambda k: _mono(v, {"q": k - 1}),
-        lambda k: _mono(v, {"y": 1, "q": k - 1}),
-    )
-    return jfraction_series(spec, order)
-
-
-def _preset_main12_rhs(order: int) -> PowerSeries:
-    v = ("q",)
-    spec = FractionSpec.jfraction(
-        v,
-        lambda k: _mono(v, {"q": k - 1}),
-        lambda k: _mono(v, {"q": k - 1}),
-    )
-    return jfraction_series(spec, order)
+    return FractionSpec.jfraction(variables, level(alpha), level(beta))
 
 
 def _preset_main12_lhs(order: int) -> PowerSeries:
@@ -368,16 +302,16 @@ def _preset_main12_lhs(order: int) -> PowerSeries:
         if k % 2 == 0:
             return MultiPoly.zero(v)
         j = (k - 1) // 2
-        return _mono(v, {"q": j})
+        return MultiPoly.monomial(v, {"q": j})
 
     def quadratic(k: int) -> MultiPoly:
         if k == 1:
             return MultiPoly.one(v)
         if k % 2 == 0:
             j = k // 2
-            return _mono(v, {"q": 2 * j - 1})
+            return MultiPoly.monomial(v, {"q": 2 * j - 1})
         j = (k - 1) // 2
-        return _mono(v, {"q": 2 * j})
+        return MultiPoly.monomial(v, {"q": 2 * j})
 
     spec = FractionSpec.nested(v, linear, quadratic)
     return jfraction_series(spec, order)
@@ -410,16 +344,11 @@ def _preset_mtilde(order: int) -> PowerSeries:
 #   main12-lhs    nested-fraction form of the Mtilde generating series
 #   main12-rhs    j-fraction form of the same series
 PRESETS: dict[str, Callable[[int], PowerSeries]] = {
-    "motzkin": _preset_motzkin,
-    "I-abcd": _preset_i_abcd,
-    "I4321-joint": _preset_i4321_joint,
-    "I3412-joint": _preset_i3412_joint,
-    "A": _preset_a,
-    "S321-exc-crs": _preset_s321_exc_crs,
+    **{name: partial(jfraction_series, _j_spec(*row))
+       for name, row in _J_PRESETS.items()},
     "M": _preset_m,
     "Mtilde": _preset_mtilde,
     "main12-lhs": _preset_main12_lhs,
-    "main12-rhs": _preset_main12_rhs,
 }
 
 

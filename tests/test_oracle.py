@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crossnest.bijections import phi2
+from crossnest.bijections import phi1, phi2
 from crossnest.cli import cmd_dispatch
 from crossnest.oracle import (
     _CHECKS,
@@ -134,7 +134,31 @@ class TestRunSuite:
             assert {"name", "range", "pass", "elapsed_ms"} <= set(check)
             assert check["pass"] is True
             assert "counterexample" not in check
+            assert check["objects"] > 0
         json.dumps(data)
+
+    def test_objects_count_compared_cases(self):
+        by_name = {c.name: c for c in run_suite("paths", 3).checks}
+        assert by_name["path-count-recurrence"].objects == 4  # n = 0..3
+        assert by_name["strip-roundtrip"].objects == 1 + 1 + 2 + 4
+
+    def test_empty_checks_do_not_pass(self):
+        report = run_suite("all", 0)
+        empty = sorted(c.name for c in report.checks if c.objects == 0)
+        assert empty == ["tableau-recursion", "tableau-row-pair"]
+        for check in report.checks:
+            assert check.passed == (check.objects > 0)
+            assert check.status == ("pass" if check.objects else "empty")
+            assert check.counterexample is None
+        assert not report.passed
+
+    def test_verify_max_n_zero_exits_one(self, capsys):
+        assert cmd_dispatch(("verify", "--suite", "all", "--max-n", "0")) == 1
+        out = capsys.readouterr().out
+        assert "empty tableau-recursion (n≤0)\n" in out
+        assert "empty tableau-row-pair (n≤0)\n" in out
+        assert "FAIL" not in out
+        assert out.endswith("suite all: 29/31 checks passed\n")
 
 
 # The check table as (name, suite, bound), in table order.  Bounds may only
@@ -239,6 +263,26 @@ class TestFailurePath:
         ) in out
         assert "pass phi2-transport (n≤4)\n" in out
         assert "pass phi3-transport (n≤4)\n" in out
+
+    def test_raising_check_fails_alone(self, capsys, monkeypatch):
+        # phi1 images leave the 321/barred class, so phi3_inverse raises.
+        monkeypatch.setattr("crossnest.oracle.phi3", phi1)
+        report = run_suite("all", 5)
+        assert len(report.checks) == 31
+        by_name = {c.name: c for c in report.checks}
+        roundtrips = by_name["phi-roundtrips"]
+        assert roundtrips.status == "FAIL"
+        assert roundtrips.counterexample == (
+            "after hh: raised ValueError: permutation is outside the "
+            "321/barred class: (3, 2, 1)"
+        )
+        assert by_name["phi3-transport"].status == "FAIL"
+        assert by_name["inv-identity"].passed
+        assert by_name["tableau-recursion"].passed
+        assert cmd_dispatch(("verify", "--suite", "all", "--max-n", "5")) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith("suite all: 28/31 checks passed\n")
 
     def test_head_tail_pairs_broken(self, monkeypatch):
         monkeypatch.setattr("crossnest.oracle.head_tail_pairs", lambda w: ())

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from crossnest import qmotzkin
+from crossnest.oracle import run_suite
 from crossnest.polynomials import UNI_ONE, UniPoly
 from crossnest.qmotzkin import (
     h_recursion_rhs,
@@ -124,6 +126,38 @@ class TestTableau:
             assert table[n][0] == table[n - 1][0] + table[n - 1][1]
         assert table[1][0] == table[0][0]
 
+    def test_returned_table_is_a_copy(self):
+        table = h_tableau(4)
+        table[4][0] = UniPoly((99,))
+        table[3].append(UNI_ONE)
+        table.append([UNI_ONE])
+        rendered = [[str(entry) for entry in row] for row in h_tableau(4)]
+        assert rendered == TABLE_RENDERED
+        assert len(h_tableau(5)[5]) == 6
+
+    def test_cache_extension_matches_a_fresh_tableau(self, monkeypatch):
+        def level(i: int) -> UniPoly:
+            return UniPoly.q_power(i - 1)
+
+        monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
+        assert h_tableau(3) == stieltjes_tableau(level, level, 3)
+        assert h_tableau(12) == stieltjes_tableau(level, level, 12)
+        assert len(qmotzkin._h_rows) == 13
+
+    def test_suite_builds_each_row_once(self, monkeypatch):
+        built = []
+        real = qmotzkin._tableau_rows
+
+        def counting(*args, **kwargs):
+            for row in real(*args, **kwargs):
+                built.append(len(row) - 1)
+                yield row
+
+        monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
+        monkeypatch.setattr(qmotzkin, "_tableau_rows", counting)
+        assert run_suite("qpoly", 99).passed
+        assert built == list(range(1, 31))
+
     def test_all_ones_levels_give_motzkin_column(self):
         table = stieltjes_tableau(lambda i: 1, lambda i: 1, 12)
         for n in range(13):
@@ -139,6 +173,8 @@ class TestTableau:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             stieltjes_tableau(lambda i: 1, lambda i: 1, -1)
+        with pytest.raises(ValueError):
+            h_tableau(-1)
 
 
 class TestRecursionRhs:

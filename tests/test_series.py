@@ -9,9 +9,11 @@ from crossnest.qmotzkin import (
     stieltjes_tableau,
 )
 from crossnest.series import (
+    _J_PRESETS,
     PRESETS,
     FractionSpec,
     PowerSeries,
+    _j_spec,
     jfraction_series,
     named_series,
 )
@@ -19,6 +21,30 @@ from crossnest.series import (
 
 def uni_coeffs(series: PowerSeries) -> list[UniPoly]:
     return [c.as_unipoly("q") for c in series.coeffs]
+
+
+def level_by_level(spec: FractionSpec, order: int, depth: int | None = None) -> PowerSeries:
+    """Reference j-fraction expansion from the deepest level up.
+
+    Level k is 1 / (1 - a_k t - b_k t^2 G) with G the expansion of level
+    k+1 (G = 1 below the depth), kept to the order t^(order - 2(k-1)) that
+    is still visible from the top.  Independent of the tableau.
+    """
+    v = spec.variables
+    if depth is None:
+        depth = (order + 1) // 2 + 1
+    inner = [MultiPoly.one(v)]
+    for k in range(depth, 0, -1):
+        a, b = spec.alpha(k), spec.beta(k)
+        out = [MultiPoly.one(v)]
+        for m in range(1, max(0, order - 2 * (k - 1)) + 1):
+            term = a * out[m - 1]
+            for r in range(min(m - 1, len(inner))):
+                term = term + b * inner[r] * out[m - 2 - r]
+            out.append(term)
+        inner = out
+    zero = MultiPoly.zero(v)
+    return PowerSeries(v, (inner + [zero] * order)[: order + 1])
 
 
 class TestPowerSeries:
@@ -108,6 +134,22 @@ class TestJFraction:
         series = jfraction_series(spec, 14)
         table = stieltjes_tableau(alpha, beta, 14)
         assert uni_coeffs(series) == [row[0] for row in table]
+
+    def test_negative_depth(self):
+        v = ("q",)
+        one = MultiPoly.one(v)
+        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
+        with pytest.raises(ValueError, match="depth"):
+            jfraction_series(spec, 3, depth=-1)
+
+    @pytest.mark.parametrize("name", sorted(_J_PRESETS))
+    def test_presets_match_level_by_level_expansion(self, name):
+        spec = _j_spec(*_J_PRESETS[name])
+        for order in range(13):
+            assert named_series(name, order) == level_by_level(spec, order), order
+            for depth in (None, 0, 1, 2, 3, 7, 20):
+                got = jfraction_series(spec, order, depth)
+                assert got == level_by_level(spec, order, depth), (order, depth)
 
     def test_unknown_kind(self):
         spec = FractionSpec("weird", ("q",))
