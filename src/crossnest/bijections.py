@@ -14,6 +14,9 @@ size, each turning step-height statistics into arc statistics:
   permutations that also avoid the barred pattern, with
   (exc, crs) = (up, sh_u + sh_h) and inv = area - sh_u.
 
+phi1 and phi3 read the same pairs: the strips are the sequential-matching
+pairs (p, r), with head r - 1 and tail p + height(p).
+
 ``involution_shape_path`` inverts both phi1 and phi2 (they share it),
 ``phi3_inverse`` inverts phi3.
 """

@@ -287,3 +287,7 @@ def cmd_dispatch(argv: Sequence[str]) -> int:
 
 def main() -> None:
     sys.exit(cmd_dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -11,6 +11,10 @@ Step-height statistics sum those starting heights over each step kind
 path and the axis.  For every path
 
     area = 2 * sh_d + sh_h - down = 2 * sh_u + sh_h + up
+
+The sequential matching pairs the k-th up step p with the k-th down step
+r.  The strip decomposition is the same pairs read as head/tail pairs
+(r - 1, p + height(p)), and ``path_from_head_tail`` inverts it directly.
 """
 
 from __future__ import annotations
@@ -136,26 +140,40 @@ def enumerate_paths(n: int) -> Iterator[str]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    buf: list[str] = []
+    return _paths(n)
 
-    def rec(height: int, remaining: int) -> Iterator[str]:
-        if remaining == 0:
-            yield "".join(buf)
-            return
-        if height + 1 <= remaining - 1:
-            buf.append("u")
-            yield from rec(height + 1, remaining - 1)
-            buf.pop()
-        if height <= remaining - 1:
-            buf.append("h")
-            yield from rec(height, remaining - 1)
-            buf.pop()
-        if height >= 1:
-            buf.append("d")
-            yield from rec(height - 1, remaining - 1)
-            buf.pop()
 
-    return rec(0, n)
+def _steps(height: int, remaining: int) -> list[str]:
+    # Steps from a height below `remaining`, last-tried first (d, h, u).
+    steps = ["d", "h"] if height else ["h"]
+    if height + 2 <= remaining:
+        steps.append("u")
+    return steps
+
+
+def _paths(n: int) -> Iterator[str]:
+    # Depth-first with an explicit stack of (height, untried steps) frames,
+    # frame i choosing step i of `word`.  Steps past the deepest frame are
+    # kept as "d", so once the height equals the steps left, `word` is
+    # already the path's only completion.
+    if n == 0:
+        yield ""
+        return
+    word = ["d"] * n
+    stack = [(0, _steps(0, n))]
+    while stack:
+        height, untried = stack[-1]
+        i = len(stack) - 1
+        if not untried:
+            stack.pop()
+            word[i] = "d"
+            continue
+        ch = word[i] = untried.pop()
+        h = height + 1 if ch == "u" else height - 1 if ch == "d" else height
+        if h == n - i - 1:
+            yield "".join(word)
+        else:
+            stack.append((h, _steps(h, n - i - 1)))
 
 
 def sequential_matching(word: str) -> tuple[tuple[int, int], ...]:
@@ -192,35 +210,26 @@ def tunnel_matching(word: str) -> tuple[tuple[int, int], ...]:
 
 
 def strip_decomposition(word: str) -> tuple[tuple[int, int], ...]:
-    """Peel maximal strips off the path, producing head/tail pairs.
+    """Head/tail pairs of the path's strips, sorted by ascending head.
 
-    Each round locates the last up step (index p, height y_p) and the last
-    down step (index r, height y_r), records the pair
-    (r + y_r - 2, p + y_p), and flattens both steps to horizontal; the
-    rounds repeat until the path is a row of horizontal steps.  Pairs are
-    returned sorted by ascending head.
+    Peeling a strip flattens the last remaining up step and the last
+    remaining down step, so the rounds peel the sequential-matching pairs
+    (p, r) from the last to the first, and each strip is
+    (r - 1, p + height(p)).  Flattening a later pair (p_j > p_k) never
+    changes the height at p_k, and when the round of (p_k, r_k) comes, r_k
+    starts at height exactly 1: the k + 1 remaining up steps all come
+    before r_k, and only k remaining down steps do.
 
     >>> strip_decomposition("ud")
     ((1, 1),)
     >>> strip_decomposition("hh")
     ()
     """
-    w = list(check_path(word))
-    pairs = []
-    while True:
-        p = r = -1
-        for i, ch in enumerate(w):
-            if ch == "u":
-                p = i
-            elif ch == "d":
-                r = i
-        if p < 0:
-            break
-        heights = _start_heights("".join(w))
-        pairs.append((r + 1 + heights[r] - 2, p + 1 + heights[p]))
-        w[p] = "h"
-        w[r] = "h"
-    return tuple(reversed(pairs))
+    w = check_path(word)
+    heights = _start_heights(w)
+    return tuple(
+        (r - 1, p + heights[p - 1]) for p, r in sequential_matching(w)
+    )
 
 
 def path_from_head_tail(
@@ -228,12 +237,12 @@ def path_from_head_tail(
 ) -> str:
     """Rebuild the path carrying the given head/tail pairs.
 
-    Inverts ``strip_decomposition``: starting from n horizontal steps,
-    insert strips in ascending head order.  For a pair (h, t), the up step
-    goes at the unique horizontal step p with p + height(p) = t, and the
-    down step at the later horizontal step r at height 0 whose head
-    equation (using its post-insertion height of 1) pins r = h + 1.
-    Steps between them ride one level up.
+    Inverts ``strip_decomposition``: the k-th pair (h, t), k counted from
+    0, puts a down step at h + 1 and its up step p at the (t - k)-th
+    position that is not a down step, because p + height(p) = t and
+    height(p) = k - (down steps before p).  The shape rules give
+    2k + 1 <= t <= n - 1 - 2(m - 1 - k) for m pairs, so that position
+    exists and the up steps are distinct.
 
     >>> path_from_head_tail(((1, 1),), 2)
     'ud'
@@ -255,33 +264,9 @@ def path_from_head_tail(
             )
         prev_head, prev_tail = h, t
     w = ["h"] * n
-    for h, t in pairs:
-        heights = _start_heights("".join(w))
-        p_candidates = [
-            i + 1
-            for i, ch in enumerate(w)
-            if ch == "h" and (i + 1) + heights[i] == t
-        ]
-        if len(p_candidates) != 1:
-            state = "no" if not p_candidates else "multiple"
-            raise ValueError(f"{state} up-step positions for pair ({h}, {t})")
-        p = p_candidates[0]
-        # After raising, the down step starts at height 1, so its head
-        # equation r + 1 - 2 = h fixes r; it must be horizontal at height
-        # zero and come after the up step.
-        r_candidates = [
-            i + 1
-            for i, ch in enumerate(w)
-            if ch == "h"
-            and heights[i] == 0
-            and i + 1 > p
-            and (i + 1) + (heights[i] + 1) - 2 == h
-        ]
-        if len(r_candidates) != 1:
-            state = "no" if not r_candidates else "multiple"
-            raise ValueError(f"{state} down-step positions for pair ({h}, {t})")
-        r = r_candidates[0]
-        w[p - 1] = "u"
-        w[r - 1] = "d"
-    word = "".join(w)
-    return check_path(word)
+    for h, _ in pairs:
+        w[h] = "d"
+    free = [i for i, ch in enumerate(w) if ch == "h"]
+    for k, (_, t) in enumerate(pairs):
+        w[free[t - k - 1]] = "u"
+    return check_path("".join(w))

@@ -41,22 +41,30 @@ def motzkin_number(n: int) -> int:
     return _motzkin_cache[n]
 
 
+def _q_recurrence(
+    cache: list[UniPoly], n: int, exponent: Callable[[int, int], int]
+) -> UniPoly:
+    # M_m = M_{m-1} + sum_k q^exponent(k, m) M_k M_{m-2-k}, extending the
+    # cache up to index n.
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    while len(cache) <= n:
+        m = len(cache)
+        total = cache[m - 1]
+        for k in range(m - 1):
+            prod = cache[k] * cache[m - 2 - k]
+            total = total + prod.times_q_power(exponent(k, m))
+        cache.append(total)
+    return cache[n]
+
+
 def q_motzkin(n: int) -> UniPoly:
     """q-Motzkin polynomial of the first kind.
 
     >>> str(q_motzkin(4))
     '5 + 2*q + 2*q^2'
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    while len(_q_motzkin_cache) <= n:
-        m = len(_q_motzkin_cache)
-        total = _q_motzkin_cache[m - 1]
-        for k in range(m - 1):
-            prod = _q_motzkin_cache[k] * _q_motzkin_cache[m - 2 - k]
-            total = total + prod.times_q_power(k)
-        _q_motzkin_cache.append(total)
-    return _q_motzkin_cache[n]
+    return _q_recurrence(_q_motzkin_cache, n, lambda k, m: k)
 
 
 def q_motzkin_tilde(n: int) -> UniPoly:
@@ -65,17 +73,9 @@ def q_motzkin_tilde(n: int) -> UniPoly:
     >>> str(q_motzkin_tilde(4))
     '5 + 3*q + q^2'
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    while len(_q_tilde_cache) <= n:
-        m = len(_q_tilde_cache)
-        total = _q_tilde_cache[m - 1]
-        for k in range(m - 1):
-            exp = 0 if k == m - 2 else k + 1
-            prod = _q_tilde_cache[k] * _q_tilde_cache[m - 2 - k]
-            total = total + prod.times_q_power(exp)
-        _q_tilde_cache.append(total)
-    return _q_tilde_cache[n]
+    return _q_recurrence(
+        _q_tilde_cache, n, lambda k, m: 0 if k == m - 2 else k + 1
+    )
 
 
 LevelSeq = Callable[[int], "UniPoly | int"]

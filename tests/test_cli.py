@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -345,3 +348,24 @@ class TestByteStability:
             first = run(capsys, *argv)
             second = run(capsys, *argv)
             assert first == second
+
+
+class TestModuleEntryPoint:
+    def run_module(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run(
+            [sys.executable, "-m", "crossnest.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    def test_verify_reports_and_fails(self):
+        proc = self.run_module("verify", "--suite", "all", "--max-n", "0")
+        assert proc.stdout.splitlines()[-1] == "suite all: 29/31 checks passed"
+        assert proc.returncode == 1
+
+    def test_poly(self):
+        proc = self.run_module("poly", "M", "--n", "4")
+        assert proc.stdout == "5 + 2*q + 2*q^2\n"
+        assert proc.stderr == ""
+        assert proc.returncode == 0

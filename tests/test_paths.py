@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,82 @@ def shoelace_area(word: str) -> int:
 def paths_up_to(n_max: int):
     for n in range(n_max + 1):
         yield from enumerate_paths(n)
+
+
+RISE = {"u": 1, "h": 0, "d": -1}
+
+
+def random_path(rng: random.Random, n: int) -> str:
+    # Each step is drawn among those that can still return to the axis.
+    steps = []
+    height = 0
+    for remaining in range(n, 0, -1):
+        ch = rng.choice([c for c in "uhd" if 0 <= height + RISE[c] < remaining])
+        steps.append(ch)
+        height += RISE[ch]
+    return "".join(steps)
+
+
+def heights_of(word: str) -> list[int]:
+    heights, h = [], 0
+    for ch in word:
+        heights.append(h)
+        h += RISE[ch]
+    return heights
+
+
+def peeling_strip_decomposition(word: str) -> tuple[tuple[int, int], ...]:
+    # Reference: peel strips one round at a time.  Each round takes the
+    # last up step p and the last down step r, records
+    # (r + y_r - 2, p + y_p) from the current heights, and flattens both.
+    w = list(check_path(word))
+    pairs = []
+    while "u" in w:
+        p = max(i for i, ch in enumerate(w) if ch == "u")
+        r = max(i for i, ch in enumerate(w) if ch == "d")
+        heights = heights_of("".join(w))
+        pairs.append((r + 1 + heights[r] - 2, p + 1 + heights[p]))
+        w[p] = w[r] = "h"
+    return tuple(reversed(pairs))
+
+
+def searching_path_from_head_tail(pairs, n: int) -> str:
+    # Reference: insert strips in ascending head order, searching every
+    # horizontal step for the up step p with p + height(p) = t and for the
+    # down step r at height 0 after p whose head equation gives h.
+    w = ["h"] * n
+    for h, t in pairs:
+        heights = heights_of("".join(w))
+        ups = [i + 1 for i, ch in enumerate(w)
+               if ch == "h" and i + 1 + heights[i] == t]
+        assert len(ups) == 1, ("up-step positions", pairs, ups)
+        p = ups[0]
+        downs = [i + 1 for i, ch in enumerate(w)
+                 if ch == "h" and heights[i] == 0 and i + 1 > p
+                 and i + 1 + heights[i] + 1 - 2 == h]
+        assert len(downs) == 1, ("down-step positions", pairs, downs)
+        w[p - 1] = "u"
+        w[downs[0] - 1] = "d"
+    return check_path("".join(w))
+
+
+def shape_ok(pairs, n: int) -> bool:
+    prev_h, prev_t = 0, -1
+    for h, t in pairs:
+        if not (1 <= t <= h <= n - 1) or h <= prev_h:
+            return False
+        if prev_t >= 0 and t < prev_t + 2:
+            return False
+        prev_h, prev_t = h, t
+    return True
+
+
+def shape_valid_pair_sets(n: int):
+    cells = [(h, t) for h in range(1, n) for t in range(1, h + 1)]
+    for k in range(n // 2 + 1):
+        for combo in itertools.combinations(cells, k):
+            if shape_ok(combo, n):
+                yield combo
 
 
 class TestParsing:
@@ -151,6 +228,9 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_paths(-2))
 
+    def test_long_paths_without_recursion(self):
+        assert next(enumerate_paths(3000)) == "u" * 1500 + "d" * 1500
+
 
 class TestMatchings:
     def test_sequential_examples(self):
@@ -206,6 +286,16 @@ class TestStripDecomposition:
             assert all(1 <= t <= h <= n - 1 for h, t in pairs)
             assert all(b >= a + 2 for a, b in zip(tails, tails[1:]))
 
+    def test_matches_peeling_exhaustive(self):
+        for p in paths_up_to(12):
+            assert strip_decomposition(p) == peeling_strip_decomposition(p), p
+
+    def test_matches_peeling_random_long(self):
+        rng = random.Random(20200722)
+        for _ in range(24):
+            p = random_path(rng, rng.randint(100, 400))
+            assert strip_decomposition(p) == peeling_strip_decomposition(p), p
+
 
 class TestPathFromHeadTail:
     def test_inverse_examples(self):
@@ -232,29 +322,30 @@ class TestPathFromHeadTail:
     def test_preconditions_characterize_the_image(self):
         # Every pair set passing the three shape rules rebuilds to a path
         # whose decomposition is the same set, and the number of such sets
-        # is the Motzkin number: the shape rules are exact, so the search
-        # for step positions cannot fail on accepted input.
-        def shape_ok(pairs, n):
-            prev_h, prev_t = 0, -1
-            for h, t in pairs:
-                if not (1 <= t <= h <= n - 1) or h <= prev_h:
-                    return False
-                if prev_t >= 0 and t < prev_t + 2:
-                    return False
-                prev_h, prev_t = h, t
-            return True
-
-        for n in range(7):
-            cells = [(h, t) for h in range(1, n) for t in range(1, h + 1)]
+        # is the Motzkin number: the shape rules are exact, so no pair set
+        # that passes them needs a further guard.
+        for n in range(9):
             solved = 0
-            for k in range(n // 2 + 1):
-                for combo in itertools.combinations(cells, k):
-                    if not shape_ok(combo, n):
-                        continue
-                    rebuilt = path_from_head_tail(combo, n)
-                    assert strip_decomposition(rebuilt) == combo
-                    solved += 1
+            for combo in shape_valid_pair_sets(n):
+                rebuilt = path_from_head_tail(combo, n)
+                assert strip_decomposition(rebuilt) == combo
+                solved += 1
             assert solved == motzkin_number(n), n
+
+    def test_matches_search_on_every_shape_valid_set(self):
+        for n in range(9):
+            for combo in shape_valid_pair_sets(n):
+                assert path_from_head_tail(combo, n) == (
+                    searching_path_from_head_tail(combo, n)
+                ), (combo, n)
+
+    def test_matches_search_random_long(self):
+        rng = random.Random(20200723)
+        for _ in range(24):
+            p = random_path(rng, rng.randint(100, 400))
+            pairs = peeling_strip_decomposition(p)
+            assert searching_path_from_head_tail(pairs, len(p)) == p
+            assert path_from_head_tail(pairs, len(p)) == p
 
 
 @settings(max_examples=80)
