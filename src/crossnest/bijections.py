@@ -35,7 +35,6 @@ from .paths import (
 from .permutations import (
     PermClass,
     check_permutation,
-    head_tail_pairs,
     in_class,
     is_involution,
     permutation_from_head_tail,
@@ -111,7 +110,9 @@ def phi3(word: str, *, check: bool = False) -> tuple[int, ...]:
 def phi3_inverse(word: Sequence[int]) -> str:
     """Path whose strips encode the permutation's head/tail pairs.
 
-    The permutation must avoid 321 and the barred pattern.
+    The permutation must avoid 321 and the barred pattern.  The pairs are
+    then the excedances (w[t] - 1, t): those letters increase, so sliding
+    the largest home moves no other, and heads come out ascending.
 
     >>> phi3_inverse((2, 1))
     'ud'
@@ -119,4 +120,5 @@ def phi3_inverse(word: Sequence[int]) -> str:
     w = check_permutation(word)
     if not in_class(w, PermClass.S321_B3142):
         raise ValueError(f"permutation is outside the 321/barred class: {w}")
-    return path_from_head_tail(head_tail_pairs(w), len(w))
+    excedances = [(v - 1, t) for t, v in enumerate(w, start=1) if v > t]
+    return path_from_head_tail(excedances, len(w))

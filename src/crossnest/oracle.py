@@ -285,11 +285,13 @@ def _inv_sides(w: tuple[int, ...]) -> Sides:
 
 def _tail_sides(w: tuple[int, ...]) -> Sides:
     # In head order the tails must climb by at least 2, and then sorted
-    # tails, descent set and excedance set coincide.
-    tails = tuple(t for _, t in head_tail_pairs(w))
+    # tails, descent set and excedance set coincide; pairs = excedances.
+    pairs = head_tail_pairs(w)
+    tails = tuple(t for _, t in pairs)
     spaced = all(b >= a + 2 for a, b in zip(tails, tails[1:]))
     rec = perm_statistics(w)
-    return (spaced, tails, tails), (True, rec.des_set, rec.exc_set)
+    excedances = tuple((v - 1, t) for t, v in enumerate(w, start=1) if v > t)
+    return (spaced, tails, tails, pairs), (True, rec.des_set, rec.exc_set, excedances)
 
 
 def _matching_sides(p: str, r: PathStatRecord) -> Sides:
@@ -421,7 +423,7 @@ _CHECKS: tuple[_Check, ...] = (
            _each_member(PermClass.ALL, lambda w: (
                permutation_from_head_tail(head_tail_pairs(w), len(w)), w))),
     _Check("class-tails-des-exc", "statistics", 9,
-           ("(spaced, tails, tails)", "(True, des, exc)"),
+           ("(spaced, tails, tails, pairs)", "(True, des, exc, excedances)"),
            _each_member(PermClass.S321_B3142, _tail_sides)),
     _Check("class-nonnesting", "statistics", 9, ("nes", "expected"),
            _each_member(PermClass.S321_B3142, lambda w: (

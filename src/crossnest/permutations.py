@@ -15,6 +15,9 @@ draws an arc from i to word[i]:
 
 Inversions, excedances, descents and fixed points are the usual ones, and
 ``inv = exc + crs + 2 * nes`` holds for every permutation.
+
+The tests for 321 and for the barred 3-bar-1-42, which is the vincular
+pattern 23-1, read the word once; each family is one ``_CLASS_RULES`` row.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
@@ -208,39 +211,34 @@ def contains_classical(word: Sequence[int], pattern: Sequence[int]) -> bool:
 
 
 def contains_321(word: Sequence[int]) -> bool:
-    """Containment of 321 in linear time (agrees with contains_classical)."""
-    w = tuple(word)
-    n = len(w)
-    if n < 3:
-        return False
-    suffix_min = [0] * (n + 1)
-    suffix_min[n] = n + 1
-    for j in range(n - 1, -1, -1):
-        suffix_min[j] = min(suffix_min[j + 1], w[j])
-    prefix_max = 0
-    for j in range(1, n - 1):
-        if w[j - 1] > prefix_max:
-            prefix_max = w[j - 1]
-        if prefix_max > w[j] > suffix_min[j + 1]:
+    """True when some decreasing subsequence has length three."""
+    # As in contains_4321, with registers b1, b2.
+    b1 = b2 = 0
+    for v in word:
+        if b2 > v:
             return True
+        if b1 > v:
+            b2 = v
+        else:
+            b1 = v
     return False
 
 
 def contains_4321(word: Sequence[int]) -> bool:
     """True when some decreasing subsequence has length four."""
-    # best[j] is the largest last element over decreasing subsequences of
-    # length j seen so far; a larger last element is always easier to extend.
+    # bj is the largest last letter over decreasing subsequences of length j
+    # seen so far; a larger last letter is always easier to extend.  Letters
+    # are distinct, so each letter that does not end the scan raises one
+    # register: that of the longest decreasing subsequence it ends.
     b1 = b2 = b3 = 0
     for v in word:
         if b3 > v:
             return True
         if b2 > v:
-            if v > b3:
-                b3 = v
+            b3 = v
         elif b1 > v:
-            if v > b2:
-                b2 = v
-        if v > b1:
+            b2 = v
+        else:
             b1 = v
     return False
 
@@ -279,33 +277,24 @@ def avoids_barred_3142(word: Sequence[int]) -> bool:
     positions i < j < k with word[k] < word[i] < word[j]) that cannot be
     completed to 3142 by a letter below word[k] strictly between i and j.
 
+    That is the vincular 23-1 (Claesson 2001): an adjacent ascent
+    word[m] < word[m + 1] with a later letter below word[m], a 231 with
+    nothing to complete it.  Conversely, if no letter between i and j lies
+    below word[k], the letters from i to j all lie above word[k] and climb
+    from word[i] to word[j], so two adjacent ones among them rise.
+
     >>> avoids_barred_3142((2, 3, 1))
     False
     >>> avoids_barred_3142((3, 1, 2))
     True
     """
     w = tuple(word)
-    n = len(w)
-    if n < 3:
-        return True
-    suffix_min = [n + 1] * (n + 2)
-    for j in range(n, 0, -1):
-        suffix_min[j] = min(suffix_min[j + 1], w[j - 1])
-    for i in range(1, n - 1):
-        vi = w[i - 1]
-        interior_min = n + 1
-        for j in range(i + 1, n):
-            if j > i + 1:
-                interior_min = min(interior_min, w[j - 2])
-            vj = w[j - 1]
-            if vi < vj:
-                tail = suffix_min[j + 1]
-                # A 231 with first two positions (i, j) exists iff some
-                # later value sits below vi; it is completable only by an
-                # interior value below that later value, and the smallest
-                # later value is the binding witness.
-                if tail < vi and tail <= interior_min:
-                    return False
+    low = len(w) + 1  # the smallest of w[m + 2:]
+    for m in range(len(w) - 3, -1, -1):
+        if w[m + 2] < low:
+            low = w[m + 2]
+        if low < w[m] < w[m + 1]:
+            return False
     return True
 
 
@@ -328,28 +317,46 @@ class PermClass(enum.Enum):
 
 
 def _involutions_lex(n: int) -> Iterator[tuple[int, ...]]:
+    # Pair the first free (zero) position i with a free j >= i, j == i a
+    # fixed point; trying j in increasing order gives lexicographic order.
     word = [0] * n
-    assigned = [False] * n
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        i = start
-        while i < n and assigned[i]:
-            i += 1
+    stack: list[tuple[int, int]] = []
+    i = j = 0
+    while True:
+        while j < n and word[j]:
+            j += 1
+        if j < n:
+            word[i], word[j] = j + 1, i + 1
+            stack.append((i, j))
+            while i < n and word[i]:
+                i += 1
+            j = i
+            continue
         if i == n:
             yield tuple(word)
+        if not stack:
             return
-        assigned[i] = True
-        word[i] = i + 1
-        yield from rec(i + 1)
-        for j in range(i + 1, n):
-            if not assigned[j]:
-                assigned[j] = True
-                word[i], word[j] = j + 1, i + 1
-                yield from rec(i + 1)
-                assigned[j] = False
-        assigned[i] = False
+        i, j = stack.pop()
+        word[i] = word[j] = 0
+        j += 1
 
-    return rec(0)
+
+# Each family: (drawn from the involutions?, avoidance test or None).
+_CLASS_RULES = {
+    PermClass.ALL: (False, None),
+    PermClass.INVOLUTIONS: (True, None),
+    PermClass.I4321: (True, lambda w: not contains_4321(w)),
+    PermClass.I3412: (True, lambda w: not contains_3412(w)),
+    PermClass.S321_B3142: (
+        False, lambda w: not contains_321(w) and avoids_barred_3142(w)
+    ),
+}
+
+
+def _class_rule(cls: PermClass) -> tuple[bool, Callable | None]:
+    if not isinstance(cls, PermClass):
+        raise ValueError(f"unknown class {cls!r}")
+    return _CLASS_RULES[cls]
 
 
 def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
@@ -360,40 +367,19 @@ def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if cls is PermClass.ALL:
-        yield from itertools.permutations(range(1, n + 1))
-    elif cls is PermClass.INVOLUTIONS:
-        yield from _involutions_lex(n)
-    elif cls is PermClass.I4321:
-        for w in _involutions_lex(n):
-            if not contains_4321(w):
-                yield w
-    elif cls is PermClass.I3412:
-        for w in _involutions_lex(n):
-            if not contains_3412(w):
-                yield w
-    elif cls is PermClass.S321_B3142:
-        for w in itertools.permutations(range(1, n + 1)):
-            if not contains_321(w) and avoids_barred_3142(w):
-                yield w
-    else:  # pragma: no cover
-        raise ValueError(f"unknown class {cls!r}")
+    involutive, avoids = _class_rule(cls)
+    letters = range(1, n + 1)
+    base = _involutions_lex(n) if involutive else itertools.permutations(letters)
+    yield from base if avoids is None else filter(avoids, base)
 
 
 def in_class(word: Sequence[int], cls: PermClass) -> bool:
     """Membership test matching ``enumerate_class``."""
     w = check_permutation(word)
-    if cls is PermClass.ALL:
-        return True
-    if cls is PermClass.INVOLUTIONS:
-        return is_involution(w)
-    if cls is PermClass.I4321:
-        return is_involution(w) and not contains_4321(w)
-    if cls is PermClass.I3412:
-        return is_involution(w) and not contains_3412(w)
-    if cls is PermClass.S321_B3142:
-        return not contains_321(w) and avoids_barred_3142(w)
-    raise ValueError(f"unknown class {cls!r}")  # pragma: no cover
+    involutive, avoids = _class_rule(cls)
+    if involutive and not is_involution(w):
+        return False
+    return avoids is None or avoids(w)
 
 
 def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -43,11 +43,18 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     order, and multiplying once.  Slot width is chosen from the bound
     max(a)*max(b)*min(len(a),len(b)) on any output coefficient, so slots
     cannot overflow into their neighbours and the result is exact.  Mixed
-    signs fall back to the schoolbook loop.
+    signs fall back to the schoolbook loop.  Low-order zeros are stripped
+    and put back as a shift, so a factor q^k costs no packing.
     """
     if not a or not b:
         return []
     la, lb = len(a), len(b)
+    if not (a[0] and b[0]):
+        za = next((i for i, x in enumerate(a) if x), la)
+        zb = next((j for j, y in enumerate(b) if y), lb)
+        if za == la or zb == lb:
+            return [0] * (la + lb - 1)
+        return [0] * (za + zb) + _convolve(a[za:], b[zb:])
     if la * lb <= _PACK_CUTOFF or min(a) < 0 or min(b) < 0:
         out = [0] * (la + lb - 1)
         for i, x in enumerate(a):

@@ -14,7 +14,7 @@ from crossnest.oracle import (
     distribution,
     run_suite,
 )
-from crossnest.permutations import PermClass
+from crossnest.permutations import PermClass, head_tail_pairs
 from crossnest.polynomials import MultiPoly
 from crossnest.qmotzkin import h_tableau, q_motzkin, q_motzkin_tilde
 from crossnest.series import named_series
@@ -293,3 +293,19 @@ class TestFailurePath:
             "n=2 word=2 1: rebuilt=(1, 2), word=(2, 1)"
         )
         assert by_name["inv-identity"].passed
+
+    def test_head_tail_pairs_off_by_one_head(self, monkeypatch):
+        # Tails, spacing and sets stay right; only the comparison of the
+        # pairs with the excedances (w[t] - 1, t) can see the change.
+        monkeypatch.setattr(
+            "crossnest.oracle.head_tail_pairs",
+            lambda w: tuple((h + 1, t) for h, t in head_tail_pairs(w)),
+        )
+        check = {c.name: c for c in run_suite("statistics", 4).checks}[
+            "class-tails-des-exc"
+        ]
+        assert check.counterexample == (
+            "n=2 word=2 1: "
+            "(spaced, tails, tails, pairs)=(True, (1,), (1,), ((2, 1),)), "
+            "(True, des, exc, excedances)=(True, (1,), (1,), ((1, 1),))"
+        )

@@ -1,8 +1,12 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_paths import random_path
 
+from crossnest.bijections import phi3, phi3_inverse
+from crossnest.paths import path_from_head_tail
 from crossnest.permutations import (
     PermClass,
     avoids_barred_3142,
@@ -29,6 +33,28 @@ SHOWCASE = (4, 6, 2, 9, 8, 1, 7, 3, 10, 5)
 perm_strategy = st.integers(min_value=0, max_value=16).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
 )
+
+
+def brute(w):
+    # Reference for the barred pattern, restated directly: every 231
+    # occurrence must have an interior letter below its "1".
+    n = len(w)
+    for i, j, k in itertools.combinations(range(n), 3):
+        if w[k] < w[i] < w[j]:
+            if not any(w[l] < w[k] for l in range(i + 1, j)):
+                return False
+    return True
+
+
+def long_words(seed, count=12):
+    # Seeded random permutations, then phi3 images of seeded random paths,
+    # all of length 20-60.
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(20, 60)
+        yield tuple(rng.sample(range(1, n + 1), n))
+    for _ in range(count):
+        yield phi3(random_path(rng, rng.randint(20, 60)))
 
 
 class TestBasics:
@@ -135,19 +161,18 @@ class TestPatterns:
         assert avoids_barred_3142(())
 
     def test_barred_definition_brute_force(self):
-        # Direct restatement: every 231 occurrence must have an interior
-        # letter below the "1" of the occurrence.
-        def brute(w):
-            n = len(w)
-            for i, j, k in itertools.combinations(range(n), 3):
-                if w[k] < w[i] < w[j]:
-                    if not any(w[l] < w[k] for l in range(i + 1, j)):
-                        return False
-            return True
-
         for n in range(8):
             for w in itertools.permutations(range(1, n + 1)):
                 assert avoids_barred_3142(w) == brute(w), w
+
+    def test_linear_tests_match_references_on_long_words(self):
+        barred = set()
+        for w in long_words(seed=5):
+            assert avoids_barred_3142(w) == brute(w), w
+            assert contains_321(w) == contains_classical(w, (3, 2, 1)), w
+            assert contains_4321(w) == contains_classical(w, (4, 3, 2, 1)), w
+            barred.add(avoids_barred_3142(w))
+        assert barred == {True, False}
 
 
 class TestClasses:
@@ -201,6 +226,22 @@ class TestClasses:
         with pytest.raises(ValueError):
             list(enumerate_class(-1, PermClass.ALL))
 
+    def test_unknown_class_rejected(self):
+        for bad in ("I4321", None):
+            with pytest.raises(ValueError, match="unknown class"):
+                list(enumerate_class(3, bad))
+            with pytest.raises(ValueError, match="unknown class"):
+                in_class((1, 2), bad)
+
+    def test_involutions_match_filtered_permutations(self):
+        for n in range(9):
+            expected = filter(is_involution, itertools.permutations(range(1, n + 1)))
+            assert list(enumerate_class(n, PermClass.INVOLUTIONS)) == list(expected)
+
+    def test_long_involutions_without_recursion(self):
+        first = next(enumerate_class(3000, PermClass.INVOLUTIONS))
+        assert first == tuple(range(1, 3001))
+
     def test_class_name_lookup(self):
         assert PermClass.from_name("I4321") is PermClass.I4321
         with pytest.raises(ValueError):
@@ -238,6 +279,14 @@ class TestHeadTail:
     @given(perm_strategy)
     def test_roundtrip_property(self, w):
         assert permutation_from_head_tail(head_tail_pairs(w), len(w)) == w
+
+    def test_phi3_inverse_matches_head_tail_route_on_long_paths(self):
+        rng = random.Random(11)
+        for _ in range(24):
+            path = random_path(rng, rng.randint(100, 400))
+            w = phi3(path)
+            head_tail_route = path_from_head_tail(head_tail_pairs(w), len(w))
+            assert phi3_inverse(w) == head_tail_route == path
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
