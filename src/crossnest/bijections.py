@@ -110,9 +110,9 @@ def phi3(word: str, *, check: bool = False) -> tuple[int, ...]:
 def phi3_inverse(word: Sequence[int]) -> str:
     """Path whose strips encode the permutation's head/tail pairs.
 
-    The permutation must avoid 321 and the barred pattern.  The pairs are
-    then the excedances (w[t] - 1, t): those letters increase, so sliding
-    the largest home moves no other, and heads come out ascending.
+    The permutation must avoid 321 and the barred pattern.  The pairs are then
+    the excedances (w[t] - 1, t): with no 321, an excedance letter has only
+    smaller letters on its left, and any other letter has all of them there.
 
     >>> phi3_inverse((2, 1))
     'ud'

@@ -85,22 +85,22 @@ class StatSpec(enum.Enum):
 
     @property
     def variables(self) -> tuple[str, ...]:
-        if self in (StatSpec.CRS, StatSpec.NES, StatSpec.CRS_PLUS_NES):
-            return ("q",)
-        if self is StatSpec.JOINT_FP_EXC_CRS_NES:
-            return ("x", "y", "p", "q")
-        return ("y", "q")
+        return _STAT_RULES[self][0]
 
     def exponents(self, fp: int, exc: int, crs: int, nes: int) -> tuple[int, ...]:
-        if self is StatSpec.CRS:
-            return (crs,)
-        if self is StatSpec.NES:
-            return (nes,)
-        if self is StatSpec.CRS_PLUS_NES:
-            return (crs + nes,)
-        if self is StatSpec.JOINT_FP_EXC_CRS_NES:
-            return (fp, exc, crs, nes)
-        return (exc, crs)
+        return _STAT_RULES[self][1](fp, exc, crs, nes)
+
+
+# Each statistic: (variables, its exponents from fp, exc, crs, nes).
+_STAT_RULES = {
+    StatSpec.CRS: (("q",), lambda fp, exc, crs, nes: (crs,)),
+    StatSpec.NES: (("q",), lambda fp, exc, crs, nes: (nes,)),
+    StatSpec.CRS_PLUS_NES: (("q",), lambda fp, exc, crs, nes: (crs + nes,)),
+    StatSpec.JOINT_FP_EXC_CRS_NES: (
+        ("x", "y", "p", "q"), lambda fp, exc, crs, nes: (fp, exc, crs, nes)
+    ),
+    StatSpec.JOINT_EXC_CRS: (("y", "q"), lambda fp, exc, crs, nes: (exc, crs)),
+}
 
 
 def _enum_limit() -> int:

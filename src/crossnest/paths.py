@@ -19,8 +19,11 @@ r.  The strip decomposition is the same pairs read as head/tail pairs
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+from .permutations import _check_head_tail
 
 _STEPS = frozenset("uhd")
 
@@ -249,20 +252,12 @@ def path_from_head_tail(
     >>> path_from_head_tail((), 3)
     'hhh'
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    prev_head = 0
-    prev_tail = -1
-    for h, t in pairs:
-        if not 1 <= t <= h <= n - 1:
-            raise ValueError(f"pair ({h}, {t}) needs 1 <= tail <= head <= {n - 1}")
-        if h <= prev_head:
-            raise ValueError("heads must be strictly increasing")
-        if prev_tail >= 0 and t < prev_tail + 2:
+    _check_head_tail(pairs, n)
+    for (_, prev_tail), (_, t) in itertools.pairwise(pairs):
+        if t < prev_tail + 2:
             raise ValueError(
                 f"tail {t} must exceed the previous tail {prev_tail} by at least 2"
             )
-        prev_head, prev_tail = h, t
     w = ["h"] * n
     for h, _ in pairs:
         w[h] = "d"

@@ -18,10 +18,12 @@ Inversions, excedances, descents and fixed points are the usual ones, and
 
 The tests for 321 and for the barred 3-bar-1-42, which is the vincular
 pattern 23-1, read the word once; each family is one ``_CLASS_RULES`` row.
+Head/tail pairs are read off the inversion table and rebuilt by insertion.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 from dataclasses import dataclass
@@ -383,47 +385,30 @@ def in_class(word: Sequence[int], cls: PermClass) -> bool:
 
 
 def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """Head/tail pairs of the canonical reduced decomposition.
+    """Head/tail pairs of the canonical reduced decomposition, by ascending head.
 
-    Repeatedly take the largest value v still sitting left of its home
-    position v, slide it there, and record the pair (v - 1, position it
-    left).  Pairs come back sorted by ascending head.
+    They are the inversion table: with L_v the number of letters below v
+    standing left of v, v gives the pair (v - 1, 1 + L_v) when 1 + L_v < v.
+    ``permutation_from_head_tail`` puts each v at index L_v, so this inverts it.
 
     >>> head_tail_pairs((3, 2, 1))
     ((1, 1), (2, 1))
     >>> head_tail_pairs((1, 2, 3))
     ()
     """
-    w = list(check_permutation(word))
+    w = check_permutation(word)
+    below: list[int] = []  # sorted positions of the letters below v
     pairs = []
-    while True:
-        best_v = 0
-        best_i = -1
-        for i, v in enumerate(w):
-            if v > i + 1 and v > best_v:
-                best_v, best_i = v, i
-        if not best_v:
-            break
-        w.pop(best_i)
-        w.insert(best_v - 1, best_v)
-        pairs.append((best_v - 1, best_i + 1))
-    return tuple(reversed(pairs))
+    for i, v in sorted(enumerate(w), key=lambda iv: iv[1]):
+        tail = 1 + bisect.bisect(below, i)
+        if tail < v:
+            pairs.append((v - 1, tail))
+        bisect.insort(below, i)
+    return tuple(pairs)
 
 
-def permutation_from_head_tail(
-    pairs: Sequence[tuple[int, int]], n: int
-) -> tuple[int, ...]:
-    """Rebuild the permutation with the given head/tail pairs.
-
-    Each pair (h, t) contributes the adjacent transpositions s_h s_{h-1}
-    ... s_t; blocks are applied to the identity in ascending head order,
-    each s_i swapping positions i and i + 1 of the word built so far.
-
-    >>> permutation_from_head_tail(((1, 1), (2, 1)), 3)
-    (3, 2, 1)
-    >>> permutation_from_head_tail((), 4)
-    (1, 2, 3, 4)
-    """
+def _check_head_tail(pairs: Sequence[tuple[int, int]], n: int) -> None:
+    """Raise ValueError unless the pairs have the head/tail shape for size n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     prev_head = 0
@@ -433,8 +418,28 @@ def permutation_from_head_tail(
         if h <= prev_head:
             raise ValueError("heads must be strictly increasing")
         prev_head = h
-    w = list(range(1, n + 1))
-    for h, t in pairs:
-        for i in range(h, t - 1, -1):
-            w[i - 1], w[i] = w[i], w[i - 1]
+
+
+def permutation_from_head_tail(
+    pairs: Sequence[tuple[int, int]], n: int
+) -> tuple[int, ...]:
+    """Rebuild the permutation with the given head/tail pairs.
+
+    Each pair (h, t) stands for the block s_h s_{h-1} ... s_t of adjacent
+    transpositions, applied to the identity in ascending head order.  That
+    block moves the letter h + 1, still at position h + 1, left to position
+    t, and later, larger letters never change how many smaller letters
+    stand left of it.  So each v = 1..n is inserted into the word so far at
+    index t - 1 when v - 1 heads a pair (v - 1, t), and at the end otherwise.
+
+    >>> permutation_from_head_tail(((1, 1), (2, 1)), 3)
+    (3, 2, 1)
+    >>> permutation_from_head_tail((), 4)
+    (1, 2, 3, 4)
+    """
+    _check_head_tail(pairs, n)
+    tails = dict(pairs)
+    w: list[int] = []
+    for v in range(1, n + 1):
+        w.insert(tails.get(v - 1, v) - 1, v)
     return tuple(w)

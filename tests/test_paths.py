@@ -314,7 +314,8 @@ class TestPathFromHeadTail:
             path_from_head_tail(((1, 2),), 4)
         with pytest.raises(ValueError, match="strictly increasing"):
             path_from_head_tail(((2, 1), (2, 2)), 5)
-        with pytest.raises(ValueError, match="at least 2"):
+        message = "^tail 2 must exceed the previous tail 1 by at least 2$"
+        with pytest.raises(ValueError, match=message):
             path_from_head_tail(((1, 1), (2, 2)), 5)
         with pytest.raises(ValueError):
             path_from_head_tail(((4, 1),), 4)

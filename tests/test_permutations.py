@@ -46,6 +46,35 @@ def brute(w):
     return True
 
 
+def sliding_head_tail_pairs(w):
+    # Reference: repeatedly slide the largest letter v still left of its
+    # home position v there, recording (v - 1, the position it left).
+    w = list(w)
+    pairs = []
+    while True:
+        best_v = 0
+        best_i = -1
+        for i, v in enumerate(w):
+            if v > i + 1 and v > best_v:
+                best_v, best_i = v, i
+        if not best_v:
+            break
+        w.pop(best_i)
+        w.insert(best_v - 1, best_v)
+        pairs.append((best_v - 1, best_i + 1))
+    return tuple(reversed(pairs))
+
+
+def swapping_permutation_from_head_tail(pairs, n):
+    # Reference: apply each block s_h ... s_t to the identity in ascending
+    # head order, one adjacent swap of positions i and i + 1 at a time.
+    w = list(range(1, n + 1))
+    for h, t in pairs:
+        for i in range(h, t - 1, -1):
+            w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
 def long_words(seed, count=12):
     # Seeded random permutations, then phi3 images of seeded random paths,
     # all of length 20-60.
@@ -278,7 +307,25 @@ class TestHeadTail:
     @settings(max_examples=60)
     @given(perm_strategy)
     def test_roundtrip_property(self, w):
-        assert permutation_from_head_tail(head_tail_pairs(w), len(w)) == w
+        pairs = head_tail_pairs(w)
+        assert permutation_from_head_tail(pairs, len(w)) == w
+        references = (sliding_head_tail_pairs(w),
+                      swapping_permutation_from_head_tail(pairs, len(w)))
+        assert references == (pairs, w)
+
+    def test_closed_forms_match_references(self):
+        # Pair sets with the head/tail shape and permutations are in
+        # bijection, so n <= 8 also covers every valid pair set.
+        words = [w for n in range(9) for w in itertools.permutations(range(1, n + 1))]
+        rng = random.Random(6)
+        for _ in range(24):
+            n = rng.randint(100, 400)
+            words.append(tuple(rng.sample(range(1, n + 1), n)))
+        for w in words:
+            pairs = head_tail_pairs(w)
+            assert pairs == sliding_head_tail_pairs(w), w
+            assert permutation_from_head_tail(pairs, len(w)) == w
+            assert swapping_permutation_from_head_tail(pairs, len(w)) == w
 
     def test_phi3_inverse_matches_head_tail_route_on_long_paths(self):
         rng = random.Random(11)
@@ -289,16 +336,18 @@ class TestHeadTail:
             assert phi3_inverse(w) == head_tail_route == path
 
     def test_invalid_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            permutation_from_head_tail(((0, 1),), 3)
-        with pytest.raises(ValueError):
-            permutation_from_head_tail(((2, 3),), 4)
-        with pytest.raises(ValueError):
-            permutation_from_head_tail(((3, 1),), 3)
-        with pytest.raises(ValueError):
-            permutation_from_head_tail(((2, 1), (2, 2)), 4)
-        with pytest.raises(ValueError):
-            permutation_from_head_tail(((2, 1), (1, 1)), 4)
+        # Both rebuilds share the shape guard, so they give the same message.
+        for pairs, n, message in (
+            (((0, 1),), 3, r"pair \(0, 1\) needs 1 <= tail <= head <= 2"),
+            (((2, 3),), 4, r"pair \(2, 3\) needs 1 <= tail <= head <= 3"),
+            (((3, 1),), 3, r"pair \(3, 1\) needs 1 <= tail <= head <= 2"),
+            (((2, 1), (2, 2)), 4, "heads must be strictly increasing"),
+            (((2, 1), (1, 1)), 4, "heads must be strictly increasing"),
+            ((), -1, "n must be nonnegative"),
+        ):
+            for rebuild in (permutation_from_head_tail, path_from_head_tail):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    rebuild(pairs, n)
 
     def test_class_members_have_spread_tails_and_des_eq_exc(self):
         for n in range(8):
