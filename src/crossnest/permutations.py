@@ -246,29 +246,26 @@ def contains_4321(word: Sequence[int]) -> bool:
 
 
 def contains_3412(word: Sequence[int]) -> bool:
-    """Containment of 3412 in quadratic time."""
+    """True when some subsequence has the pattern 3412.
+
+    An occurrence is an ascent (the 34) followed by a "1" and a later "2"
+    above it but below the "3".  So for each "1" the best "3" is the largest
+    low letter of an ascent left of it, and the best "2" is the smallest
+    later letter above it; two bisect scans find both in O(n log n).
+    """
     w = tuple(word)
-    n = len(w)
-    if n < 4:
-        return False
-    # ascent_top[m]: the largest value playing the "3" in an ascent that
-    # lies entirely inside the first m letters (0 when there is none).
-    ascent_top = [0] * (n + 1)
-    for m in range(2, n + 1):
-        v = w[m - 1]
-        best_below = 0
-        for t in range(m - 1):
-            if w[t] < v and w[t] > best_below:
-                best_below = w[t]
-        ascent_top[m] = max(ascent_top[m - 1], best_below)
-    for p3 in range(1, n + 1):
-        top = ascent_top[p3 - 1]
-        if not top:
-            continue
-        v3 = w[p3 - 1]
-        for p4 in range(p3 + 1, n + 1):
-            if v3 < w[p4 - 1] < top:
-                return True
+    seen: list[int] = []
+    lows = [0]  # lows[m]: the largest low letter of an ascent inside w[:m]
+    for v in w:
+        i = bisect.bisect(seen, v)
+        lows.append(max(lows[-1], seen[i - 1] if i else 0))
+        seen.insert(i, v)
+    later: list[int] = []
+    for m in range(len(w) - 1, -1, -1):
+        i = bisect.bisect(later, w[m])
+        if i < len(later) and later[i] < lows[m]:
+            return True
+        later.insert(i, w[m])
     return False
 
 

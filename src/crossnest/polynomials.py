@@ -281,7 +281,8 @@ class MultiPoly:
         for exps, c in terms.items():
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple length does not match variables")
-            data[_pack(exps)] = data.get(_pack(exps), 0) + c
+            key = _pack(exps)
+            data[key] = data.get(key, 0) + c
         return cls(variables, data)
 
     @classmethod

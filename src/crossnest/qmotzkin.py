@@ -171,7 +171,7 @@ def h_recursion_rhs(n: int, i: int, table: Sequence[Sequence[UniPoly]]) -> UniPo
         raise ValueError("need 1 <= i <= n")
     if len(table) <= n:
         raise ValueError(f"table only has rows up to {len(table) - 1}, need {n}")
-    acc = table[n - 1][i - 1] if i - 1 <= n - 1 else UniPoly(())
+    acc = table[n - 1][i - 1]
     for k in range(i - 1, n - 1):
         prod = table[k][i - 1] * table[n - 1 - k][0]
         acc = acc + prod.times_q_power(1 + k)

@@ -2,23 +2,18 @@
 
 A ``PowerSeries`` of order N keeps coefficients of t^0 .. t^N; every
 coefficient is a ``MultiPoly`` over one fixed variable tuple.  A
-``FractionSpec`` describes a continued fraction in one of two shapes:
+``FractionSpec`` is a J-fraction
 
-* ``jfraction``: 1 / (1 - a_1 t - b_1 t^2 / (1 - a_2 t - b_2 t^2 / ...))
-  with level coefficients a_k, b_k for k >= 1.
-* ``nested``:    1 / (1 - c_1 / (1 - c_2 / ...)) where each c_k is
-  L_k t + Q_k t^2 and either part may vanish.
+    1 / (1 - a_1 t - b_1 t^2 / (1 - a_2 t - b_2 t^2 / ...))
 
-``jfraction_series`` expands a spec to a given order.  A j-fraction's t^n
-coefficient is the weighted count of Motzkin paths of length n (Flajolet,
-1980), which is column 0 of the Stieltjes tableau with alpha = a and
-beta = b, so j-fractions are read off the tableau's rows; row n only keeps
-the heights <= N - n from which a path can still return to 0 by t^N.  A
-given ``depth`` truncates the fraction: levels past it count as zero.  The
-nested shape is expanded level by level from the deepest level up; its
-default depth is just past the last level that can influence the result,
-from the minimum t-degree of each c_k.  Passing a larger depth must not
-change the output of either shape, and tests pin that down.
+with level coefficients a_k, b_k for k >= 1.  ``jfraction_series`` expands
+it to a given order: the t^n coefficient is the weighted count of Motzkin
+paths of length n (Flajolet, 1980), which is column 0 of the Stieltjes
+tableau with alpha = a and beta = b.  Row n only keeps the heights
+<= N - n from which a path can still return to 0 by t^N.
+
+The one nested fraction, the left side of main12, expands its own levels
+from the deepest up, without the tableau; see ``_preset_main12_lhs``.
 """
 
 from __future__ import annotations
@@ -148,28 +143,25 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class FractionSpec:
-    """Continued fraction description; see the module docstring."""
+    """The J-fraction with level coefficients alpha(k), beta(k), k >= 1."""
 
-    kind: str
     variables: tuple[str, ...]
-    alpha: Level | None = None
-    beta: Level | None = None
-    linear: Level | None = None
-    quadratic: Level | None = None
+    alpha: Level
+    beta: Level
 
-    @classmethod
-    def jfraction(
-        cls, variables: Sequence[str], alpha: Level, beta: Level
-    ) -> "FractionSpec":
-        return cls("jfraction", tuple(variables), alpha=alpha, beta=beta)
 
-    @classmethod
-    def nested(
-        cls, variables: Sequence[str], linear: Level, quadratic: Level
-    ) -> "FractionSpec":
-        return cls(
-            "nested", tuple(variables), linear=linear, quadratic=quadratic
-        )
+def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
+    """Expand a J-fraction to a power series truncated at t^order.
+
+    The t^n coefficient is column 0 of row n of the Stieltjes tableau; row n
+    only keeps the heights <= order - n from which a path still returns to
+    height 0 by t^order.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    one = MultiPoly.one(spec.variables)
+    rows = _tableau_rows(spec.alpha, spec.beta, [one], top=lambda n: order - n)
+    return PowerSeries(spec.variables, [one] + [row[0] for row in islice(rows, order)])
 
 
 def _level_nested(
@@ -191,79 +183,6 @@ def _level_nested(
         if m >= 2:
             term = term + quad * conv[m - 2]
         out.append(term)
-    return out
-
-
-def _nested_min_degrees(spec: FractionSpec, depth: int) -> list[int]:
-    """Minimum t-degree contributed by each nested level 1..depth."""
-    assert spec.linear is not None and spec.quadratic is not None
-    degs = []
-    for k in range(1, depth + 1):
-        if not spec.linear(k).is_zero():
-            degs.append(1)
-        elif not spec.quadratic(k).is_zero():
-            degs.append(2)
-        else:
-            # A vanishing level truncates the fraction; anything deeper
-            # cannot matter, which an infinite minimum degree encodes.
-            degs.append(10**9)
-    return degs
-
-
-def jfraction_series(
-    spec: FractionSpec, order: int, depth: int | None = None
-) -> PowerSeries:
-    """Expand a continued fraction to a truncated power series.
-
-    A j-fraction is read off the first column of its Stieltjes tableau; a
-    nested fraction is expanded level by level, each level only to the
-    order still visible from the top.  Levels past ``depth`` count as zero.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    variables = spec.variables
-    if depth is not None and depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if spec.kind == "jfraction":
-        if spec.alpha is None or spec.beta is None:
-            raise ValueError("j-fraction spec needs alpha and beta")
-        alpha = spec.alpha
-        if depth is not None:
-            # Heights stay <= depth, so alpha(depth + 1) is the only level
-            # past the depth that the tableau consults.
-            alpha = lambda k: spec.alpha(k) if k <= depth else 0
-        cut = order if depth is None else depth
-        one = MultiPoly.one(variables)
-        rows = _tableau_rows(alpha, spec.beta, [one], top=lambda n: min(order - n, cut))
-        return PowerSeries(variables, [one] + [row[0] for row in islice(rows, order)])
-    if spec.kind == "nested":
-        if spec.linear is None or spec.quadratic is None:
-            raise ValueError("nested spec needs linear and quadratic parts")
-        probe = depth if depth is not None else order + 1
-        degs = _nested_min_degrees(spec, probe)
-        if depth is None:
-            depth, consumed = 0, 0
-            while consumed <= order and depth < len(degs):
-                consumed += degs[depth]
-                depth += 1
-        prefix = [0]
-        for d in degs:
-            prefix.append(prefix[-1] + d)
-        cur = [MultiPoly.one(variables)]
-        for k in range(depth, 0, -1):
-            target = max(0, order - prefix[k - 1])
-            cur = _level_nested(spec.linear(k), spec.quadratic(k), cur, target)
-        return PowerSeries(variables, _pad(cur, order, variables))
-    raise ValueError(f"unknown fraction kind: {spec.kind!r}")
-
-
-def _pad(
-    coeffs: list[MultiPoly], order: int, variables: tuple[str, ...]
-) -> list[MultiPoly]:
-    zero = MultiPoly.zero(variables)
-    out = list(coeffs[: order + 1])
-    while len(out) <= order:
-        out.append(zero)
     return out
 
 
@@ -290,31 +209,25 @@ def _j_spec(variables: tuple[str, ...], alpha: dict, beta: dict) -> FractionSpec
             variables, {v: base + slope * (k - 1) for v, (base, slope) in exps.items()}
         )
 
-    return FractionSpec.jfraction(variables, level(alpha), level(beta))
+    return FractionSpec(variables, level(alpha), level(beta))
 
 
 def _preset_main12_lhs(order: int) -> PowerSeries:
+    """1 / (1 - c_1 / (1 - c_2 / ...)), expanded from the deepest level up.
+
+    c_k = L_k t + q^(k-1) t^2 with L_k = q^((k-1)/2) for odd k and 0 for
+    even k.  Levels 1..k-1 take at least (k-1) + (k-1)//2 powers of t, so
+    level k is kept to what is still visible from the top, and levels past
+    order + 1 cannot reach t^order.  This never touches the tableau, so the
+    two sides of main12 stay independent computations.
+    """
     v = ("q",)
-
-    def linear(k: int) -> MultiPoly:
-        if k == 1:
-            return MultiPoly.one(v)
-        if k % 2 == 0:
-            return MultiPoly.zero(v)
-        j = (k - 1) // 2
-        return MultiPoly.monomial(v, {"q": j})
-
-    def quadratic(k: int) -> MultiPoly:
-        if k == 1:
-            return MultiPoly.one(v)
-        if k % 2 == 0:
-            j = k // 2
-            return MultiPoly.monomial(v, {"q": 2 * j - 1})
-        j = (k - 1) // 2
-        return MultiPoly.monomial(v, {"q": 2 * j})
-
-    spec = FractionSpec.nested(v, linear, quadratic)
-    return jfraction_series(spec, order)
+    zero, cur = MultiPoly.zero(v), [MultiPoly.one(v)]
+    for k in range(order + 1, 0, -1):
+        lin = MultiPoly.monomial(v, {"q": (k - 1) // 2}) if k % 2 else zero
+        quad = MultiPoly.monomial(v, {"q": k - 1})
+        cur = _level_nested(lin, quad, cur, max(0, order - (k - 1) - (k - 1) // 2))
+    return PowerSeries(v, cur)
 
 
 def _series_from_unipolys(polys: list[UniPoly]) -> PowerSeries:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_paths import random_path
 
-from crossnest.bijections import phi3, phi3_inverse
+from crossnest.bijections import phi2, phi3, phi3_inverse
 from crossnest.paths import path_from_head_tail
 from crossnest.permutations import (
     PermClass,
@@ -76,14 +76,15 @@ def swapping_permutation_from_head_tail(pairs, n):
 
 
 def long_words(seed, count=12):
-    # Seeded random permutations, then phi3 images of seeded random paths,
-    # all of length 20-60.
+    # Seeded random permutations, then phi3 and phi2 images of seeded random
+    # paths (the latter 3412-avoiding), all of length 20-60.
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(20, 60)
         yield tuple(rng.sample(range(1, n + 1), n))
-    for _ in range(count):
-        yield phi3(random_path(rng, rng.randint(20, 60)))
+    for phi in (phi3, phi2):
+        for _ in range(count):
+            yield phi(random_path(rng, rng.randint(20, 60)))
 
 
 class TestBasics:
@@ -195,13 +196,16 @@ class TestPatterns:
                 assert avoids_barred_3142(w) == brute(w), w
 
     def test_linear_tests_match_references_on_long_words(self):
-        barred = set()
+        barred, has_3412 = set(), set()
         for w in long_words(seed=5):
             assert avoids_barred_3142(w) == brute(w), w
             assert contains_321(w) == contains_classical(w, (3, 2, 1)), w
             assert contains_4321(w) == contains_classical(w, (4, 3, 2, 1)), w
+            assert contains_3412(w) == contains_classical(w, (3, 4, 1, 2)), w
             barred.add(avoids_barred_3142(w))
+            has_3412.add(contains_3412(w))
         assert barred == {True, False}
+        assert has_3412 == {True, False}
 
 
 class TestClasses:

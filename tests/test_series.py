@@ -23,16 +23,16 @@ def uni_coeffs(series: PowerSeries) -> list[UniPoly]:
     return [c.as_unipoly("q") for c in series.coeffs]
 
 
-def level_by_level(spec: FractionSpec, order: int, depth: int | None = None) -> PowerSeries:
+def level_by_level(spec: FractionSpec, order: int) -> PowerSeries:
     """Reference j-fraction expansion from the deepest level up.
 
     Level k is 1 / (1 - a_k t - b_k t^2 G) with G the expansion of level
-    k+1 (G = 1 below the depth), kept to the order t^(order - 2(k-1)) that
-    is still visible from the top.  Independent of the tableau.
+    k+1 (G = 1 past the last level that can reach t^order), kept to the
+    order t^(order - 2(k-1)) that is still visible from the top.
+    Independent of the tableau.
     """
     v = spec.variables
-    if depth is None:
-        depth = (order + 1) // 2 + 1
+    depth = (order + 1) // 2 + 1
     inner = [MultiPoly.one(v)]
     for k in range(depth, 0, -1):
         a, b = spec.alpha(k), spec.beta(k)
@@ -87,35 +87,17 @@ class TestJFraction:
     def test_all_ones_gives_motzkin(self):
         v = ("q",)
         one = MultiPoly.one(v)
-        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
+        spec = FractionSpec(v, lambda k: one, lambda k: one)
         series = jfraction_series(spec, 5)
         assert [c.evaluate({"q": 1}) for c in series.coeffs] == [1, 1, 2, 4, 9, 21]
 
     def test_order_zero(self):
         v = ("q",)
         one = MultiPoly.one(v)
-        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
+        spec = FractionSpec(v, lambda k: one, lambda k: one)
         series = jfraction_series(spec, 0)
         assert series.order == 0
         assert str(series.coefficient(0)) == "1"
-
-    def test_deeper_depth_changes_nothing(self):
-        v = ("q",)
-        one = MultiPoly.one(v)
-        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
-        for order in (0, 1, 5, 9, 12):
-            default_depth = (order + 1) // 2 + 1
-            base = jfraction_series(spec, order)
-            assert jfraction_series(spec, order, depth=default_depth + 1) == base
-            assert jfraction_series(spec, order, depth=default_depth + 5) == base
-
-    def test_shallower_depth_does_change(self):
-        v = ("q",)
-        one = MultiPoly.one(v)
-        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
-        full = jfraction_series(spec, 10)
-        shallow = jfraction_series(spec, 10, depth=2)
-        assert full != shallow
 
     def test_matches_stieltjes_tableau_column(self):
         # The fraction expansion and the tableau must agree level by level.
@@ -126,7 +108,7 @@ class TestJFraction:
             return UniPoly.q_power(2 * (i - 1))
 
         v = ("q",)
-        spec = FractionSpec.jfraction(
+        spec = FractionSpec(
             v,
             lambda k: MultiPoly.from_unipoly(alpha(k), v, "q"),
             lambda k: MultiPoly.from_unipoly(beta(k), v, "q"),
@@ -135,31 +117,16 @@ class TestJFraction:
         table = stieltjes_tableau(alpha, beta, 14)
         assert uni_coeffs(series) == [row[0] for row in table]
 
-    def test_negative_depth(self):
-        v = ("q",)
-        one = MultiPoly.one(v)
-        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
-        with pytest.raises(ValueError, match="depth"):
-            jfraction_series(spec, 3, depth=-1)
-
     @pytest.mark.parametrize("name", sorted(_J_PRESETS))
     def test_presets_match_level_by_level_expansion(self, name):
         spec = _j_spec(*_J_PRESETS[name])
         for order in range(13):
             assert named_series(name, order) == level_by_level(spec, order), order
-            for depth in (None, 0, 1, 2, 3, 7, 20):
-                got = jfraction_series(spec, order, depth)
-                assert got == level_by_level(spec, order, depth), (order, depth)
-
-    def test_unknown_kind(self):
-        spec = FractionSpec("weird", ("q",))
-        with pytest.raises(ValueError):
-            jfraction_series(spec, 3)
 
     def test_negative_order(self):
         v = ("q",)
         one = MultiPoly.one(v)
-        spec = FractionSpec.jfraction(v, lambda k: one, lambda k: one)
+        spec = FractionSpec(v, lambda k: one, lambda k: one)
         with pytest.raises(ValueError):
             jfraction_series(spec, -1)
 
@@ -250,28 +217,15 @@ class TestPresets:
         rhs = named_series("main12-rhs", 14)
         assert uni_coeffs(rhs) == [q_motzkin_tilde(n) for n in range(15)]
 
-    def test_nested_depth_regression(self):
-        # The nested shape of main12-lhs, rebuilt by hand: level 1 is
-        # t + t^2, and past that level k carries q^((k-1)/2) t (odd k only)
-        # plus q^(k-1) t^2.
-        v = ("q",)
-
-        def linear(k: int) -> MultiPoly:
-            if k == 1:
-                return MultiPoly.one(v)
-            if k % 2 == 0:
-                return MultiPoly.zero(v)
-            return MultiPoly.monomial(v, {"q": (k - 1) // 2})
-
-        def quadratic(k: int) -> MultiPoly:
-            if k == 1:
-                return MultiPoly.one(v)
-            return MultiPoly.monomial(v, {"q": k - 1})
-
-        spec = FractionSpec.nested(v, linear, quadratic)
-        base = jfraction_series(spec, 10)
-        assert base == named_series("main12-lhs", 10)
-        assert jfraction_series(spec, 10, depth=30) == base
+    def test_main12_lhs_levels_are_cut_per_order(self):
+        # Each level of main12-lhs is kept only to the order still visible
+        # from the top, so a low order must read the same as a high one cut.
+        full = named_series("main12-lhs", 40)
+        for k in range(40):
+            assert named_series("main12-lhs", k) == full.truncate(k), k
+        assert uni_coeffs(full.truncate(20)) == [
+            q_motzkin_tilde(n) for n in range(21)
+        ]
 
 
 class TestMtildeFunctionalEquation:
