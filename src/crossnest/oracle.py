@@ -16,7 +16,8 @@ of the row's bound and the caller's max_n, stops at the first
 counterexamples are the lexicographically first failures.  It counts the
 cases it compared: a row with none does not pass (its status is
 ``empty``), and a row whose cases raise fails with the exception as its
-counterexample, placed after the last case drawn, while the suite goes on.
+counterexample, placed at the object whose sides raised (or after the last
+case drawn, when drawing the next one raised), while the suite goes on.
 """
 
 from __future__ import annotations
@@ -225,17 +226,39 @@ def _enumerated(cls: PermClass, n: int, spec: StatSpec) -> MultiPoly | UniPoly:
     return poly.as_unipoly("q") if len(spec.variables) == 1 else poly
 
 
+class _RaisedAt(Exception):
+    """A case's sides raised; ``where`` is its object, the error its cause."""
+
+    def __init__(self, where: object) -> None:
+        super().__init__(where)
+        self.where = where
+
+
+def _each(objects: Callable[[int], Iterable], sides: Callable[..., Sides]) -> Cases:
+    """Cases ``(obj, *sides(obj))`` over ``objects(cap)``, naming a raising obj."""
+
+    def cases(cap: int) -> Iterator[Case]:
+        for obj in objects(cap):
+            try:
+                lhs, rhs = sides(obj)
+            except Exception as exc:
+                raise _RaisedAt(obj) from exc
+            yield obj, lhs, rhs
+
+    return cases
+
+
 def _each_member(cls: PermClass, sides: Callable[[tuple[int, ...]], Sides]) -> Cases:
     """Cases over the members of ``cls`` up to size cap; ``sides(word)``."""
-    return lambda cap: (
-        (w, *sides(w)) for n in range(cap + 1) for w in enumerate_class(n, cls)
+    return _each(
+        lambda cap: (w for n in range(cap + 1) for w in enumerate_class(n, cls)), sides
     )
 
 
 def _each_path(sides: Callable[[str], Sides]) -> Cases:
     """Cases over the paths up to length cap; ``sides(path)``."""
-    return lambda cap: (
-        (p, *sides(p)) for n in range(cap + 1) for p in enumerate_paths(n)
+    return _each(
+        lambda cap: (p for n in range(cap + 1) for p in enumerate_paths(n)), sides
     )
 
 
@@ -246,7 +269,7 @@ def _each_path_stats(sides: Callable[[str, PathStatRecord], Sides]) -> Cases:
 
 def _each_size(sides: Callable[[int], Sides]) -> Cases:
     """Cases over the sizes n up to cap; ``sides(n)``."""
-    return lambda cap: ((f"n={n}", *sides(n)) for n in range(cap + 1))
+    return _each(lambda cap: range(cap + 1), sides)
 
 
 def _versus_series(name: str, other: Callable[[int], object], var: str = "") -> Cases:
@@ -515,6 +538,8 @@ SUITES: tuple[str, ...] = (
 def _where_text(where: object) -> str:
     if isinstance(where, tuple):
         return f"n={len(where)} word={one_line(where)}"
+    if isinstance(where, int):
+        return f"n={where}"
     return str(where)
 
 
@@ -549,10 +574,12 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
                     )
                     break
         except Exception as exc:  # a raising check fails; the suite goes on
-            place = (
-                "before the first case" if where is None
-                else f"after {_where_text(where)}"
-            )
+            if isinstance(exc, _RaisedAt):
+                place, exc = f"at {_where_text(exc.where)}", exc.__cause__
+            elif where is None:
+                place = "before the first case"
+            else:
+                place = f"after {_where_text(where)}"
             counterexample = f"{place}: raised {type(exc).__name__}: {exc}"
         elapsed = int((time.perf_counter() - start) * 1000)
         results.append(

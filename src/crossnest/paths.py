@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .permutations import _check_head_tail
+from .permutations import _check_head_tail, _check_size
 
 _STEPS = frozenset("uhd")
 
@@ -141,8 +141,7 @@ def enumerate_paths(n: int) -> Iterator[str]:
     >>> list(enumerate_paths(3))
     ['uhd', 'udh', 'hud', 'hhh']
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     return _paths(n)
 
 

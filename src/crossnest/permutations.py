@@ -17,7 +17,14 @@ Inversions, excedances, descents and fixed points are the usual ones, and
 ``inv = exc + crs + 2 * nes`` holds for every permutation.
 
 The tests for 321 and for the barred 3-bar-1-42, which is the vincular
-pattern 23-1, read the word once; each family is one ``_CLASS_RULES`` row.
+pattern 23-1, read the word once; each family is one ``_CLASS_RULES`` row,
+its word test (for ``in_class``) and its enumerator.  The enumerators of the
+pattern-avoiding families grow each word left to right and prune every
+prefix that already holds the pattern (West 1995, Claesson 2001): the
+involutions carry the registers of a prefix test over each newly fixed
+stretch of letters, and the 321/barred avoiders have a generating tree
+without dead ends.  Filtering every involution or permutation through the
+word tests is the test reference.
 Head/tail pairs are read off the inversion table and rebuilt by insertion.
 """
 
@@ -315,44 +322,139 @@ class PermClass(enum.Enum):
         raise ValueError(f"unknown class {name!r} (known: {known})")
 
 
-def _involutions_lex(n: int) -> Iterator[tuple[int, ...]]:
+def _check_size(n: int) -> None:
+    """Raise ValueError unless n is a size: a nonnegative int, not a bool."""
+    if isinstance(n, bool) or n < 0:
+        raise ValueError("n must be nonnegative")
+
+
+def _involutions(
+    n: int, grow: Callable | None = None, regs: object = ()
+) -> Iterator[tuple[int, ...]]:
     # Pair the first free (zero) position i with a free j >= i, j == i a
     # fixed point; trying j in increasing order gives lexicographic order.
+    # Then w[:k] is fixed, k the next free position, and grow(regs, w[i:k])
+    # updates the prefix registers, or returns None once w[:k] holds the
+    # family's pattern, which prunes the pairing.
     word = [0] * n
-    stack: list[tuple[int, int]] = []
+    stack: list[tuple[int, int, object]] = []
     i = j = 0
     while True:
         while j < n and word[j]:
             j += 1
         if j < n:
             word[i], word[j] = j + 1, i + 1
-            stack.append((i, j))
-            while i < n and word[i]:
-                i += 1
-            j = i
+            k = i + 1
+            while k < n and word[k]:
+                k += 1
+            grown = regs if grow is None else grow(regs, word[i:k])
+            if grown is None:
+                word[i] = word[j] = 0
+                j += 1
+                continue
+            stack.append((i, j, regs))
+            i = j = k
+            regs = grown
             continue
         if i == n:
             yield tuple(word)
         if not stack:
             return
-        i, j = stack.pop()
+        i, j, regs = stack.pop()
         word[i] = word[j] = 0
         j += 1
 
 
-# Each family: (drawn from the involutions?, avoidance test or None).
+def _grow_4321(regs: tuple[int, int, int], letters: list[int]) -> tuple | None:
+    # The registers of contains_4321, carried across prefixes.
+    b1, b2, b3 = regs
+    for v in letters:
+        if b3 > v:
+            return None
+        if b2 > v:
+            b3 = v
+        elif b1 > v:
+            b2 = v
+        else:
+            b1 = v
+    return b1, b2, b3
+
+
+def _grow_3412(regs: tuple[int, int, int], letters: list[int]) -> tuple | None:
+    # seen: bit v for each letter v so far; low: the largest low letter of
+    # an ascent so far; banned: bit v for each v that would end a 3412 as
+    # its "2".  A letter u below low is a "1" after that ascent, so every
+    # v with u < v < low is banned from then on.
+    seen, low, banned = regs
+    for v in letters:
+        bit = 1 << v
+        if banned & bit:
+            return None
+        if v < low:
+            banned |= (1 << low) - (bit << 1)
+        else:  # the best ascent ending at v starts at v's predecessor
+            below = (seen & (bit - 1)).bit_length() - 1
+            if below > low:
+                low = below
+        seen |= bit
+    return seen, low, banned
+
+
+def _avoiders_321_barred_3142(n: int) -> Iterator[tuple[int, ...]]:
+    # Every letter not yet placed comes later.  A word holds 321 or 23-1
+    # exactly when some letter v has a later letter x < v and (a) a larger
+    # letter before it, or (b) just before it a letter between x and v.  So
+    # with s the smallest unplaced letter, v may follow a prefix when v = s,
+    # or when v is above every placed letter and the last one is below s.
+    # s is always a child, so no branch dies; in order the children are s
+    # and then, when the last letter is below s, every letter above the
+    # largest.
+    if n == 0:
+        yield ()
+        return
+    word = [0] * n
+    # Frame i chooses letter i: (bits of the placed letters and of 0, the
+    # largest placed letter, untried letters with the next one last).
+    stack = [(1, 0, list(range(n, 0, -1)))]
+    while stack:
+        placed, top, untried = stack[-1]
+        i = len(stack) - 1
+        if not untried:
+            stack.pop()
+            continue
+        v = word[i] = untried.pop()
+        if i + 1 == n:
+            yield tuple(word)
+            continue
+        placed |= 1 << v
+        s = (~placed & (placed + 1)).bit_length() - 1
+        top = max(top, v)
+        children = list(range(n, max(top, s), -1)) if v < s else []
+        children.append(s)
+        stack.append((placed, top, children))
+
+
+# Each family: (drawn from the involutions?, word test for in_class or None,
+# enumerator of its members of size n in lexicographic order).
 _CLASS_RULES = {
-    PermClass.ALL: (False, None),
-    PermClass.INVOLUTIONS: (True, None),
-    PermClass.I4321: (True, lambda w: not contains_4321(w)),
-    PermClass.I3412: (True, lambda w: not contains_3412(w)),
+    PermClass.ALL: (False, None, lambda n: itertools.permutations(range(1, n + 1))),
+    PermClass.INVOLUTIONS: (True, None, _involutions),
+    PermClass.I4321: (
+        True, lambda w: not contains_4321(w),
+        lambda n: _involutions(n, _grow_4321, (0, 0, 0)),
+    ),
+    PermClass.I3412: (
+        True, lambda w: not contains_3412(w),
+        lambda n: _involutions(n, _grow_3412, (0, 0, 0)),
+    ),
     PermClass.S321_B3142: (
-        False, lambda w: not contains_321(w) and avoids_barred_3142(w)
+        False, lambda w: not contains_321(w) and avoids_barred_3142(w),
+        _avoiders_321_barred_3142,
     ),
 }
 
 
-def _class_rule(cls: PermClass) -> tuple[bool, Callable | None]:
+def _class_rule(cls: PermClass) -> tuple[bool, Callable | None, Callable]:
     if not isinstance(cls, PermClass):
         raise ValueError(f"unknown class {cls!r}")
     return _CLASS_RULES[cls]
@@ -361,21 +463,23 @@ def _class_rule(cls: PermClass) -> tuple[bool, Callable | None]:
 def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
     """Yield the family's members of size n in lexicographic order.
 
+    ``ALL`` runs ``itertools.permutations``.  The other families grow their
+    members left to right and drop every prefix that already holds the
+    family's pattern, so no non-member is ever built whole.  Filtering
+    every involution or permutation through ``in_class`` is the test
+    reference.
+
     >>> list(enumerate_class(3, PermClass.S321_B3142))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    involutive, avoids = _class_rule(cls)
-    letters = range(1, n + 1)
-    base = _involutions_lex(n) if involutive else itertools.permutations(letters)
-    yield from base if avoids is None else filter(avoids, base)
+    _check_size(n)
+    return _class_rule(cls)[2](n)
 
 
 def in_class(word: Sequence[int], cls: PermClass) -> bool:
-    """Membership test matching ``enumerate_class``."""
+    """Membership test matching ``enumerate_class``, by the word tests."""
     w = check_permutation(word)
-    involutive, avoids = _class_rule(cls)
+    involutive, avoids, _ = _class_rule(cls)
     if involutive and not is_involution(w):
         return False
     return avoids is None or avoids(w)
@@ -406,8 +510,7 @@ def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def _check_head_tail(pairs: Sequence[tuple[int, int]], n: int) -> None:
     """Raise ValueError unless the pairs have the head/tail shape for size n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     prev_head = 0
     for h, t in pairs:
         if not 1 <= t <= h <= n - 1:

@@ -1,8 +1,9 @@
+import itertools
 import json
 
 import pytest
 
-from crossnest.bijections import phi1, phi2
+from crossnest.bijections import phi1, phi2, phi3_inverse
 from crossnest.cli import cmd_dispatch
 from crossnest.oracle import (
     _CHECKS,
@@ -14,6 +15,7 @@ from crossnest.oracle import (
     distribution,
     run_suite,
 )
+from crossnest.paths import enumerate_paths
 from crossnest.permutations import PermClass, head_tail_pairs
 from crossnest.polynomials import MultiPoly
 from crossnest.qmotzkin import h_tableau, q_motzkin, q_motzkin_tilde
@@ -62,6 +64,19 @@ class TestDistribution:
             assert got == named_series("I3412-joint", n).coefficient(n), n
             got = distribution(PermClass.S321_B3142, n, StatSpec.JOINT_EXC_CRS)
             assert got == named_series("S321-exc-crs", n).coefficient(n), n
+
+    @pytest.mark.parametrize(
+        ("cls", "spec", "preset"),
+        [
+            (PermClass.I4321, StatSpec.JOINT_FP_EXC_CRS_NES, "I4321-joint"),
+            (PermClass.I3412, StatSpec.JOINT_FP_EXC_CRS_NES, "I3412-joint"),
+            (PermClass.S321_B3142, StatSpec.JOINT_EXC_CRS, "S321-exc-crs"),
+        ],
+    )
+    def test_joint_matches_fraction_past_the_oracle_bounds(self, cls, spec, preset):
+        # The dist-* rows stop at n <= 9-10; the pruned enumerators reach 12.
+        got = distribution(cls, 12, spec, allow_large=True)
+        assert got == named_series(preset, 12).coefficient(12)
 
     def test_total_count_at_one(self):
         poly = distribution(PermClass.ALL, 5, StatSpec.CRS_PLUS_NES)
@@ -273,7 +288,7 @@ class TestFailurePath:
         roundtrips = by_name["phi-roundtrips"]
         assert roundtrips.status == "FAIL"
         assert roundtrips.counterexample == (
-            "after hh: raised ValueError: permutation is outside the "
+            "at uhd: raised ValueError: permutation is outside the "
             "321/barred class: (3, 2, 1)"
         )
         assert by_name["phi3-transport"].status == "FAIL"
@@ -283,6 +298,22 @@ class TestFailurePath:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert captured.out.endswith("suite all: 28/31 checks passed\n")
+
+    def test_raising_check_names_the_object_that_raised(self, monkeypatch):
+        monkeypatch.setattr("crossnest.oracle.phi3", phi1)
+        check = {c.name: c for c in run_suite("bijections", 5).checks}[
+            "phi-roundtrips"
+        ]
+        place, error = check.counterexample.split(": raised ValueError: ")
+        assert place.startswith("at ")
+        path = place.removeprefix("at ")
+        with pytest.raises(ValueError) as raised:
+            phi3_inverse(phi1(path))
+        assert str(raised.value) == error
+        # And it is the first such path: no earlier one raises.
+        paths = (p for n in range(len(path) + 1) for p in enumerate_paths(n))
+        for p in itertools.takewhile(lambda p: p != path, paths):
+            phi3_inverse(phi1(p))
 
     def test_head_tail_pairs_broken(self, monkeypatch):
         monkeypatch.setattr("crossnest.oracle.head_tail_pairs", lambda w: ())

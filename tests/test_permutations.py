@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_paths import random_path
 
 from crossnest.bijections import phi2, phi3, phi3_inverse
-from crossnest.paths import path_from_head_tail
+from crossnest.paths import enumerate_paths, path_from_head_tail
 from crossnest.permutations import (
     PermClass,
     avoids_barred_3142,
@@ -73,6 +73,43 @@ def swapping_permutation_from_head_tail(pairs, n):
         for i in range(h, t - 1, -1):
             w[i - 1], w[i] = w[i], w[i - 1]
     return tuple(w)
+
+
+def involutions_lex(n):
+    # Reference: every involution in lexicographic order.  Pair the first
+    # free (zero) position i with a free j >= i, j == i a fixed point;
+    # trying j in increasing order gives lexicographic order.
+    word = [0] * n
+    stack = []
+    i = j = 0
+    while True:
+        while j < n and word[j]:
+            j += 1
+        if j < n:
+            word[i], word[j] = j + 1, i + 1
+            stack.append((i, j))
+            while i < n and word[i]:
+                i += 1
+            j = i
+            continue
+        if i == n:
+            yield tuple(word)
+        if not stack:
+            return
+        i, j = stack.pop()
+        word[i] = word[j] = 0
+        j += 1
+
+
+INVOLUTIVE = {PermClass.INVOLUTIONS, PermClass.I4321, PermClass.I3412}
+
+
+def filtered_class(n, cls):
+    # Reference: the family's base, every involution or every permutation,
+    # filtered through the word tests of in_class.
+    base = (involutions_lex(n) if cls in INVOLUTIVE
+            else itertools.permutations(range(1, n + 1)))
+    return (w for w in base if in_class(w, cls))
 
 
 def long_words(seed, count=12):
@@ -255,9 +292,27 @@ class TestClasses:
                 for w in itertools.permutations(range(1, n + 1)):
                     assert in_class(w, cls) == (w in members), (cls, w)
 
+    def test_pruned_enumerators_match_filtered_reference(self):
+        for cls in PermClass:
+            for n in range(8 if cls is PermClass.ALL else 10):
+                expected = list(filtered_class(n, cls))
+                assert list(enumerate_class(n, cls)) == expected, (cls, n)
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_class(-1, PermClass.ALL))
+
+    def test_bool_sizes_rejected_like_negative_ones(self):
+        # True is an int to Python, but not a size.
+        for n in (-1, True, False):
+            for cls in PermClass:
+                with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                    list(enumerate_class(n, cls))
+            with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                list(enumerate_paths(n))
+            for rebuild in (permutation_from_head_tail, path_from_head_tail):
+                with pytest.raises(ValueError, match="^n must be nonnegative$"):
+                    rebuild((), n)
 
     def test_unknown_class_rejected(self):
         for bad in ("I4321", None):
