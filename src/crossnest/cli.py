@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on a verification failure, an invalid
-object (bad permutation word, bad path word, b-file mismatch) or a size
-refused by the enumeration guard, 2 on usage errors.  A verification
+object (bad permutation word, bad path word, b-file mismatch), a negative
+size or a size refused by the enumeration guard, 2 on usage errors.  A verification
 failure is any check that is not ``pass``: ``FAIL`` (a counterexample,
 or an exception raised by the check) or ``empty`` (it compared nothing,
 as the tableau checks do at ``--max-n 0``).  Identical argv produces
@@ -27,6 +27,7 @@ from .oracle import (
 from .paths import parse_path, path_statistics
 from .permutations import (
     PermClass,
+    _check_size,
     cycle_string,
     in_class,
     one_line,
@@ -145,8 +146,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     poly = distribution(
         PermClass.from_name(args.family),
         args.n,
@@ -167,24 +166,18 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     fn = q_motzkin if args.which == "M" else q_motzkin_tilde
     print(fn(args.n))
     return 0
 
 
 def _cmd_tableau(args: argparse.Namespace) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     for k, row in enumerate(h_tableau(args.n)):
         print(f"n={k}: " + " | ".join(str(p) for p in row))
     return 0
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise ValueError("--order must be nonnegative")
     series = named_series(args.preset, args.order)
     if args.json:
         print(json.dumps(series.to_json_dict()))
@@ -195,8 +188,6 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
     report = run_suite(args.suite, args.max_n)
     if args.json:
         print(json.dumps(report.to_json_dict(), ensure_ascii=False))
@@ -240,8 +231,8 @@ def _read_bfile(path: str) -> dict[int, int]:
 
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
-    if args.max_n < 0:
-        raise ValueError("--max-n must be nonnegative")
+    # range(max_n + 1) is empty below 0: no call below would refuse it.
+    _check_size(args.max_n, "--max-n")
     values = _read_bfile(args.bfile)
     gaps = []
     for n in range(args.max_n + 1):

@@ -42,7 +42,9 @@ from .paths import (
 )
 from .permutations import (
     PermClass,
+    _check_size,
     _fp_exc_crs_nes_inv,
+    _member_named,
     enumerate_class,
     head_tail_pairs,
     one_line,
@@ -78,11 +80,7 @@ class StatSpec(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "StatSpec":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown statistic {name!r} (known: {known})")
+        return _member_named(cls, name, "statistic")
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -109,11 +107,13 @@ def _enum_limit() -> int:
     if raw is None:
         return DEFAULT_ENUM_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
         raise ValueError(
             f"{ENUM_LIMIT_ENV} must be an integer, got {raw!r}"
         ) from None
+    _check_size(limit, ENUM_LIMIT_ENV)
+    return limit
 
 
 def _tally(keys: Iterable[tuple[int, ...]], variables: tuple[str, ...]) -> MultiPoly:
@@ -552,8 +552,7 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
     if suite not in SUITES:
         known = ", ".join(SUITES)
         raise ValueError(f"unknown suite {suite!r} (known: {known})")
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
+    _check_size(max_n, "max_n")
     selected = [c for c in _CHECKS if suite in ("all", c.suite)]
     selected.sort(key=lambda c: c.name)
     results = []

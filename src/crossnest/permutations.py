@@ -315,17 +315,26 @@ class PermClass(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "PermClass":
-        for member in cls:
-            if member.value == name:
-                return member
-        known = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown class {name!r} (known: {known})")
+        return _member_named(cls, name, "class")
 
 
-def _check_size(n: int) -> None:
-    """Raise ValueError unless n is a size: a nonnegative int, not a bool."""
+def _member_named(kind: type[enum.Enum], name: str, noun: str):
+    """The member of ``kind`` whose value is ``name``; ValueError otherwise."""
+    for member in kind:
+        if member.value == name:
+            return member
+    known = ", ".join(m.value for m in kind)
+    raise ValueError(f"unknown {noun} {name!r} (known: {known})")
+
+
+def _check_size(n: int, name: str = "n") -> None:
+    """Raise ValueError("<name> must be nonnegative") unless n is a size.
+
+    The package's one test of sizes, orders and bounds: a size is a
+    nonnegative int, never a bool.  ``name`` only words the message.
+    """
     if isinstance(n, bool) or n < 0:
-        raise ValueError("n must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative")
 
 
 def _involutions(

@@ -16,6 +16,7 @@ from functools import cache
 from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
+from .permutations import _check_size
 from .polynomials import UNI_ONE, UniPoly
 
 _motzkin_cache: list[int] = [1, 1]
@@ -30,8 +31,7 @@ def motzkin_number(n: int) -> int:
     >>> [motzkin_number(n) for n in range(10)]
     [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     while len(_motzkin_cache) <= n:
         m = len(_motzkin_cache)
         total = _motzkin_cache[m - 1]
@@ -46,8 +46,7 @@ def _q_recurrence(
 ) -> UniPoly:
     # M_m = M_{m-1} + sum_k q^exponent(k, m) M_k M_{m-2-k}, extending the
     # cache up to index n.
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     while len(cache) <= n:
         m = len(cache)
         total = cache[m - 1]
@@ -130,8 +129,7 @@ def stieltjes_tableau(
     where entries outside 0 <= i <= n-1 in row n-1 count as zero; alpha and
     beta are only consulted for level >= 1.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_size(n_max, "n_max")
     rows = [[UNI_ONE]]
     rows += islice(_tableau_rows(alpha, beta, rows[0]), n_max)
     return rows
@@ -150,8 +148,7 @@ def h_tableau(n_max: int) -> list[list[UniPoly]]:
     >>> str(h_tableau(4)[4][0])
     '5 + 3*q + q^2'
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    _check_size(n_max, "n_max")
     rows = _h_rows
     if len(rows) <= n_max:
         more = _tableau_rows(_h_level, _h_level, rows[-1], len(rows) - 1)

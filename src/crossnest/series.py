@@ -23,6 +23,7 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Sequence
 
+from .permutations import _check_size
 from .polynomials import MultiPoly, UniPoly
 from .qmotzkin import _tableau_rows, q_motzkin, q_motzkin_tilde
 
@@ -157,8 +158,7 @@ def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
     only keeps the heights <= order - n from which a path still returns to
     height 0 by t^order.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_size(order, "order")
     one = MultiPoly.one(spec.variables)
     rows = _tableau_rows(spec.alpha, spec.beta, [one], top=lambda n: order - n)
     return PowerSeries(spec.variables, [one] + [row[0] for row in islice(rows, order)])
@@ -270,6 +270,5 @@ def named_series(name: str, order: int) -> PowerSeries:
     if name not in PRESETS:
         known = ", ".join(sorted(PRESETS))
         raise ValueError(f"unknown series preset {name!r} (known: {known})")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
+    _check_size(order, "order")
     return PRESETS[name](order)

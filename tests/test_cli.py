@@ -146,9 +146,9 @@ class TestDist:
         }
 
     def test_negative_n(self, capsys):
-        code, _, err = run(capsys, "dist", "--class", "all", "--stat", "crs", "--n", "-1")
-        assert code == 1
-        assert "nonnegative" in err
+        code, out, err = run(capsys, "dist", "--class", "all", "--stat", "crs", "--n", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: n must be nonnegative\n"
 
     def test_size_guard(self, capsys):
         code, _, err = run(capsys, "dist", "--class", "all", "--stat", "crs", "--n", "13")
@@ -177,9 +177,9 @@ class TestPoly:
         assert (code, out) == (0, "1\n")
 
     def test_negative(self, capsys):
-        code, _, err = run(capsys, "poly", "M", "--n", "-2")
-        assert code == 1
-        assert "nonnegative" in err
+        code, out, err = run(capsys, "poly", "M", "--n", "-2")
+        assert (code, out) == (1, "")
+        assert err == "error: n must be nonnegative\n"
 
 
 class TestTableau:
@@ -189,8 +189,9 @@ class TestTableau:
         assert out == ("n=0: 1\n" "n=1: 1 | 1\n" "n=2: 2 | 1 + q | q\n")
 
     def test_negative(self, capsys):
-        code, _, err = run(capsys, "tableau", "--n", "-1")
-        assert code == 1
+        code, out, err = run(capsys, "tableau", "--n", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: n_max must be nonnegative\n"
 
 
 class TestSeries:
@@ -209,8 +210,9 @@ class TestSeries:
         }
 
     def test_negative_order(self, capsys):
-        code, _, err = run(capsys, "series", "--preset", "M", "--order", "-1")
-        assert code == 1
+        code, out, err = run(capsys, "series", "--preset", "M", "--order", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: order must be nonnegative\n"
 
     def test_unknown_preset_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -261,8 +263,9 @@ class TestVerify:
         )
 
     def test_negative_max_n(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "paths", "--max-n", "-1")
-        assert code == 1
+        code, out, err = run(capsys, "verify", "--suite", "paths", "--max-n", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: max_n must be nonnegative\n"
 
     def test_all_suite_exits_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "8")
@@ -304,6 +307,12 @@ class TestOeisCheck:
             code, _, err = run(capsys, "oeis-check", "--bfile", str(bad), "--max-n", "0")
             assert code == 1
             assert needle in err
+
+    def test_negative_max_n(self, capsys):
+        # The loop over range(max_n + 1) would be empty and print a match.
+        code, out, err = run(capsys, "oeis-check", "--bfile", BFILE, "--max-n", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --max-n must be nonnegative\n"
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(

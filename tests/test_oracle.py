@@ -29,9 +29,13 @@ class TestStatSpec:
         assert StatSpec.JOINT_EXC_CRS.variables == ("y", "q")
 
     def test_lookup(self):
+        # Both enums share one lookup, each naming its own kind of value.
         assert StatSpec.from_name("crs+nes") is StatSpec.CRS_PLUS_NES
-        with pytest.raises(ValueError):
+        assert PermClass.from_name("S321B3142") is PermClass.S321_B3142
+        with pytest.raises(ValueError, match=r"^unknown statistic 'zzz' \(known: crs, "):
             StatSpec.from_name("zzz")
+        with pytest.raises(ValueError, match=r"^unknown class 'D8' \(known: all, "):
+            PermClass.from_name("D8")
 
 
 class TestDistribution:
@@ -103,6 +107,9 @@ class TestDistribution:
         monkeypatch.setenv(ENUM_LIMIT_ENV, "junk")
         with pytest.raises(ValueError, match="integer"):
             distribution(PermClass.I4321, 3, StatSpec.CRS)
+        monkeypatch.setenv(ENUM_LIMIT_ENV, "-1")
+        with pytest.raises(ValueError, match=f"^{ENUM_LIMIT_ENV} must be nonnegative$"):
+            distribution(PermClass.I4321, 0, StatSpec.CRS)
 
 
 class TestRunSuite:

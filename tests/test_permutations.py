@@ -26,7 +26,15 @@ from crossnest.permutations import (
     perm_statistics,
     permutation_from_head_tail,
 )
-from crossnest.qmotzkin import motzkin_number
+from crossnest.oracle import StatSpec, distribution, run_suite
+from crossnest.qmotzkin import (
+    h_tableau,
+    motzkin_number,
+    q_motzkin,
+    q_motzkin_tilde,
+    stieltjes_tableau,
+)
+from crossnest.series import FractionSpec, jfraction_series, named_series
 
 SHOWCASE = (4, 6, 2, 9, 8, 1, 7, 3, 10, 5)
 
@@ -303,16 +311,35 @@ class TestClasses:
             list(enumerate_class(-1, PermClass.ALL))
 
     def test_bool_sizes_rejected_like_negative_ones(self):
-        # True is an int to Python, but not a size.
+        # True is an int to Python, but not a size.  Every size, order and
+        # bound goes through one guard, which names the argument it refuses.
+        one = lambda k: 1
+        spec = FractionSpec(("q",), one, one)
+        guarded = [
+            *((f"enumerate_class {cls.value}", "n",
+               lambda n, cls=cls: list(enumerate_class(n, cls)))
+              for cls in PermClass),
+            ("enumerate_paths", "n", lambda n: list(enumerate_paths(n))),
+            ("permutation_from_head_tail", "n",
+             lambda n: permutation_from_head_tail((), n)),
+            ("path_from_head_tail", "n", lambda n: path_from_head_tail((), n)),
+            ("motzkin_number", "n", motzkin_number),
+            ("q_motzkin", "n", q_motzkin),
+            ("q_motzkin_tilde", "n", q_motzkin_tilde),
+            ("stieltjes_tableau", "n_max",
+             lambda n: stieltjes_tableau(one, one, n)),
+            ("h_tableau", "n_max", h_tableau),
+            ("jfraction_series", "order", lambda n: jfraction_series(spec, n)),
+            ("named_series", "order", lambda n: named_series("A", n)),
+            ("run_suite", "max_n", lambda n: run_suite("paths", n)),
+            ("distribution", "n",
+             lambda n: distribution(PermClass.I4321, n, StatSpec.CRS)),
+        ]
         for n in (-1, True, False):
-            for cls in PermClass:
-                with pytest.raises(ValueError, match="^n must be nonnegative$"):
-                    list(enumerate_class(n, cls))
-            with pytest.raises(ValueError, match="^n must be nonnegative$"):
-                list(enumerate_paths(n))
-            for rebuild in (permutation_from_head_tail, path_from_head_tail):
-                with pytest.raises(ValueError, match="^n must be nonnegative$"):
-                    rebuild((), n)
+            for label, name, call in guarded:
+                with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
+                    call(n)
+                    pytest.fail(f"{label}({n!r}) did not raise")
 
     def test_unknown_class_rejected(self):
         for bad in ("I4321", None):
