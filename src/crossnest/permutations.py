@@ -16,15 +16,18 @@ draws an arc from i to word[i]:
 Inversions, excedances, descents and fixed points are the usual ones, and
 ``inv = exc + crs + 2 * nes`` holds for every permutation.
 
-The tests for 321 and for the barred 3-bar-1-42, which is the vincular
-pattern 23-1, read the word once; each family is one ``_CLASS_RULES`` row,
-its word test (for ``in_class``) and its enumerator.  The enumerators of the
-pattern-avoiding families grow each word left to right and prune every
-prefix that already holds the pattern (West 1995, Claesson 2001): the
-involutions carry the registers of a prefix test over each newly fixed
-stretch of letters, and the 321/barred avoiders have a generating tree
-without dead ends.  Filtering every involution or permutation through the
-word tests is the test reference.
+4321 and 3412 each have one scan of prefix registers (West 1995) that
+serves both the word test and the enumerator: the word test runs it over
+the whole word (321 runs the 4321 scan behind a letter above them all),
+and the enumerators of ``I4321`` and ``I3412`` carry its registers over
+each newly fixed stretch of letters and prune every prefix that already
+holds the pattern.  The barred 3-bar-1-42 is the vincular pattern 23-1
+(Claesson 2001), tested in one pass, and the 321/barred avoiders have a
+generating tree without dead ends.  Like ``contains_classical``, the fast
+tests raise ValueError on a word that is not a permutation.  Each family
+is one ``_CLASS_RULES`` row, its word test (for ``in_class``) and its
+enumerator; filtering every involution or permutation through the word
+tests is the test reference.
 Head/tail pairs are read off the inversion table and rebuilt by insertion.
 """
 
@@ -221,59 +224,20 @@ def contains_classical(word: Sequence[int], pattern: Sequence[int]) -> bool:
 
 def contains_321(word: Sequence[int]) -> bool:
     """True when some decreasing subsequence has length three."""
-    # As in contains_4321, with registers b1, b2.
-    b1 = b2 = 0
-    for v in word:
-        if b2 > v:
-            return True
-        if b1 > v:
-            b2 = v
-        else:
-            b1 = v
-    return False
+    # A letter above every letter of w, placed first, turns each 321 of w
+    # into a 4321 and makes no other 4321.
+    w = check_permutation(word)
+    return _grow_4321((len(w) + 1, 0, 0), w) is None
 
 
 def contains_4321(word: Sequence[int]) -> bool:
     """True when some decreasing subsequence has length four."""
-    # bj is the largest last letter over decreasing subsequences of length j
-    # seen so far; a larger last letter is always easier to extend.  Letters
-    # are distinct, so each letter that does not end the scan raises one
-    # register: that of the longest decreasing subsequence it ends.
-    b1 = b2 = b3 = 0
-    for v in word:
-        if b3 > v:
-            return True
-        if b2 > v:
-            b3 = v
-        elif b1 > v:
-            b2 = v
-        else:
-            b1 = v
-    return False
+    return _grow_4321((0, 0, 0), check_permutation(word)) is None
 
 
 def contains_3412(word: Sequence[int]) -> bool:
-    """True when some subsequence has the pattern 3412.
-
-    An occurrence is an ascent (the 34) followed by a "1" and a later "2"
-    above it but below the "3".  So for each "1" the best "3" is the largest
-    low letter of an ascent left of it, and the best "2" is the smallest
-    later letter above it; two bisect scans find both in O(n log n).
-    """
-    w = tuple(word)
-    seen: list[int] = []
-    lows = [0]  # lows[m]: the largest low letter of an ascent inside w[:m]
-    for v in w:
-        i = bisect.bisect(seen, v)
-        lows.append(max(lows[-1], seen[i - 1] if i else 0))
-        seen.insert(i, v)
-    later: list[int] = []
-    for m in range(len(w) - 1, -1, -1):
-        i = bisect.bisect(later, w[m])
-        if i < len(later) and later[i] < lows[m]:
-            return True
-        later.insert(i, w[m])
-    return False
+    """True when some subsequence has the pattern 3412."""
+    return _grow_3412((0, 0, 0), check_permutation(word)) is None
 
 
 def avoids_barred_3142(word: Sequence[int]) -> bool:
@@ -294,7 +258,7 @@ def avoids_barred_3142(word: Sequence[int]) -> bool:
     >>> avoids_barred_3142((3, 1, 2))
     True
     """
-    w = tuple(word)
+    w = check_permutation(word)
     low = len(w) + 1  # the smallest of w[m + 2:]
     for m in range(len(w) - 3, -1, -1):
         if w[m + 2] < low:
@@ -331,9 +295,10 @@ def _check_size(n: int, name: str = "n") -> None:
     """Raise ValueError("<name> must be nonnegative") unless n is a size.
 
     The package's one test of sizes, orders and bounds: a size is a
-    nonnegative int, never a bool.  ``name`` only words the message.
+    nonnegative plain int, never a bool or a float.  ``name`` only words
+    the message.
     """
-    if isinstance(n, bool) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"{name} must be nonnegative")
 
 
@@ -374,8 +339,13 @@ def _involutions(
         j += 1
 
 
-def _grow_4321(regs: tuple[int, int, int], letters: list[int]) -> tuple | None:
-    # The registers of contains_4321, carried across prefixes.
+def _grow_4321(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | None:
+    # The 4321 machine: the registers of a prefix run on over more letters,
+    # or None once the letters so far hold 4321.  bj is the largest last
+    # letter over decreasing subsequences of length j so far; a larger last
+    # letter is always easier to extend.  Letters are distinct, so each
+    # letter that does not complete 4321 raises one register: that of the
+    # longest decreasing subsequence it ends.
     b1, b2, b3 = regs
     for v in letters:
         if b3 > v:
@@ -389,11 +359,13 @@ def _grow_4321(regs: tuple[int, int, int], letters: list[int]) -> tuple | None:
     return b1, b2, b3
 
 
-def _grow_3412(regs: tuple[int, int, int], letters: list[int]) -> tuple | None:
-    # seen: bit v for each letter v so far; low: the largest low letter of
-    # an ascent so far; banned: bit v for each v that would end a 3412 as
-    # its "2".  A letter u below low is a "1" after that ascent, so every
-    # v with u < v < low is banned from then on.
+def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | None:
+    # The 3412 machine, run on like _grow_4321.  An occurrence is an ascent
+    # (the 34), then a "1" below its low letter, then a later "2" between
+    # the two.  seen: bit v for each letter v so far; low: the largest low
+    # letter of an ascent so far, the best "3"; banned: bit v for each v
+    # that would end a 3412 as its "2".  A letter u below low is a "1"
+    # after that ascent, so every v with u < v < low is banned from then on.
     seen, low, banned = regs
     for v in letters:
         bit = 1 << v
@@ -449,11 +421,11 @@ _CLASS_RULES = {
     PermClass.ALL: (False, None, lambda n: itertools.permutations(range(1, n + 1))),
     PermClass.INVOLUTIONS: (True, None, _involutions),
     PermClass.I4321: (
-        True, lambda w: not contains_4321(w),
+        True, lambda w: _grow_4321((0, 0, 0), w) is not None,
         lambda n: _involutions(n, _grow_4321, (0, 0, 0)),
     ),
     PermClass.I3412: (
-        True, lambda w: not contains_3412(w),
+        True, lambda w: _grow_3412((0, 0, 0), w) is not None,
         lambda n: _involutions(n, _grow_3412, (0, 0, 0)),
     ),
     PermClass.S321_B3142: (

@@ -136,6 +136,15 @@ class TestParsing:
         with pytest.raises(ValueError, match="ends at height 2"):
             parse_path("uu")
 
+    @settings(max_examples=100)
+    @given(st.text())
+    def test_any_text_returns_or_raises_value_error(self, text):
+        try:
+            word = parse_path(text)
+        except ValueError:
+            return
+        assert check_path(word) == word
+
     def test_check_path_passthrough(self):
         assert check_path("uhd") == "uhd"
         with pytest.raises(ValueError):

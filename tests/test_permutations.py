@@ -157,6 +157,15 @@ class TestBasics:
         with pytest.raises(ValueError):
             parse_permutation("1 1")
 
+    @settings(max_examples=100)
+    @given(st.text())
+    def test_parse_any_text_returns_or_raises_value_error(self, text):
+        try:
+            w = parse_permutation(text)
+        except ValueError:
+            return
+        assert is_permutation_word(w)
+
     def test_cycle_string(self):
         assert cycle_string(SHOWCASE) == "(1 4 9 10 5 8 3 2 6)(7)"
         assert cycle_string(()) == "()"
@@ -207,6 +216,9 @@ class TestStatistics:
         assert all(w[i - 1] > w[i] for i in r.des_set)
 
 
+FAST_TESTS = (contains_321, contains_4321, contains_3412, avoids_barred_3142)
+
+
 class TestPatterns:
     def test_containment_examples(self):
         assert contains_classical((2, 1, 4, 3), (2, 1, 4, 3))
@@ -251,6 +263,34 @@ class TestPatterns:
             has_3412.add(contains_3412(w))
         assert barred == {True, False}
         assert has_3412 == {True, False}
+
+    def test_fast_tests_refuse_non_permutations(self):
+        for w in ((3, 3, 3), (2, 1, 0, -1), (4, 1, 5, 2), (True, 2)):
+            for test in FAST_TESTS:
+                with pytest.raises(ValueError, match="not a permutation"):
+                    test(w)
+                    pytest.fail(f"{test.__name__}({w!r}) did not raise")
+
+    @settings(max_examples=150)
+    @given(st.lists(st.integers(min_value=-2, max_value=11), max_size=9))
+    def test_fast_tests_fuzzed_against_references(self, word):
+        # Repeats, 0, negatives and letters above n: each fast test raises
+        # exactly when contains_classical does, and otherwise agrees with it
+        # (or with brute, for the barred pattern).
+        w = tuple(word)
+        try:
+            expected = (
+                contains_classical(w, (3, 2, 1)),
+                contains_classical(w, (4, 3, 2, 1)),
+                contains_classical(w, (3, 4, 1, 2)),
+            )
+        except ValueError:
+            for test in FAST_TESTS:
+                with pytest.raises(ValueError):
+                    test(w)
+            return
+        assert (contains_321(w), contains_4321(w), contains_3412(w)) == expected
+        assert avoids_barred_3142(w) == brute(w)
 
 
 class TestClasses:
@@ -311,8 +351,9 @@ class TestClasses:
             list(enumerate_class(-1, PermClass.ALL))
 
     def test_bool_sizes_rejected_like_negative_ones(self):
-        # True is an int to Python, but not a size.  Every size, order and
-        # bound goes through one guard, which names the argument it refuses.
+        # True is an int to Python, but not a size, and nor is 2.0.  Every
+        # size, order and bound goes through one guard, which names the
+        # argument it refuses.
         one = lambda k: 1
         spec = FractionSpec(("q",), one, one)
         guarded = [
@@ -335,7 +376,7 @@ class TestClasses:
             ("distribution", "n",
              lambda n: distribution(PermClass.I4321, n, StatSpec.CRS)),
         ]
-        for n in (-1, True, False):
+        for n in (-1, True, False, 2.0):
             for label, name, call in guarded:
                 with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
                     call(n)
