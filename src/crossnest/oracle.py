@@ -1,7 +1,10 @@
 """Brute-force distributions and the named-check verification suites.
 
 ``distribution`` sums a monomial over an enumerated permutation family,
-which is the ground truth the rest of the package is tested against.
+which is the ground truth the rest of the package is tested against.  The
+families' enumerators carry each member's (fp, exc, crs, nes), so it counts
+distinct tuples and never runs the statistics kernel, except over ``ALL``,
+whose members it leaves to the kernel that defines them.
 Family sizes grow fast, so sizes above a guard (default 12, override with
 the CROSSNEST_ENUM_LIMIT environment variable or allow_large=True) are
 refused rather than silently churning.
@@ -45,6 +48,7 @@ from .permutations import (
     _check_size,
     _fp_exc_crs_nes_inv,
     _member_named,
+    _members,
     enumerate_class,
     head_tail_pairs,
     one_line,
@@ -126,6 +130,12 @@ def distribution(
 ) -> MultiPoly:
     """Monomial sum of a statistic over one family, by full enumeration.
 
+    The family's enumerator yields each member with its (fp, exc, crs, nes),
+    carried down its generating tree; only ``ALL`` leaves them to the
+    statistics kernel ``_fp_exc_crs_nes_inv``, which defines them.  Members
+    are counted per distinct statistics tuple, and the spec's exponents are
+    taken once per tuple.
+
     >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
     '3 + q'
     """
@@ -135,11 +145,14 @@ def distribution(
             f"n={n} exceeds the enumeration guard ({limit}); raise "
             f"{ENUM_LIMIT_ENV} or pass allow_large=True"
         )
-    stats = map(_fp_exc_crs_nes_inv, enumerate_class(n, cls))
-    return _tally(
-        (spec.exponents(fp, exc, crs, nes) for fp, exc, crs, nes, _ in stats),
-        spec.variables,
+    tally = Counter(
+        _fp_exc_crs_nes_inv(w)[:4] if stats is None else stats
+        for w, stats in _members(n, cls)
     )
+    keys: Counter = Counter()
+    for stats, count in tally.items():
+        keys[spec.exponents(*stats)] += count
+    return MultiPoly.from_terms(spec.variables, keys)
 
 
 @dataclass(frozen=True)

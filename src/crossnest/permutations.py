@@ -25,9 +25,16 @@ holds the pattern.  The barred 3-bar-1-42 is the vincular pattern 23-1
 (Claesson 2001), tested in one pass, and the 321/barred avoiders have a
 generating tree without dead ends.  Like ``contains_classical``, the fast
 tests raise ValueError on a word that is not a permutation.  Each family
-is one ``_CLASS_RULES`` row, its word test (for ``in_class``) and its
-enumerator; filtering every involution or permutation through the word
-tests is the test reference.
+is one ``_CLASS_RULES`` row, its word test (for ``in_class``, which
+validates the word once) and its enumerator; filtering every involution or
+permutation through the word tests is the test reference.
+
+The enumerators of every family but ``ALL`` carry each member's fixed
+points, excedances, crossings and nestings down their trees, with O(1)
+bitmask updates per node, and yield them with the member (``_members``);
+``enumerate_class`` keeps only the words.  ``_fp_exc_crs_nes_inv``, the
+O(n^2) kernel, stays the definition: ``perm_statistics``, the oracle checks
+and the differential tests run it.
 Head/tail pairs are read off the inversion table and rebuilt by insertion.
 """
 
@@ -37,6 +44,7 @@ import bisect
 import enum
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 
@@ -127,7 +135,11 @@ def is_involution(word: Sequence[int]) -> bool:
     >>> is_involution((2, 3, 1))
     False
     """
-    w = check_permutation(word)
+    return _is_involution(check_permutation(word))
+
+
+def _is_involution(w: tuple[int, ...]) -> bool:
+    # is_involution on a word already known to be a permutation.
     return all(w[w[i] - 1] == i + 1 for i in range(len(w)))
 
 
@@ -188,7 +200,7 @@ def perm_statistics(word: Sequence[int]) -> StatRecord:
         inv=inv,
         exc_set=tuple(i for i in range(1, n + 1) if w[i - 1] > i),
         des_set=tuple(i for i in range(1, n) if w[i - 1] > w[i]),
-        is_involution=all(w[w[i] - 1] == i + 1 for i in range(n)),
+        is_involution=_is_involution(w),
     )
 
 
@@ -258,7 +270,11 @@ def avoids_barred_3142(word: Sequence[int]) -> bool:
     >>> avoids_barred_3142((3, 1, 2))
     True
     """
-    w = check_permutation(word)
+    return _avoids_23_1(check_permutation(word))
+
+
+def _avoids_23_1(w: tuple[int, ...]) -> bool:
+    # avoids_barred_3142 on a word already known to be a permutation.
     low = len(w) + 1  # the smallest of w[m + 2:]
     for m in range(len(w) - 3, -1, -1):
         if w[m + 2] < low:
@@ -304,15 +320,22 @@ def _check_size(n: int, name: str = "n") -> None:
 
 def _involutions(
     n: int, grow: Callable | None = None, regs: object = ()
-) -> Iterator[tuple[int, ...]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
     # Pair the first free (zero) position i with a free j >= i, j == i a
     # fixed point; trying j in increasing order gives lexicographic order.
     # Then w[:k] is fixed, k the next free position, and grow(regs, w[i:k])
     # updates the prefix registers, or returns None once w[:k] holds the
     # family's pattern, which prunes the pairing.
+    # Each member comes with its (fp, exc, crs, nes).  arcs holds bit b for
+    # each 2-cycle (a b) with a < i < b, an arc still open over i.  A fixed
+    # point under an open arc makes one nesting with it, and a new 2-cycle
+    # (i j) makes two crossings with each open arc that closes before j and
+    # two nestings with each one that closes after it (Flajolet 1980: the
+    # open arcs are the height of the path).
     word = [0] * n
-    stack: list[tuple[int, int, object]] = []
+    stack: list[tuple] = []
     i = j = 0
+    fp = exc = crs = nes = arcs = 0
     while True:
         while j < n and word[j]:
             j += 1
@@ -326,15 +349,24 @@ def _involutions(
                 word[i] = word[j] = 0
                 j += 1
                 continue
-            stack.append((i, j, regs))
+            stack.append((i, j, regs, fp, exc, crs, nes, arcs))
+            if j == i:
+                fp += 1
+                nes += arcs.bit_count()
+            else:
+                exc += 1
+                crs += 2 * (arcs & ((1 << j) - 1)).bit_count()
+                nes += 2 * (arcs >> j).bit_count()
+                arcs |= 1 << j
+            arcs &= -1 << k  # the arcs closing at i + 1..k - 1 are done
             i = j = k
             regs = grown
             continue
         if i == n:
-            yield tuple(word)
+            yield tuple(word), (fp, exc, crs, nes)
         if not stack:
             return
-        i, j, regs = stack.pop()
+        i, j, regs, fp, exc, crs, nes, arcs = stack.pop()
         word[i] = word[j] = 0
         j += 1
 
@@ -381,7 +413,9 @@ def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | No
     return seen, low, banned
 
 
-def _avoiders_321_barred_3142(n: int) -> Iterator[tuple[int, ...]]:
+def _avoiders_321_barred_3142(
+    n: int,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
     # Every letter not yet placed comes later.  A word holds 321 or 23-1
     # exactly when some letter v has a later letter x < v and (a) a larger
     # letter before it, or (b) just before it a letter between x and v.  So
@@ -390,35 +424,67 @@ def _avoiders_321_barred_3142(n: int) -> Iterator[tuple[int, ...]]:
     # s is always a child, so no branch dies; in order the children are s
     # and then, when the last letter is below s, every letter above the
     # largest.
+    # Each member comes with its (fp, exc, crs, nes), from the pairs (a, i)
+    # that letter v at position i closes.  Above i, v is never s: it crosses
+    # the placed letters strictly between i and v and nests under those
+    # above v.  Below i, v is s, so every letter below v is placed: it
+    # crosses those at positions >= v and nests under the letters above v
+    # at positions a with w[a] <= a.
     if n == 0:
-        yield ()
+        yield (), (0, 0, 0, 0)
         return
     word = [0] * n
-    # Frame i chooses letter i: (bits of the placed letters and of 0, the
-    # largest placed letter, untried letters with the next one last).
-    stack = [(1, 0, list(range(n, 0, -1)))]
+    where = [0] * (n + 1)  # where[v]: the position of letter v, once placed
+    # Frame i chooses the letter at position i: (bits of the placed letters
+    # and of 0, the largest placed letter, s, bits of the positions of the
+    # letters below s, bits of the letters w[a] <= a, fp, exc, crs, nes,
+    # untried letters with the next one last).
+    stack = [(1, 0, 1, 0, 0, 0, 0, 0, 0, list(range(n, 0, -1)))]
     while stack:
-        placed, top, untried = stack[-1]
-        i = len(stack) - 1
+        placed, top, s, small, weak, fp, exc, crs, nes, untried = stack[-1]
         if not untried:
             stack.pop()
             continue
-        v = word[i] = untried.pop()
-        if i + 1 == n:
-            yield tuple(word)
+        i = len(stack)
+        v = word[i - 1] = untried.pop()
+        if v > i:
+            exc += 1
+            crs += (placed & ((1 << v) - (2 << i))).bit_count()
+            nes += (placed >> (v + 1)).bit_count()
+        else:
+            if v == i:
+                fp += 1
+            else:
+                crs += (small >> v).bit_count()
+                nes += (weak >> (v + 1)).bit_count()
+            weak |= 1 << v
+        if i == n:
+            yield tuple(word), (fp, exc, crs, nes)
             continue
         placed |= 1 << v
-        s = (~placed & (placed + 1)).bit_length() - 1
-        top = max(top, v)
-        children = list(range(n, max(top, s), -1)) if v < s else []
-        children.append(s)
-        stack.append((placed, top, children))
+        where[v] = i
+        if v == s:
+            s = (~placed & (placed + 1)).bit_length() - 1
+            for u in range(v, s):
+                small |= 1 << where[u]
+            top = max(top, v)
+            children = list(range(n, max(top, s), -1))
+            children.append(s)
+        else:
+            top = v
+            children = [s]
+        stack.append((placed, top, s, small, weak, fp, exc, crs, nes, children))
 
 
 # Each family: (drawn from the involutions?, word test for in_class or None,
-# enumerator of its members of size n in lexicographic order).
+# enumerator of its members of size n in lexicographic order, each with its
+# (fp, exc, crs, nes), or None for the statistics kernel to compute).  The
+# word tests trust in_class to have validated the word.
 _CLASS_RULES = {
-    PermClass.ALL: (False, None, lambda n: itertools.permutations(range(1, n + 1))),
+    PermClass.ALL: (
+        False, None,
+        lambda n: zip(itertools.permutations(range(1, n + 1)), itertools.repeat(None)),
+    ),
     PermClass.INVOLUTIONS: (True, None, _involutions),
     PermClass.I4321: (
         True, lambda w: _grow_4321((0, 0, 0), w) is not None,
@@ -429,7 +495,8 @@ _CLASS_RULES = {
         lambda n: _involutions(n, _grow_3412, (0, 0, 0)),
     ),
     PermClass.S321_B3142: (
-        False, lambda w: not contains_321(w) and avoids_barred_3142(w),
+        False,
+        lambda w: _grow_4321((len(w) + 1, 0, 0), w) is not None and _avoids_23_1(w),
         _avoiders_321_barred_3142,
     ),
 }
@@ -453,6 +520,17 @@ def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
     >>> list(enumerate_class(3, PermClass.S321_B3142))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]
     """
+    return map(itemgetter(0), _members(n, cls))
+
+
+def _members(
+    n: int, cls: PermClass
+) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int] | None]]:
+    """``enumerate_class`` with each member's (fp, exc, crs, nes), or None.
+
+    The enumerators carry the four statistics down their trees; only
+    ``ALL`` yields None, and leaves them to ``_fp_exc_crs_nes_inv``.
+    """
     _check_size(n)
     return _class_rule(cls)[2](n)
 
@@ -461,7 +539,7 @@ def in_class(word: Sequence[int], cls: PermClass) -> bool:
     """Membership test matching ``enumerate_class``, by the word tests."""
     w = check_permutation(word)
     involutive, avoids, _ = _class_rule(cls)
-    if involutive and not is_involution(w):
+    if involutive and not _is_involution(w):
         return False
     return avoids is None or avoids(w)
 

@@ -1,8 +1,11 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+import crossnest.oracle as oracle_module
+import crossnest.permutations as permutations_module
 from crossnest.bijections import phi1, phi2, phi3_inverse
 from crossnest.cli import cmd_dispatch
 from crossnest.oracle import (
@@ -16,7 +19,12 @@ from crossnest.oracle import (
     run_suite,
 )
 from crossnest.paths import enumerate_paths
-from crossnest.permutations import PermClass, head_tail_pairs
+from crossnest.permutations import (
+    PermClass,
+    _fp_exc_crs_nes_inv,
+    enumerate_class,
+    head_tail_pairs,
+)
 from crossnest.polynomials import MultiPoly
 from crossnest.qmotzkin import h_tableau, q_motzkin, q_motzkin_tilde
 from crossnest.series import named_series
@@ -78,9 +86,43 @@ class TestDistribution:
         ],
     )
     def test_joint_matches_fraction_past_the_oracle_bounds(self, cls, spec, preset):
-        # The dist-* rows stop at n <= 9-10; the pruned enumerators reach 12.
-        got = distribution(cls, 12, spec, allow_large=True)
-        assert got == named_series(preset, 12).coefficient(12)
+        # The dist-* rows stop at n <= 9-10; the pruned enumerators, which
+        # carry the statistics, reach 13.
+        got = distribution(cls, 13, spec, allow_large=True)
+        assert got == named_series(preset, 13).coefficient(13)
+
+    def test_matches_kernel_reference(self):
+        # Reference: every member through the statistics kernel, one
+        # monomial each.
+        for cls in PermClass:
+            for spec in StatSpec:
+                for n in range(8):
+                    expected = Counter(
+                        spec.exponents(*_fp_exc_crs_nes_inv(w)[:4])
+                        for w in enumerate_class(n, cls)
+                    )
+                    got = distribution(cls, n, spec)
+                    assert got == MultiPoly.from_terms(spec.variables, expected), (
+                        cls, spec, n)
+
+    def test_kernel_runs_for_all_only(self, monkeypatch):
+        # The families carry their statistics; ALL leaves them to the
+        # kernel, and enumerating ALL alone never runs it.
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return _fp_exc_crs_nes_inv(w)
+
+        monkeypatch.setattr(oracle_module, "_fp_exc_crs_nes_inv", counted)
+        monkeypatch.setattr(permutations_module, "_fp_exc_crs_nes_inv", counted)
+        for cls in PermClass:
+            calls.clear()
+            distribution(cls, 6, StatSpec.JOINT_FP_EXC_CRS_NES)
+            assert len(calls) == (720 if cls is PermClass.ALL else 0), cls
+        calls.clear()
+        assert sum(1 for _ in enumerate_class(6, PermClass.ALL)) == 720
+        assert calls == []
 
     def test_total_count_at_one(self):
         poly = distribution(PermClass.ALL, 5, StatSpec.CRS_PLUS_NES)

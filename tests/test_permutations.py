@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_paths import random_path
 
+import crossnest.permutations as permutations_module
 from crossnest.bijections import phi2, phi3, phi3_inverse
 from crossnest.paths import enumerate_paths, path_from_head_tail
 from crossnest.permutations import (
     PermClass,
+    _fp_exc_crs_nes_inv,
+    _members,
     avoids_barred_3142,
     check_permutation,
     contains_321,
@@ -345,6 +348,34 @@ class TestClasses:
             for n in range(8 if cls is PermClass.ALL else 10):
                 expected = list(filtered_class(n, cls))
                 assert list(enumerate_class(n, cls)) == expected, (cls, n)
+
+    def test_carried_statistics_match_the_kernel(self):
+        # The enumerators carry (fp, exc, crs, nes) down their trees; the
+        # kernel defines them.  The words are enumerate_class's, in order.
+        for cls in PermClass:
+            if cls is PermClass.ALL:
+                continue
+            for n in range(11):
+                members = list(_members(n, cls))
+                assert [w for w, _ in members] == list(enumerate_class(n, cls))
+                for w, stats in members:
+                    assert stats == _fp_exc_crs_nes_inv(w)[:4], (cls, w)
+
+    def test_in_class_validates_once(self, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return is_permutation_word(word)
+
+        monkeypatch.setattr(permutations_module, "is_permutation_word", counted)
+        for cls in PermClass:
+            for w in ((3, 2, 1), (2, 3, 1), (1, 3, 2, 4), (4, 3, 2, 1)):
+                calls.clear()
+                in_class(w, cls)
+                assert len(calls) == 1, (cls, w)
+        with pytest.raises(ValueError, match="not a permutation"):
+            in_class((1, 1), PermClass.S321_B3142)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
