@@ -538,14 +538,9 @@ _CHECKS: tuple[_Check, ...] = (
 )
 
 
-SUITES: tuple[str, ...] = (
-    "all",
-    "statistics",
-    "paths",
-    "bijections",
-    "qpoly",
-    "distributions",
-)
+# The CLI lists suites in this order: "all", then as they first appear in
+# _CHECKS.
+SUITES: tuple[str, ...] = ("all", *dict.fromkeys(c.suite for c in _CHECKS))
 
 
 def _where_text(where: object) -> str:

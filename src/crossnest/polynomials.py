@@ -9,6 +9,11 @@ Two representations are used throughout the package:
   stored as a dict from packed exponent keys to nonzero integer
   coefficients.
 
+Each type has one product: ``UniPoly`` multiplies dense coefficient lists
+with ``_convolve``, which packs nonnegative operands into big integers, and
+``MultiPoly`` multiplies term by term for any number of variables, one
+included.
+
 Both render to a canonical text form: terms ascending by total exponent
 (ties broken by the exponent tuple), a coefficient of 1 and an exponent of
 1 are suppressed, and the zero polynomial renders as ``"0"``.
@@ -355,8 +360,6 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if len(self.variables) <= 1:
-            return self._mul_dense(rhs)
         data: dict[int, int] = {}
         for ka, ca in self._terms.items():
             for kb, cb in rhs._terms.items():
@@ -365,21 +368,6 @@ class MultiPoly:
         return MultiPoly(self.variables, data)
 
     __rmul__ = __mul__
-
-    def _mul_dense(self, other: "MultiPoly") -> "MultiPoly":
-        # Single-variable products go through the dense fast path.
-        if not self._terms or not other._terms:
-            return MultiPoly.zero(self.variables)
-        da = max(self._terms)
-        db = max(other._terms)
-        a = [0] * (da + 1)
-        for k, c in self._terms.items():
-            a[k] = c
-        b = [0] * (db + 1)
-        for k, c in other._terms.items():
-            b[k] = c
-        out = _convolve(a, b)
-        return MultiPoly(self.variables, {e: c for e, c in enumerate(out) if c})
 
     def evaluate(self, assignments: Mapping[str, int]) -> int:
         """Evaluate with every variable assigned an integer."""

@@ -13,7 +13,8 @@ tableau with alpha = a and beta = b.  Row n only keeps the heights
 <= N - n from which a path can still return to 0 by t^N.
 
 The one nested fraction, the left side of main12, expands its own levels
-from the deepest up, without the tableau; see ``_preset_main12_lhs``.
+from the deepest up, without the tableau and in ``UniPoly`` arithmetic; see
+``_preset_main12_lhs``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import islice
 from typing import Callable, Sequence
 
 from .permutations import _check_size
-from .polynomials import MultiPoly, UniPoly
+from .polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
 from .qmotzkin import _tableau_rows, q_motzkin, q_motzkin_tilde
 
 Level = Callable[[int], MultiPoly]
@@ -165,18 +166,17 @@ def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
 
 
 def _level_nested(
-    lin: MultiPoly, quad: MultiPoly, inner: Sequence[MultiPoly], order: int
-) -> list[MultiPoly]:
+    lin: UniPoly, quad: UniPoly, inner: Sequence[UniPoly], order: int
+) -> list[UniPoly]:
     """Coefficients of 1 / (1 - (lin t + quad t^2) G) with G from ``inner``."""
-    variables = lin.variables
-    out = [MultiPoly.one(variables)]
+    out = [UNI_ONE]
     # conv[j] is the t^j coefficient of G * out, needed at j = m-1 and m-2.
-    conv: list[MultiPoly] = []
+    conv: list[UniPoly] = []
     for m in range(1, order + 1):
-        s = MultiPoly.zero(variables)
+        s = UNI_ZERO
         for r in range(min(m, len(inner))):
             g = inner[r]
-            if not g.is_zero():
+            if g:
                 s = s + g * out[m - 1 - r]
         conv.append(s)
         term = lin * s
@@ -218,16 +218,16 @@ def _preset_main12_lhs(order: int) -> PowerSeries:
     c_k = L_k t + q^(k-1) t^2 with L_k = q^((k-1)/2) for odd k and 0 for
     even k.  Levels 1..k-1 take at least (k-1) + (k-1)//2 powers of t, so
     level k is kept to what is still visible from the top, and levels past
-    order + 1 cannot reach t^order.  This never touches the tableau, so the
-    two sides of main12 stay independent computations.
+    order + 1 cannot reach t^order.  The levels are expanded in ``UniPoly``
+    arithmetic and never touch the tableau, so the two sides of main12 stay
+    independent computations.
     """
-    v = ("q",)
-    zero, cur = MultiPoly.zero(v), [MultiPoly.one(v)]
+    cur = [UNI_ONE]
     for k in range(order + 1, 0, -1):
-        lin = MultiPoly.monomial(v, {"q": (k - 1) // 2}) if k % 2 else zero
-        quad = MultiPoly.monomial(v, {"q": k - 1})
+        lin = UniPoly.q_power((k - 1) // 2) if k % 2 else UNI_ZERO
+        quad = UniPoly.q_power(k - 1)
         cur = _level_nested(lin, quad, cur, max(0, order - (k - 1) - (k - 1) // 2))
-    return PowerSeries(v, cur)
+    return _series_from_unipolys(cur)
 
 
 def _series_from_unipolys(polys: list[UniPoly]) -> PowerSeries:

@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crossnest.cli import build_parser, cmd_dispatch
-from crossnest.oracle import CheckResult, VerificationReport
+from crossnest.cli import _CLASS_NAMES, _STAT_NAMES, build_parser, cmd_dispatch
+from crossnest.oracle import SUITES, CheckResult, VerificationReport
+from crossnest.series import PRESETS
 
 BFILE = str(Path(__file__).parent / "data" / "b001006.txt")
 
@@ -209,6 +213,23 @@ class TestSeries:
             "coeffs": ["1", "1", "2", "3 + q"],
         }
 
+    def test_main12_lhs_matches_rhs_and_recurrence(self, capsys):
+        # Three algorithms: the nested fraction, the J-fraction tableau and
+        # the Mtilde recurrence.
+        outs = [
+            run(capsys, "series", "--preset", preset, "--order", "14")
+            for preset in ("main12-lhs", "main12-rhs", "Mtilde")
+        ]
+        assert outs[0][0] == 0
+        assert outs[0][1].splitlines() == outs[1][1].splitlines()
+        assert outs[0][1].splitlines() == outs[2][1].splitlines()
+        assert len(outs[0][1].splitlines()) == 15
+        code, out, _ = run(
+            capsys, "series", "--preset", "main12-lhs", "--order", "14", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["vars"] == ["q"]
+
     def test_negative_order(self, capsys):
         code, out, err = run(capsys, "series", "--preset", "M", "--order", "-1")
         assert (code, out) == (1, "")
@@ -343,6 +364,85 @@ class TestUsage:
         args = parser.parse_args(["poly", "M", "--n", "3"])
         assert args.command == "poly"
         assert args.n == 3
+
+
+# Each subcommand's positional arguments and options, with the values worth
+# drawing for each (None for a switch); sizes and the other words of _WORDS
+# are drawn as well.
+_OBJECTS = ("", "uhd", "uudd", "uhud", "udx", "1", "2 1", "1 3", "3 1 2",
+            "2 1 4 3", "4 3 2 1", "1 2 3 4 5 6")
+_BFILES = (BFILE, str(Path(BFILE).with_name("missing.txt")))
+_POSITIONALS = {
+    "stats": (("perm", "path"), _OBJECTS),
+    "map": (("phi1", "phi2", "phi3"), _OBJECTS),
+    "poly": (("M", "Mtilde"),),
+}
+_OPTIONS = {
+    "stats": {},
+    "map": {"--inverse": None},
+    "dist": {"--class": _CLASS_NAMES, "--stat": _STAT_NAMES, "--n": (),
+             "--json": None},
+    "poly": {"--n": ()},
+    "tableau": {"--n": ()},
+    "series": {"--preset": tuple(sorted(PRESETS)), "--order": (), "--json": None},
+    "verify": {"--suite": SUITES, "--max-n": (), "--json": None},
+    "oeis-check": {"--bfile": _BFILES, "--max-n": ()},
+}
+_FLAGS = sorted({flag for options in _OPTIONS.values() for flag in options})
+_SIZES = tuple(str(n) for n in range(-2, 7))
+_WORDS = ("perm", "path", "phi1", "phi2", "phi3", "M", "Mtilde", *_CLASS_NAMES,
+          *_STAT_NAMES, *sorted(PRESETS), *SUITES, *_OBJECTS, *_SIZES)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    # Each argument of the subcommand is left out, and each value drawn from
+    # all of _WORDS, one time in five; a stray word and a stray flag of any
+    # subcommand each join one time in five.
+    def often():
+        return draw(st.integers(0, 4)) > 0
+
+    def value(pool):
+        return draw(st.sampled_from(pool if often() else _WORDS))
+
+    words = [value(pool) for pool in _POSITIONALS.get(command, ()) if often()]
+    if not often():
+        words.append(draw(st.sampled_from(_WORDS)))
+    flags = [flag for flag in options if often()]
+    if not often():
+        flags.append(draw(st.sampled_from(_FLAGS)))
+    parts = []
+    for flag in flags:
+        pool = options.get(flag, ())
+        if pool is None:
+            parts.append([flag])
+        elif flag == "--bfile":
+            parts.append([flag, draw(st.sampled_from(_BFILES))])
+        else:
+            parts.append([flag, value(pool or _SIZES)])
+    # Options may come in any order, but positionals keep theirs.
+    return [command, *words, *(token for part in draw(st.permutations(parts))
+                               for token in part)]
+
+
+class TestFuzzedArguments:
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    def test_exit_codes(self, argv):
+        # Every argv ends in 0, 1 or a usage error; a 1 outside verify says
+        # why on stderr.
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cmd_dispatch(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                return
+        assert code in (0, 1), argv
+        if code == 1 and argv[0] != "verify":
+            assert "\nerror: " in "\n" + err.getvalue(), argv
 
 
 class TestByteStability:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -300,6 +301,15 @@ VERIFY_ALL_3 = (
 class TestCheckTable:
     def test_names_suites_bounds(self):
         assert tuple((c.name, c.suite, c.bound) for c in _CHECKS) == CHECK_TABLE
+
+    def test_suites_in_table_order(self):
+        # CLI --help, the verify choices and the unknown-suite message all
+        # list the suites in this order.
+        assert SUITES == ("all", "statistics", "paths", "bijections", "qpoly",
+                          "distributions")
+        with pytest.raises(ValueError, match=re.escape(
+                "(known: all, statistics, paths, bijections, qpoly, distributions)")):
+            run_suite("nope", 1)
 
     def test_reports_sorted_by_name(self):
         names = [c.name for c in run_suite("all", 1).checks]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crossnest.polynomials import (
     MultiPoly,
@@ -100,6 +100,18 @@ class TestUniPoly:
 VARS = ("x", "y", "p", "q")
 
 
+def padded_lists(coeff):
+    """Lists of up to 40 coefficients with up to 3 zeros at each end.
+
+    The length is drawn first: plain ``st.lists`` stays too short for the
+    product of two lengths to pass ``_PACK_CUTOFF``.
+    """
+    core = st.integers(0, 40).flatmap(lambda n: st.lists(coeff, min_size=n, max_size=n))
+    return st.tuples(st.integers(0, 3), core, st.integers(0, 3)).map(
+        lambda t: [0] * t[0] + t[1] + [0] * t[2]
+    )
+
+
 class TestMultiPoly:
     def test_construction_and_access(self):
         m = MultiPoly.monomial(VARS, {"x": 1, "q": 3}, 2)
@@ -157,13 +169,26 @@ class TestMultiPoly:
         m = MultiPoly.from_terms(("y", "q"), {(1, 0): 2, (0, 1): 1})
         assert str(m) == "q + 2*y"
 
-    def test_single_variable_dense_path(self):
+    def test_single_variable_product(self):
         a = MultiPoly.from_unipoly(UniPoly(tuple(range(1, 50))), ("q",), "q")
         b = MultiPoly.from_unipoly(UniPoly(tuple(range(3, 40))), ("q",), "q")
         expected = UniPoly(
             tuple(naive_convolve(list(range(1, 50)), list(range(3, 40))))
         )
         assert (a * b).as_unipoly("q") == expected
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from([st.integers(0, 10**9), st.integers(-(10**6), 10**6)])
+        .flatmap(lambda coeff: st.tuples(padded_lists(coeff), padded_lists(coeff)))
+    )
+    def test_single_variable_product_matches_unipoly(self, pair):
+        # Two algorithms: the term loop here, _convolve in UniPoly.  Leading
+        # zeros take _convolve's strip, signed lists its schoolbook loop and
+        # long nonnegative ones its packed product.
+        a, b = (UniPoly(coeffs) for coeffs in pair)
+        product = MultiPoly.from_unipoly(a, ("q",)) * MultiPoly.from_unipoly(b, ("q",))
+        assert product.as_unipoly() == a * b
 
     def test_exponent_bound_enforced(self):
         with pytest.raises(ValueError):
