@@ -4,7 +4,9 @@
 which is the ground truth the rest of the package is tested against.  The
 families' enumerators carry each member's (fp, exc, crs, nes), so it counts
 distinct tuples and never runs the statistics kernel, except over ``ALL``,
-whose members it leaves to the kernel that defines them.
+whose members it leaves to the bitmask kernel ``_fp_exc_crs_nes_inv``.  The
+pair loop in the tests defines the statistics; the kernel and the carried
+statistics are both tested against it.
 Family sizes grow fast, so sizes above a guard (default 12, override with
 the CROSSNEST_ENUM_LIMIT environment variable or allow_large=True) are
 refused rather than silently churning.
@@ -132,7 +134,8 @@ def distribution(
 
     The family's enumerator yields each member with its (fp, exc, crs, nes),
     carried down its generating tree; only ``ALL`` leaves them to the
-    statistics kernel ``_fp_exc_crs_nes_inv``, which defines them.  Members
+    bitmask statistics kernel ``_fp_exc_crs_nes_inv``.  The pair loop of the
+    tests, over every pair of positions, defines them.  Members
     are counted per distinct statistics tuple, and the spec's exponents are
     taken once per tuple.
 

@@ -32,9 +32,11 @@ permutation through the word tests is the test reference.
 The enumerators of every family but ``ALL`` carry each member's fixed
 points, excedances, crossings and nestings down their trees, with O(1)
 bitmask updates per node, and yield them with the member (``_members``);
-``enumerate_class`` keeps only the words.  ``_fp_exc_crs_nes_inv``, the
-O(n^2) kernel, stays the definition: ``perm_statistics``, the oracle checks
-and the differential tests run it.
+``enumerate_class`` keeps only the words.  ``_fp_exc_crs_nes_inv`` is the
+one statistics kernel that ``perm_statistics`` and the oracle checks run:
+one scan over the letters with sets of positions as bitmasks, O(n) big-int
+operations on n-bit masks.  The O(n^2) loop over all pairs that restates
+the definitions above is its test reference.
 Head/tail pairs are read off the inversion table and rebuilt by insertion.
 """
 
@@ -158,32 +160,61 @@ class StatRecord:
 
 
 def _fp_exc_crs_nes_inv(w: tuple[int, ...]) -> tuple[int, int, int, int, int]:
-    """Fixed points, excedances, crossings, nestings and inversions in one pass.
+    """Fixed points, excedances, crossings, nestings and inversions.
 
     The statistics kernel behind ``perm_statistics``, ``distribution`` and the
     oracle checks; it trusts ``w`` to be a valid permutation word.
+
+    Sets of positions are bitmasks, position p as bit p (Knuth, TAOCP 4A,
+    7.1.3), so no pair of positions is visited: each letter costs a few
+    big-int operations and popcounts on masks of n bits.  One pass over the
+    word gives fp, exc, the excedance positions ``exc_mask`` and pos[v], the
+    position of letter v.  Then the letters v = 1..n are scanned upwards,
+    with ``lower`` the positions of the letters below v and i = pos[v].
+    ``later``, the positions of ``lower`` after i (shifted down by i + 1),
+    are the inversions (i, j) whose larger letter is v.  Each crossing and
+    nesting is counted at one end:
+
+    * a nesting at its end with the larger letter v: when v > i, the
+      excedances j in ``later`` (i < j < w[j] < v); when v <= i, every j in
+      ``later`` (w[j] < v <= i < j);
+    * a crossing with v > i at its left end: the positions j strictly
+      between i and v that are not in ``lower`` (i < j < v < w[j]);
+    * a crossing with v <= i at its right end: the positions a in ``lower``
+      with v <= a < i (w[a] < v <= a < i).
     """
-    fp = exc = crs = nes = inv = 0
     n = len(w)
-    for i in range(1, n + 1):
-        si = w[i - 1]
-        if si == i:
-            fp += 1
-        elif si > i:
+    pos = [0] * (n + 1)
+    fp = exc = exc_mask = 0
+    for i, s in enumerate(w, 1):
+        pos[s] = i
+        if s > i:
             exc += 1
-        for j in range(i + 1, n + 1):
-            sj = w[j - 1]
-            if si > sj:
-                inv += 1
-            if (j < si < sj) or (si < sj <= i):
-                crs += 1
-            elif (j < sj < si) or (sj < si <= i):
-                nes += 1
+            exc_mask |= 1 << i
+        elif s == i:
+            fp += 1
+    crs = nes = inv = lower = 0
+    for v in range(1, n + 1):
+        i = pos[v]
+        later = lower >> (i + 1)
+        k = later.bit_count()
+        inv += k
+        if v > i:
+            nes += (later & (exc_mask >> (i + 1))).bit_count()
+            crs += v - i - 1 - (lower & ((1 << v) - (2 << i))).bit_count()
+        else:
+            nes += k
+            crs += (lower & ((1 << i) - (1 << v))).bit_count()
+        lower |= 1 << i
     return fp, exc, crs, nes, inv
 
 
 def perm_statistics(word: Sequence[int]) -> StatRecord:
-    """All statistics of a permutation in one pass.
+    """All statistics of a permutation.
+
+    fp, exc, crs, nes and inv come from the bitmask kernel
+    ``_fp_exc_crs_nes_inv``; the excedance set, the descent set and the
+    involution test are one more pass over the word each.
 
     >>> r = perm_statistics((3, 2, 1))
     >>> (r.exc, r.fp, r.crs, r.nes, r.inv)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_permutations import pair_loop_statistics
 
 from crossnest.cli import _CLASS_NAMES, _STAT_NAMES, build_parser, cmd_dispatch
 from crossnest.oracle import SUITES, CheckResult, VerificationReport
@@ -44,6 +46,15 @@ class TestStats:
             "des_set: 2 4 5 7 9\n"
             "involution: false\n"
         )
+
+    def test_perm_long_word_matches_pair_loop(self, capsys):
+        w = tuple(random.Random(13).sample(range(1, 1001), 1000))
+        code, out, _ = run(capsys, "stats", "perm", *map(str, w))
+        assert code == 0
+        fields = dict(line.partition(": ")[::2] for line in out.splitlines())
+        expected = pair_loop_statistics(w)
+        assert [fields[k] for k in ("fp", "exc", "crs", "nes", "inv")] == [
+            str(v) for v in expected]
 
     def test_path_exact_output(self, capsys):
         code, out, err = run(capsys, "stats", "path", SHOWCASE_PATH)

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 
 import pytest
+from test_permutations import pair_loop_statistics
 
 import crossnest.oracle as oracle_module
 import crossnest.permutations as permutations_module
@@ -93,13 +94,13 @@ class TestDistribution:
         assert got == named_series(preset, 13).coefficient(13)
 
     def test_matches_kernel_reference(self):
-        # Reference: every member through the statistics kernel, one
-        # monomial each.
+        # Reference: every member through the pair loop, one monomial each
+        # (distribution runs the bitmask kernel for ALL alone).
         for cls in PermClass:
             for spec in StatSpec:
                 for n in range(8):
                     expected = Counter(
-                        spec.exponents(*_fp_exc_crs_nes_inv(w)[:4])
+                        spec.exponents(*pair_loop_statistics(w)[:4])
                         for w in enumerate_class(n, cls)
                     )
                     got = distribution(cls, n, spec)

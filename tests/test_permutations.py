@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_paths import random_path
 
 import crossnest.permutations as permutations_module
-from crossnest.bijections import phi2, phi3, phi3_inverse
+from crossnest.bijections import phi1, phi2, phi3, phi3_inverse
 from crossnest.paths import enumerate_paths, path_from_head_tail
 from crossnest.permutations import (
     PermClass,
@@ -44,6 +44,28 @@ SHOWCASE = (4, 6, 2, 9, 8, 1, 7, 3, 10, 5)
 perm_strategy = st.integers(min_value=0, max_value=16).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
 )
+
+
+def pair_loop_statistics(w):
+    # Reference: (fp, exc, crs, nes, inv) straight from the definitions in
+    # the permutations module docstring, over every pair of positions.
+    fp = exc = crs = nes = inv = 0
+    n = len(w)
+    for i in range(1, n + 1):
+        si = w[i - 1]
+        if si == i:
+            fp += 1
+        elif si > i:
+            exc += 1
+        for j in range(i + 1, n + 1):
+            sj = w[j - 1]
+            if si > sj:
+                inv += 1
+            if (j < si < sj) or (si < sj <= i):
+                crs += 1
+            elif (j < sj < si) or (sj < si <= i):
+                nes += 1
+    return fp, exc, crs, nes, inv
 
 
 def brute(w):
@@ -211,6 +233,27 @@ class TestStatistics:
         r = perm_statistics(w)
         assert r.inv == r.exc + r.crs + 2 * r.nes
 
+    def test_kernel_matches_pair_loop_exhaustive(self):
+        for n in range(9):
+            for w in itertools.permutations(range(1, n + 1)):
+                assert _fp_exc_crs_nes_inv(w) == pair_loop_statistics(w), w
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=400).flatmap(
+        lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)))
+    def test_kernel_matches_pair_loop_on_long_words(self, w):
+        assert _fp_exc_crs_nes_inv(w) == pair_loop_statistics(w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((phi1, phi2, phi3)), st.integers(0, 400),
+           st.randoms(use_true_random=False))
+    def test_kernel_matches_pair_loop_on_bijection_images(self, phi, n, rng):
+        # Involutions with a fixed point per flat step (phi1, phi2), and
+        # 321-avoiders (phi3): runs of fixed points, no crossings (phi2) or
+        # no nestings (phi3), shapes that uniform words seldom take.
+        w = phi(random_path(rng, n))
+        assert _fp_exc_crs_nes_inv(w) == pair_loop_statistics(w), w
+
     @given(perm_strategy)
     def test_exc_des_consistency(self, w):
         r = perm_statistics(w)
@@ -351,7 +394,7 @@ class TestClasses:
 
     def test_carried_statistics_match_the_kernel(self):
         # The enumerators carry (fp, exc, crs, nes) down their trees; the
-        # kernel defines them.  The words are enumerate_class's, in order.
+        # pair loop defines them.  The words are enumerate_class's, in order.
         for cls in PermClass:
             if cls is PermClass.ALL:
                 continue
@@ -359,7 +402,7 @@ class TestClasses:
                 members = list(_members(n, cls))
                 assert [w for w, _ in members] == list(enumerate_class(n, cls))
                 for w, stats in members:
-                    assert stats == _fp_exc_crs_nes_inv(w)[:4], (cls, w)
+                    assert stats == pair_loop_statistics(w)[:4], (cls, w)
 
     def test_in_class_validates_once(self, monkeypatch):
         calls = []
