@@ -34,15 +34,15 @@ from .paths import (
 )
 from .permutations import (
     PermClass,
+    _is_involution,
     check_permutation,
     in_class,
-    is_involution,
     permutation_from_head_tail,
 )
 
 
 def _involution_from_pairs(
-    n: int, pairs: Sequence[tuple[int, int]]
+    pairs: Sequence[tuple[int, int]], n: int
 ) -> tuple[int, ...]:
     word = list(range(1, n + 1))
     for a, b in pairs:
@@ -56,8 +56,7 @@ def phi1(word: str, *, check: bool = False) -> tuple[int, ...]:
     >>> phi1("uhd")
     (3, 2, 1)
     """
-    w = check_path(word)
-    result = _involution_from_pairs(len(w), sequential_matching(w))
+    result = _involution_from_pairs(sequential_matching(word), len(word))
     if check and not in_class(result, PermClass.I4321):
         raise AssertionError(f"phi1 image left its class: {result}")
     return result
@@ -69,8 +68,7 @@ def phi2(word: str, *, check: bool = False) -> tuple[int, ...]:
     >>> phi2("uudd")
     (4, 3, 2, 1)
     """
-    w = check_path(word)
-    result = _involution_from_pairs(len(w), tunnel_matching(w))
+    result = _involution_from_pairs(tunnel_matching(word), len(word))
     if check and not in_class(result, PermClass.I3412):
         raise AssertionError(f"phi2 image left its class: {result}")
     return result
@@ -86,7 +84,7 @@ def involution_shape_path(word: Sequence[int]) -> str:
     'uhd'
     """
     w = check_permutation(word)
-    if not is_involution(w):
+    if not _is_involution(w):
         raise ValueError(f"not an involution: {w}")
     letters = []
     for i, v in enumerate(w, start=1):
@@ -100,8 +98,7 @@ def phi3(word: str, *, check: bool = False) -> tuple[int, ...]:
     >>> phi3("ud")
     (2, 1)
     """
-    w = check_path(word)
-    result = permutation_from_head_tail(strip_decomposition(w), len(w))
+    result = permutation_from_head_tail(strip_decomposition(word), len(word))
     if check and not in_class(result, PermClass.S321_B3142):
         raise AssertionError(f"phi3 image left its class: {result}")
     return result
@@ -117,8 +114,8 @@ def phi3_inverse(word: Sequence[int]) -> str:
     >>> phi3_inverse((2, 1))
     'ud'
     """
-    w = check_permutation(word)
-    if not in_class(w, PermClass.S321_B3142):
+    w = tuple(word)
+    if not in_class(w, PermClass.S321_B3142):  # validates the word
         raise ValueError(f"permutation is outside the 321/barred class: {w}")
     excedances = [(v - 1, t) for t, v in enumerate(w, start=1) if v > t]
     return path_from_head_tail(excedances, len(w))

@@ -2,7 +2,7 @@
 
 ``distribution`` sums a monomial over an enumerated permutation family,
 which is the ground truth the rest of the package is tested against.  The
-families' enumerators carry each member's (fp, exc, crs, nes), so it counts
+families' enumerators yield each member's (fp, exc, crs, nes), so it counts
 distinct tuples and never runs the statistics kernel, except over ``ALL``,
 whose members it leaves to the bitmask kernel ``_fp_exc_crs_nes_inv``.  The
 pair loop in the tests defines the statistics; the kernel and the carried
@@ -133,11 +133,11 @@ def distribution(
     """Monomial sum of a statistic over one family, by full enumeration.
 
     The family's enumerator yields each member with its (fp, exc, crs, nes),
-    carried down its generating tree; only ``ALL`` leaves them to the
-    bitmask statistics kernel ``_fp_exc_crs_nes_inv``.  The pair loop of the
-    tests, over every pair of positions, defines them.  Members
-    are counted per distinct statistics tuple, and the spec's exponents are
-    taken once per tuple.
+    carried down its generating tree or derived at the leaf from what the
+    tree carries; only ``ALL`` leaves them to the bitmask statistics kernel
+    ``_fp_exc_crs_nes_inv``.  The pair loop of the tests, over every pair of
+    positions, defines them.  Members are counted per distinct statistics
+    tuple, and the spec's exponents are taken once per tuple.
 
     >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
     '3 + q'

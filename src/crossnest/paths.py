@@ -80,7 +80,7 @@ def step_height(word: str, i: int) -> int:
     1
     """
     w = check_path(word)
-    if not 1 <= i <= len(w):
+    if type(i) is not int or not 1 <= i <= len(w):
         raise ValueError(f"step index {i} out of range 1..{len(w)}")
     return _start_heights(w)[i - 1]
 
@@ -227,11 +227,9 @@ def strip_decomposition(word: str) -> tuple[tuple[int, int], ...]:
     >>> strip_decomposition("hh")
     ()
     """
-    w = check_path(word)
-    heights = _start_heights(w)
-    return tuple(
-        (r - 1, p + heights[p - 1]) for p, r in sequential_matching(w)
-    )
+    matching = sequential_matching(word)  # validates the word
+    heights = _start_heights(word)
+    return tuple((r - 1, p + heights[p - 1]) for p, r in matching)
 
 
 def path_from_head_tail(

@@ -29,20 +29,24 @@ is one ``_CLASS_RULES`` row, its word test (for ``in_class``, which
 validates the word once) and its enumerator; filtering every involution or
 permutation through the word tests is the test reference.
 
-The enumerators of every family but ``ALL`` carry each member's fixed
-points, excedances, crossings and nestings down their trees, with O(1)
-bitmask updates per node, and yield them with the member (``_members``);
-``enumerate_class`` keeps only the words.  ``_fp_exc_crs_nes_inv`` is the
-one statistics kernel that ``perm_statistics`` and the oracle checks run:
-one scan over the letters with sets of positions as bitmasks, O(n) big-int
+The enumerators of every family but ``ALL`` yield each member with its
+fixed points, excedances, crossings and nestings (``_members``);
+``enumerate_class`` keeps only the words.  They carry down their trees only
+what no identity gives, with O(1) bitmask updates per node.  The involution
+tree carries crossings, nestings and the open arcs; at a leaf its stack
+holds one frame per cycle, which gives fp and exc.  The 321/barred tree
+carries fp, exc and inv; its members avoid 321, so nes = 0 and
+``inv = exc + crs`` gives crs.  ``_fp_exc_crs_nes_inv`` is the one
+statistics kernel that ``perm_statistics`` and the oracle checks run: one
+scan over the letters with sets of positions as bitmasks, O(n) big-int
 operations on n-bit masks.  The O(n^2) loop over all pairs that restates
 the definitions above is its test reference.
-Head/tail pairs are read off the inversion table and rebuilt by insertion.
+Head/tail pairs are read off the inversion table by the same letter scan
+and rebuilt by insertion.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import itertools
 from dataclasses import dataclass
@@ -357,16 +361,18 @@ def _involutions(
     # Then w[:k] is fixed, k the next free position, and grow(regs, w[i:k])
     # updates the prefix registers, or returns None once w[:k] holds the
     # family's pattern, which prunes the pairing.
-    # Each member comes with its (fp, exc, crs, nes).  arcs holds bit b for
-    # each 2-cycle (a b) with a < i < b, an arc still open over i.  A fixed
-    # point under an open arc makes one nesting with it, and a new 2-cycle
-    # (i j) makes two crossings with each open arc that closes before j and
-    # two nestings with each one that closes after it (Flajolet 1980: the
-    # open arcs are the height of the path).
+    # Each member comes with its (fp, exc, crs, nes), but the tree carries
+    # only crs, nes and arcs, bit b for each 2-cycle (a b) with a < i < b,
+    # an arc still open over i.  A fixed point under an open arc makes one
+    # nesting with it, and a new 2-cycle (i j) makes two crossings with each
+    # open arc that closes before j and two nestings with each one that
+    # closes after it (Flajolet 1980: the open arcs are the height of the
+    # path).  A leaf's stack holds one frame per cycle, fixed point or
+    # 2-cycle, so its c cycles give fp = 2c - n and exc = n - c.
     word = [0] * n
     stack: list[tuple] = []
     i = j = 0
-    fp = exc = crs = nes = arcs = 0
+    crs = nes = arcs = 0
     while True:
         while j < n and word[j]:
             j += 1
@@ -380,12 +386,10 @@ def _involutions(
                 word[i] = word[j] = 0
                 j += 1
                 continue
-            stack.append((i, j, regs, fp, exc, crs, nes, arcs))
+            stack.append((i, j, regs, crs, nes, arcs))
             if j == i:
-                fp += 1
                 nes += arcs.bit_count()
             else:
-                exc += 1
                 crs += 2 * (arcs & ((1 << j) - 1)).bit_count()
                 nes += 2 * (arcs >> j).bit_count()
                 arcs |= 1 << j
@@ -394,10 +398,11 @@ def _involutions(
             regs = grown
             continue
         if i == n:
-            yield tuple(word), (fp, exc, crs, nes)
+            c = len(stack)
+            yield tuple(word), (2 * c - n, n - c, crs, nes)
         if not stack:
             return
-        i, j, regs, fp, exc, crs, nes, arcs = stack.pop()
+        i, j, regs, crs, nes, arcs = stack.pop()
         word[i] = word[j] = 0
         j += 1
 
@@ -455,24 +460,20 @@ def _avoiders_321_barred_3142(
     # s is always a child, so no branch dies; in order the children are s
     # and then, when the last letter is below s, every letter above the
     # largest.
-    # Each member comes with its (fp, exc, crs, nes), from the pairs (a, i)
-    # that letter v at position i closes.  Above i, v is never s: it crosses
-    # the placed letters strictly between i and v and nests under those
-    # above v.  Below i, v is s, so every letter below v is placed: it
-    # crosses those at positions >= v and nests under the letters above v
-    # at positions a with w[a] <= a.
+    # Each member comes with its (fp, exc, crs, nes), but the tree carries
+    # only fp, exc and inv: letter v makes an inversion with each placed
+    # letter above it.  A member avoids 321, so it has no nesting, and
+    # inv = exc + crs + 2 nes gives crs (the oracle rows class-nonnesting
+    # and inv-identity check both against the kernel).
     if n == 0:
         yield (), (0, 0, 0, 0)
         return
     word = [0] * n
-    where = [0] * (n + 1)  # where[v]: the position of letter v, once placed
     # Frame i chooses the letter at position i: (bits of the placed letters
-    # and of 0, the largest placed letter, s, bits of the positions of the
-    # letters below s, bits of the letters w[a] <= a, fp, exc, crs, nes,
-    # untried letters with the next one last).
-    stack = [(1, 0, 1, 0, 0, 0, 0, 0, 0, list(range(n, 0, -1)))]
+    # and of 0, fp, exc, inv, untried letters with the next one last).
+    stack = [(1, 0, 0, 0, list(range(n, 0, -1)))]
     while stack:
-        placed, top, s, small, weak, fp, exc, crs, nes, untried = stack[-1]
+        placed, fp, exc, inv, untried = stack[-1]
         if not untried:
             stack.pop()
             continue
@@ -480,31 +481,18 @@ def _avoiders_321_barred_3142(
         v = word[i - 1] = untried.pop()
         if v > i:
             exc += 1
-            crs += (placed & ((1 << v) - (2 << i))).bit_count()
-            nes += (placed >> (v + 1)).bit_count()
-        else:
-            if v == i:
-                fp += 1
-            else:
-                crs += (small >> v).bit_count()
-                nes += (weak >> (v + 1)).bit_count()
-            weak |= 1 << v
-        if i == n:
-            yield tuple(word), (fp, exc, crs, nes)
-            continue
+        elif v == i:
+            fp += 1
         placed |= 1 << v
-        where[v] = i
-        if v == s:
-            s = (~placed & (placed + 1)).bit_length() - 1
-            for u in range(v, s):
-                small |= 1 << where[u]
-            top = max(top, v)
-            children = list(range(n, max(top, s), -1))
-            children.append(s)
-        else:
-            top = v
-            children = [s]
-        stack.append((placed, top, s, small, weak, fp, exc, crs, nes, children))
+        inv += (placed >> (v + 1)).bit_count()
+        if i == n:
+            yield tuple(word), (fp, exc, inv - exc, 0)
+            continue
+        s = (~placed & (placed + 1)).bit_length() - 1
+        top = placed.bit_length() - 1
+        children = list(range(n, max(top, s), -1)) if v < s else []
+        children.append(s)
+        stack.append((placed, fp, exc, inv, children))
 
 
 # Each family: (drawn from the involutions?, word test for in_class or None,
@@ -559,8 +547,8 @@ def _members(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int] | None]]:
     """``enumerate_class`` with each member's (fp, exc, crs, nes), or None.
 
-    The enumerators carry the four statistics down their trees; only
-    ``ALL`` yields None, and leaves them to ``_fp_exc_crs_nes_inv``.
+    The enumerators carry or derive the four statistics down their trees;
+    only ``ALL`` yields None, and leaves them to ``_fp_exc_crs_nes_inv``.
     """
     _check_size(n)
     return _class_rule(cls)[2](n)
@@ -581,6 +569,8 @@ def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
     They are the inversion table: with L_v the number of letters below v
     standing left of v, v gives the pair (v - 1, 1 + L_v) when 1 + L_v < v.
     ``permutation_from_head_tail`` puts each v at index L_v, so this inverts it.
+    L_v is a popcount: the letters v = 1..n are scanned upwards, as in the
+    statistics kernel, with the positions of the letters below v as a bitmask.
 
     >>> head_tail_pairs((3, 2, 1))
     ((1, 1), (2, 1))
@@ -588,13 +578,16 @@ def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
     ()
     """
     w = check_permutation(word)
-    below: list[int] = []  # sorted positions of the letters below v
+    pos = [0] * (len(w) + 1)
+    for i, v in enumerate(w):
+        pos[v] = i
+    lower = 0  # bit i for each position i of a letter below v
     pairs = []
-    for i, v in sorted(enumerate(w), key=lambda iv: iv[1]):
-        tail = 1 + bisect.bisect(below, i)
+    for v in range(1, len(w) + 1):
+        tail = 1 + (lower & ((1 << pos[v]) - 1)).bit_count()
         if tail < v:
             pairs.append((v - 1, tail))
-        bisect.insort(below, i)
+        lower |= 1 << pos[v]
     return tuple(pairs)
 
 
@@ -603,7 +596,7 @@ def _check_head_tail(pairs: Sequence[tuple[int, int]], n: int) -> None:
     _check_size(n)
     prev_head = 0
     for h, t in pairs:
-        if not 1 <= t <= h <= n - 1:
+        if type(h) is not int or type(t) is not int or not 1 <= t <= h <= n - 1:
             raise ValueError(f"pair ({h}, {t}) needs 1 <= tail <= head <= {n - 1}")
         if h <= prev_head:
             raise ValueError("heads must be strictly increasing")

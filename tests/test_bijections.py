@@ -1,5 +1,8 @@
 import pytest
 
+import crossnest.bijections as bijections_module
+import crossnest.paths as paths_module
+import crossnest.permutations as permutations_module
 from crossnest.bijections import (
     involution_shape_path,
     phi1,
@@ -7,10 +10,16 @@ from crossnest.bijections import (
     phi3,
     phi3_inverse,
 )
-from crossnest.paths import enumerate_paths, path_statistics
+from crossnest.paths import (
+    check_path,
+    enumerate_paths,
+    path_statistics,
+    strip_decomposition,
+)
 from crossnest.permutations import (
     PermClass,
     enumerate_class,
+    is_permutation_word,
     perm_statistics,
 )
 
@@ -70,6 +79,34 @@ class TestSmallCases:
             phi3_inverse((3, 2, 1))
         with pytest.raises(ValueError, match="class"):
             phi3_inverse((2, 3, 1))
+
+    def test_inputs_are_validated_once(self, monkeypatch):
+        # Each map leaves the check of its input to the first callee that
+        # makes it, so a path or a word is walked for validation once.
+        path_checks, word_checks = [], []
+
+        def counting(check, calls):
+            def counted(word):
+                calls.append(word)
+                return check(word)
+            return counted
+
+        for module in (paths_module, bijections_module):
+            monkeypatch.setattr(module, "check_path", counting(check_path, path_checks))
+        monkeypatch.setattr(permutations_module, "is_permutation_word",
+                            counting(is_permutation_word, word_checks))
+        for f in (phi1, phi2, phi3, strip_decomposition):
+            path_checks.clear()
+            f(SHOWCASE_PATH)
+            assert path_checks == [SHOWCASE_PATH], f.__name__
+            with pytest.raises(ValueError, match="^height drops below zero at index 3$"):
+                f("udd")
+        for f, w in ((involution_shape_path, SHOWCASE_PHI1), (phi3_inverse, SHOWCASE_PHI3)):
+            word_checks.clear()
+            f(w)
+            assert word_checks == [w], f.__name__
+            with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
+                f((1, 1))
 
     def test_check_flag(self):
         assert phi1("uhd", check=True) == (3, 2, 1)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,10 +164,11 @@ class TestHeights:
         assert step_height("uhd", 3) == 1
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            step_height("uhd", 0)
-        with pytest.raises(ValueError):
-            step_height("uhd", 4)
+        # True and 1.0 equal 1, but neither is a step index.
+        for i in (0, 4, True, False, 1.0, 2.0):
+            message = re.escape(f"step index {i} out of range 1..3")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                step_height("uhd", i)
 
     def test_definition_from_prefix_counts(self):
         for p in paths_up_to(7):
