@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .paths import (
-    check_path,
     path_from_head_tail,
     sequential_matching,
     strip_decomposition,
@@ -78,7 +77,9 @@ def involution_shape_path(word: Sequence[int]) -> str:
     """Shared inverse of phi1 and phi2.
 
     Reads off one letter per position: 'u' where the involution goes up
-    (word[i] > i), 'h' on fixed points, 'd' where it comes down.
+    (word[i] > i), 'h' on fixed points, 'd' where it comes down.  The
+    result is always a Motzkin path: each 2-cycle (a, b), a < b, puts its
+    'u' at a before its 'd' at b, so no prefix has more 'd' than 'u'.
 
     >>> involution_shape_path((3, 2, 1))
     'uhd'
@@ -89,7 +90,7 @@ def involution_shape_path(word: Sequence[int]) -> str:
     letters = []
     for i, v in enumerate(w, start=1):
         letters.append("u" if v > i else "h" if v == i else "d")
-    return check_path("".join(letters))
+    return "".join(letters)
 
 
 def phi3(word: str, *, check: bool = False) -> tuple[int, ...]:

@@ -242,7 +242,10 @@ def path_from_head_tail(
     position that is not a down step, because p + height(p) = t and
     height(p) = k - (down steps before p).  The shape rules give
     2k + 1 <= t <= n - 1 - 2(m - 1 - k) for m pairs, so that position
-    exists and the up steps are distinct.
+    exists and the up steps are distinct.  The result is always a Motzkin
+    path: the heads before h are exactly the k earlier pairs, so t <= h
+    leaves at least t - k positions before h + 1 that are not down steps,
+    and the k-th up step comes before the k-th down step.
 
     >>> path_from_head_tail(((1, 1),), 2)
     'ud'
@@ -261,4 +264,4 @@ def path_from_head_tail(
     free = [i for i, ch in enumerate(w) if ch == "h"]
     for k, (_, t) in enumerate(pairs):
         w[free[t - k - 1]] = "u"
-    return check_path("".join(w))
+    return "".join(w)

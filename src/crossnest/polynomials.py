@@ -69,16 +69,24 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return out
     bound = max(a) * max(b) * min(la, lb) + 1
     slot = (bound.bit_length() + 7) // 8
-    packed_a = int.from_bytes(
-        b"".join(x.to_bytes(slot, "little") for x in a), "little"
+    product = _pack_slots(a, slot) * _pack_slots(b, slot)
+    return _unpack_slots(product, slot, la + lb - 1)
+
+
+def _pack_slots(coeffs: Iterable[int], slot: int) -> int:
+    """Pack nonnegative coefficients into one integer, ``slot`` bytes each,
+    lowest degree in the lowest bytes; each must be below 2**(8*slot)."""
+    return int.from_bytes(
+        b"".join(c.to_bytes(slot, "little") for c in coeffs), "little"
     )
-    packed_b = int.from_bytes(
-        b"".join(y.to_bytes(slot, "little") for y in b), "little"
-    )
-    raw = (packed_a * packed_b).to_bytes(slot * (la + lb), "little")
+
+
+def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
+    """The first ``count`` slots of a nonnegative packed integer."""
+    raw = packed.to_bytes(slot * count, "little")
     return [
-        int.from_bytes(raw[k * slot : (k + 1) * slot], "little")
-        for k in range(la + lb - 1)
+        int.from_bytes(raw[k : k + slot], "little")
+        for k in range(0, slot * count, slot)
     ]
 
 

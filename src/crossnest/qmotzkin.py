@@ -8,6 +8,13 @@ in the exponent placed on the product term:
   with e(k) = k + 1, except e(n-2) = 0.
 
 Setting q = 1 in either recovers the Motzkin numbers.
+
+Both run on packed integers, one ``slot``-byte field per coefficient, so
+that multiplying two polynomials is one big-integer product and a power of
+q is a shift.  The terms k and n-2-k share their product, which is added in
+at both shifts.  Coefficients are nonnegative, so none exceeds the value at
+q = 1, a Motzkin number, and a slot that holds that number with a bit to
+spare never carries into the next (see ``_q_recurrence``).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from .permutations import _check_size
-from .polynomials import UNI_ONE, UniPoly
+from .polynomials import UNI_ONE, UniPoly, _pack_slots, _unpack_slots
 
 _motzkin_cache: list[int] = [1, 1]
 _q_motzkin_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]
@@ -44,16 +51,37 @@ def motzkin_number(n: int) -> int:
 def _q_recurrence(
     cache: list[UniPoly], n: int, exponent: Callable[[int, int], int]
 ) -> UniPoly:
-    # M_m = M_{m-1} + sum_k q^exponent(k, m) M_k M_{m-2-k}, extending the
-    # cache up to index n.
+    """Extend ``cache`` to index n by M_m = M_{m-1} + sum_k q^e M_k M_{m-2-k},
+    e = exponent(k, m), and return M_n.
+
+    Runs on packed integers: each polynomial is one int holding its
+    coefficients in ``slot``-byte fields, lowest degree lowest, so that
+    multiplying by q^e is a shift by 8*slot*e bits.  One slot width serves
+    the whole extension, ``slot = (motzkin_number(n).bit_length() + 8) // 8``
+    bytes.  No field ever carries into the next: every coefficient is
+    nonnegative, so each coefficient of every partial sum at step m, and of
+    every product M_k M_{m-2-k} in it, is at most M_m(1) = motzkin_number(m)
+    <= motzkin_number(n) < 2**(8*slot - 1).  The terms k and m-2-k share one
+    product, added in at both of their shifts.  Each cached entry is packed
+    once per extension and each new entry unpacked once.
+    """
     _check_size(n)
-    while len(cache) <= n:
-        m = len(cache)
-        total = cache[m - 1]
-        for k in range(m - 1):
-            prod = cache[k] * cache[m - 2 - k]
-            total = total + prod.times_q_power(exponent(k, m))
-        cache.append(total)
+    if len(cache) > n:
+        return cache[n]
+    slot = (motzkin_number(n).bit_length() + 8) // 8
+    bits = 8 * slot
+    packed = [_pack_slots(p.coeffs, slot) for p in cache]
+    for m in range(len(cache), n + 1):
+        total = packed[m - 1]
+        for k in range(m // 2):
+            j = m - 2 - k
+            prod = packed[k] * packed[j]
+            total += prod << (exponent(k, m) * bits)
+            if j != k:
+                total += prod << (exponent(j, m) * bits)
+        packed.append(total)
+        count = -(-total.bit_length() // bits)
+        cache.append(UniPoly(_unpack_slots(total, slot, count)))
     return cache[n]
 
 

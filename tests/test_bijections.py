@@ -1,6 +1,5 @@
 import pytest
 
-import crossnest.bijections as bijections_module
 import crossnest.paths as paths_module
 import crossnest.permutations as permutations_module
 from crossnest.bijections import (
@@ -91,8 +90,7 @@ class TestSmallCases:
                 return check(word)
             return counted
 
-        for module in (paths_module, bijections_module):
-            monkeypatch.setattr(module, "check_path", counting(check_path, path_checks))
+        monkeypatch.setattr(paths_module, "check_path", counting(check_path, path_checks))
         monkeypatch.setattr(permutations_module, "is_permutation_word",
                             counting(is_permutation_word, word_checks))
         for f in (phi1, phi2, phi3, strip_decomposition):
@@ -101,12 +99,15 @@ class TestSmallCases:
             assert path_checks == [SHOWCASE_PATH], f.__name__
             with pytest.raises(ValueError, match="^height drops below zero at index 3$"):
                 f("udd")
+        path_checks.clear()
         for f, w in ((involution_shape_path, SHOWCASE_PHI1), (phi3_inverse, SHOWCASE_PHI3)):
             word_checks.clear()
             f(w)
             assert word_checks == [w], f.__name__
             with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
                 f((1, 1))
+        # The inverse maps build valid paths by construction and walk none.
+        assert path_checks == []
 
     def test_check_flag(self):
         assert phi1("uhd", check=True) == (3, 2, 1)
@@ -161,6 +162,12 @@ class TestBijectivity:
             assert involution_shape_path(phi1(p)) == p
             assert involution_shape_path(phi2(p)) == p
             assert phi3_inverse(phi3(p)) == p
+
+    def test_every_involution_shape_is_a_path(self):
+        for n in range(10):
+            for w in enumerate_class(n, PermClass.INVOLUTIONS):
+                path = involution_shape_path(w)
+                assert check_path(path) == path, w
 
     def test_inverse_roundtrip_from_permutations(self):
         for n in range(8):

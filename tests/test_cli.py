@@ -11,6 +11,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_permutations import pair_loop_statistics
+from test_qmotzkin import (
+    SLOT_BOUNDARY_SIZES,
+    first_exponent,
+    product_recurrence,
+    tilde_exponent,
+)
 
 from crossnest.cli import _CLASS_NAMES, _STAT_NAMES, build_parser, cmd_dispatch
 from crossnest.oracle import SUITES, CheckResult, VerificationReport
@@ -487,5 +493,18 @@ class TestModuleEntryPoint:
     def test_poly(self):
         proc = self.run_module("poly", "M", "--n", "4")
         assert proc.stdout == "5 + 2*q + 2*q^2\n"
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize(
+        "which, n, exponent",
+        [("M", 24, first_exponent), ("Mtilde", 29, tilde_exponent)],
+    )
+    def test_poly_at_slot_boundary(self, which, n, exponent):
+        # A fresh process starts from a cold cache, so the packed recurrence
+        # runs its whole extension at a slot-boundary size.
+        assert n in SLOT_BOUNDARY_SIZES
+        proc = self.run_module("poly", which, "--n", str(n))
+        assert proc.stdout == f"{product_recurrence(n, exponent)[n]}\n"
         assert proc.stderr == ""
         assert proc.returncode == 0

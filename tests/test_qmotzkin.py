@@ -1,4 +1,5 @@
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -26,6 +27,39 @@ def bfile_values() -> dict[int, int]:
         n, v = line.split()
         values[int(n)] = int(v)
     return values
+
+
+def first_exponent(k: int, m: int) -> int:
+    return k
+
+
+def tilde_exponent(k: int, m: int) -> int:
+    return 0 if k == m - 2 else k + 1
+
+
+def product_recurrence(
+    n: int, exponent: Callable[[int, int], int]
+) -> list[UniPoly]:
+    """Test-only reference: M_0..M_n by one UniPoly product per term k."""
+    values = [UNI_ONE, UNI_ONE]
+    for m in range(2, n + 1):
+        total = values[m - 1]
+        for k in range(m - 1):
+            prod = values[k] * values[m - 2 - k]
+            total = total + prod.times_q_power(exponent(k, m))
+        values.append(total)
+    return values[: n + 1]
+
+
+# Sizes whose Motzkin number fills whole bytes: there the recurrence's slot
+# width is one byte more than its largest coefficient could need.
+SLOT_BOUNDARY_SIZES = (13, 24, 29, 40)
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    monkeypatch.setattr(qmotzkin, "_q_motzkin_cache", [UNI_ONE, UNI_ONE])
+    monkeypatch.setattr(qmotzkin, "_q_tilde_cache", [UNI_ONE, UNI_ONE])
 
 
 class TestMotzkinNumbers:
@@ -85,6 +119,49 @@ class TestQMotzkin:
                 ).times_q_power(exp)
             assert q_motzkin(n) == first
             assert q_motzkin_tilde(n) == second
+
+
+class TestPackedRecurrence:
+    REFERENCE = {
+        "_q_motzkin_cache": product_recurrence(40, first_exponent),
+        "_q_tilde_cache": product_recurrence(40, tilde_exponent),
+    }
+    KINDS = (("_q_motzkin_cache", q_motzkin), ("_q_tilde_cache", q_motzkin_tilde))
+
+    def test_one_step_at_a_time_matches_reference(self, cold_caches):
+        for name, kind in self.KINDS:
+            for n in range(41):
+                assert kind(n) == self.REFERENCE[name][n], (name, n)
+
+    def test_one_extension_matches_reference(self, cold_caches):
+        for name, kind in self.KINDS:
+            assert kind(40) == self.REFERENCE[name][40]
+            assert getattr(qmotzkin, name) == self.REFERENCE[name]
+
+    @pytest.mark.parametrize("n", SLOT_BOUNDARY_SIZES)
+    def test_slot_boundary_sizes(self, cold_caches, n):
+        assert motzkin_number(n).bit_length() % 8 == 0
+        for name, kind in self.KINDS:
+            assert kind(n) == self.REFERENCE[name][n]
+            assert getattr(qmotzkin, name) == self.REFERENCE[name][: n + 1]
+
+    def test_stepwise_extension_matches_one_fresh_call(self, monkeypatch):
+        # Each extension picks its own slot width.
+        for name, kind in self.KINDS:
+            monkeypatch.setattr(qmotzkin, name, [UNI_ONE, UNI_ONE])
+            fresh = kind(30)
+            fresh_cache = getattr(qmotzkin, name)
+            monkeypatch.setattr(qmotzkin, name, [UNI_ONE, UNI_ONE])
+            kind(3)
+            kind(13)
+            assert kind(30) == fresh
+            assert getattr(qmotzkin, name) == fresh_cache
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            q_motzkin(-1)
+        with pytest.raises(ValueError):
+            q_motzkin_tilde(-1)
 
 
 # All fifteen tableau entries for n <= 4 in canonical rendering.
