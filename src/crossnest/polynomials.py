@@ -49,7 +49,8 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     max(a)*max(b)*min(len(a),len(b)) on any output coefficient, so slots
     cannot overflow into their neighbours and the result is exact.  Mixed
     signs fall back to the schoolbook loop.  Low-order zeros are stripped
-    and put back as a shift, so a factor q^k costs no packing.
+    and put back as a shift, and a factor that is then one coefficient
+    scales the other list, so a monomial factor c*q^k costs no packing.
     """
     if not a or not b:
         return []
@@ -60,6 +61,9 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if za == la or zb == lb:
             return [0] * (la + lb - 1)
         return [0] * (za + zb) + _convolve(a[za:], b[zb:])
+    if la == 1 or lb == 1:
+        x, rest = (a[0], b) if la == 1 else (b[0], a)
+        return [x * y for y in rest]
     if la * lb <= _PACK_CUTOFF or min(a) < 0 or min(b) < 0:
         out = [0] * (la + lb - 1)
         for i, x in enumerate(a):

@@ -192,6 +192,8 @@ def h_recursion_rhs(n: int, i: int, table: Sequence[Sequence[UniPoly]]) -> UniPo
 
     Requires 1 <= i <= n and a table computed at least to row n.
     """
+    _check_size(n)
+    _check_size(i, "i")
     if not 1 <= i <= n:
         raise ValueError("need 1 <= i <= n")
     if len(table) <= n:

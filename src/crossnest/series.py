@@ -12,9 +12,11 @@ paths of length n (Flajolet, 1980), which is column 0 of the Stieltjes
 tableau with alpha = a and beta = b.  Row n only keeps the heights
 <= N - n from which a path can still return to 0 by t^N.
 
-The one nested fraction, the left side of main12, expands its own levels
-from the deepest up, without the tableau and in ``UniPoly`` arithmetic; see
-``_preset_main12_lhs``.
+The one nested fraction, the left side of main12, is an S-fraction: its
+t^m coefficient sums Dyck paths whose down step from height k weighs
+c_k = L_k t + q^(k-1) t^2.  Every weight is a monomial in q, so one loop
+over path prefixes expands it by shifts and additions in ``UniPoly``,
+without the tableau and without a product; see ``_preset_main12_lhs``.
 """
 
 from __future__ import annotations
@@ -165,27 +167,6 @@ def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
     return PowerSeries(spec.variables, [one] + [row[0] for row in islice(rows, order)])
 
 
-def _level_nested(
-    lin: UniPoly, quad: UniPoly, inner: Sequence[UniPoly], order: int
-) -> list[UniPoly]:
-    """Coefficients of 1 / (1 - (lin t + quad t^2) G) with G from ``inner``."""
-    out = [UNI_ONE]
-    # conv[j] is the t^j coefficient of G * out, needed at j = m-1 and m-2.
-    conv: list[UniPoly] = []
-    for m in range(1, order + 1):
-        s = UNI_ZERO
-        for r in range(min(m, len(inner))):
-            g = inner[r]
-            if g:
-                s = s + g * out[m - 1 - r]
-        conv.append(s)
-        term = lin * s
-        if m >= 2:
-            term = term + quad * conv[m - 2]
-        out.append(term)
-    return out
-
-
 # The j-fraction presets, one row each: variables, then the exponents of
 # alpha(k) and of beta(k) as {variable: (base, slope)}, meaning
 # variable^(base + slope * (k - 1)) at level k.
@@ -213,21 +194,37 @@ def _j_spec(variables: tuple[str, ...], alpha: dict, beta: dict) -> FractionSpec
 
 
 def _preset_main12_lhs(order: int) -> PowerSeries:
-    """1 / (1 - c_1 / (1 - c_2 / ...)), expanded from the deepest level up.
+    """1 / (1 - c_1 / (1 - c_2 / ...)) read as a sum over Dyck paths.
 
     c_k = L_k t + q^(k-1) t^2 with L_k = q^((k-1)/2) for odd k and 0 for
-    even k.  Levels 1..k-1 take at least (k-1) + (k-1)//2 powers of t, so
-    level k is kept to what is still visible from the top, and levels past
-    order + 1 cannot reach t^order.  The levels are expanded in ``UniPoly``
-    arithmetic and never touch the tableau, so the two sides of main12 stay
-    independent computations.
+    even k.  F_k = 1 / (1 - c_k F_{k+1}) sums the Dyck paths in which a down
+    step from height h+1 to h weighs c_{h+1} (Flajolet, 1980).  D[m][h],
+    the weight of the path prefixes of t-degree m that end at height h,
+    comes from a last step up or a last step down:
+
+        D[m][h] = D[m][h-1] + L_{h+1} D[m-1][h+1] + q^h D[m-2][h+1],
+
+    and t^m is D[m][0].  The weights are monomials, so each term is a shift
+    and no product is needed.  Each of the h down steps still owed costs at
+    least one t, so row m keeps h <= order - m, and only rows m-1 and m-2
+    are held.  The loop never touches the tableau, so the two sides of
+    main12 stay independent computations.
     """
-    cur = [UNI_ONE]
-    for k in range(order + 1, 0, -1):
-        lin = UniPoly.q_power((k - 1) // 2) if k % 2 else UNI_ZERO
-        quad = UniPoly.q_power(k - 1)
-        cur = _level_nested(lin, quad, cur, max(0, order - (k - 1) - (k - 1) // 2))
-    return _series_from_unipolys(cur)
+    coeffs = [UNI_ONE]
+    prev2: list[UniPoly] = []
+    prev1 = [UNI_ONE] * (order + 1)  # row 0: the prefixes of up steps only
+    for m in range(1, order + 1):
+        row = []
+        acc = UNI_ZERO
+        for h in range(order - m + 1):
+            if h % 2 == 0:
+                acc = acc + prev1[h + 1].times_q_power(h // 2)
+            if prev2:
+                acc = acc + prev2[h + 1].times_q_power(h)
+            row.append(acc)
+        coeffs.append(row[0])
+        prev2, prev1 = prev1, row
+    return _series_from_unipolys(coeffs)
 
 
 def _series_from_unipolys(polys: list[UniPoly]) -> PowerSeries:

@@ -1,4 +1,4 @@
-"""Each demo runs to the end and none of its "equals" lines reports False."""
+"""Each demo runs to the end, and every line it ends in a boolean ends in True."""
 
 import os
 import subprocess
@@ -28,5 +28,6 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
-    claims = [ln for ln in proc.stdout.splitlines() if "equals" in ln]
-    assert not [ln for ln in claims if ln.rstrip().endswith("False")]
+    lines = [ln.rstrip() for ln in proc.stdout.splitlines()]
+    claims = [ln for ln in lines if ln.endswith(("True", "False"))]
+    assert [ln for ln in claims if not ln.endswith("True")] == []

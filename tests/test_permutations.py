@@ -31,6 +31,7 @@ from crossnest.permutations import (
 )
 from crossnest.oracle import StatSpec, distribution, run_suite
 from crossnest.qmotzkin import (
+    h_recursion_rhs,
     h_tableau,
     motzkin_number,
     q_motzkin,
@@ -433,6 +434,7 @@ class TestClasses:
         # argument it refuses.
         one = lambda k: 1
         spec = FractionSpec(("q",), one, one)
+        table = h_tableau(2)
         guarded = [
             *((f"enumerate_class {cls.value}", "n",
                lambda n, cls=cls: list(enumerate_class(n, cls)))
@@ -447,6 +449,8 @@ class TestClasses:
             ("stieltjes_tableau", "n_max",
              lambda n: stieltjes_tableau(one, one, n)),
             ("h_tableau", "n_max", h_tableau),
+            ("h_recursion_rhs", "n", lambda n: h_recursion_rhs(n, 1, table)),
+            ("h_recursion_rhs", "i", lambda i: h_recursion_rhs(2, i, table)),
             ("jfraction_series", "order", lambda n: jfraction_series(spec, n)),
             ("named_series", "order", lambda n: named_series("A", n)),
             ("run_suite", "max_n", lambda n: run_suite("paths", n)),

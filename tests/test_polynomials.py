@@ -41,6 +41,19 @@ class TestConvolve:
             b = [rng.randint(-50, 50) for _ in range(rng.randint(1, 40))]
             assert _convolve(a, b) == naive_convolve(a, b)
 
+    def test_monomial_times_long_list_matches_naive(self):
+        # A factor c*q^k against a list past _PACK_CUTOFF, on either side;
+        # the long list has low and inner zeros, and signs in one case.
+        rng = random.Random(13)
+        for low in (0, -20):
+            long = [0, 0] + [rng.randint(low, 10**6) for _ in range(298)]
+            long[100] = 0
+            for k in (0, 1, 7):
+                for c in (1, 5, -3):
+                    mono = [0] * k + [c]
+                    assert _convolve(mono, long) == naive_convolve(mono, long)
+                    assert _convolve(long, mono) == naive_convolve(long, mono)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=80),
         st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=80),

@@ -1,7 +1,7 @@
 import pytest
 
 from crossnest.paths import enumerate_paths, path_statistics
-from crossnest.polynomials import MultiPoly, UniPoly
+from crossnest.polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
 from crossnest.qmotzkin import (
     motzkin_number,
     q_motzkin,
@@ -45,6 +45,34 @@ def level_by_level(spec: FractionSpec, order: int) -> PowerSeries:
         inner = out
     zero = MultiPoly.zero(v)
     return PowerSeries(v, (inner + [zero] * order)[: order + 1])
+
+
+def main12_lhs_level_by_level(order: int) -> list[UniPoly]:
+    """Reference expansion of 1 / (1 - c_1 / (1 - c_2 / ...)), deepest first.
+
+    c_k = L_k t + q^(k-1) t^2 with L_k = q^((k-1)/2) for odd k and 0 for
+    even k.  Level k is 1 / (1 - c_k G) with G the expansion of level k+1,
+    each as a series product.  Levels 1..k-1 take at least (k-1) + (k-1)//2
+    powers of t, so level k is kept to what is still visible from the top,
+    and levels past order + 1 cannot reach t^order.
+    """
+    inner = [UNI_ONE]
+    for k in range(order + 1, 0, -1):
+        lin = UniPoly.q_power((k - 1) // 2) if k % 2 else UNI_ZERO
+        quad = UniPoly.q_power(k - 1)
+        out = [UNI_ONE]
+        conv = []  # conv[j] is the t^j coefficient of G * out
+        for m in range(1, max(0, order - (k - 1) - (k - 1) // 2) + 1):
+            s = UNI_ZERO
+            for r in range(min(m, len(inner))):
+                s = s + inner[r] * out[m - 1 - r]
+            conv.append(s)
+            term = lin * s
+            if m >= 2:
+                term = term + quad * conv[m - 2]
+            out.append(term)
+        inner = out
+    return inner
 
 
 class TestPowerSeries:
@@ -217,15 +245,21 @@ class TestPresets:
         rhs = named_series("main12-rhs", 14)
         assert uni_coeffs(rhs) == [q_motzkin_tilde(n) for n in range(15)]
 
-    def test_main12_lhs_levels_are_cut_per_order(self):
-        # Each level of main12-lhs is kept only to the order still visible
-        # from the top, so a low order must read the same as a high one cut.
+    def test_main12_lhs_low_order_is_high_order_truncated(self):
+        # Row m of the Dyck-path loop keeps only the heights that can still
+        # return by t^order, so a low order must read as a high one cut.
         full = named_series("main12-lhs", 40)
         for k in range(40):
             assert named_series("main12-lhs", k) == full.truncate(k), k
-        assert uni_coeffs(full.truncate(20)) == [
-            q_motzkin_tilde(n) for n in range(21)
-        ]
+
+    def test_main12_lhs_matches_level_by_level_expansion(self):
+        for order in range(26):
+            lhs = uni_coeffs(named_series("main12-lhs", order))
+            assert lhs == main12_lhs_level_by_level(order), order
+
+    def test_main12_lhs_is_mtilde_to_order_60(self):
+        lhs = named_series("main12-lhs", 60)
+        assert uni_coeffs(lhs) == [q_motzkin_tilde(n) for n in range(61)]
 
 
 class TestMtildeFunctionalEquation:
