@@ -20,14 +20,16 @@ Inversions, excedances, descents and fixed points are the usual ones, and
 serves both the word test and the enumerator: the word test runs it over
 the whole word (321 runs the 4321 scan behind a letter above them all),
 and the enumerators of ``I4321`` and ``I3412`` carry its registers over
-each newly fixed stretch of letters and prune every prefix that already
-holds the pattern.  The barred 3-bar-1-42 is the vincular pattern 23-1
-(Claesson 2001), tested in one pass, and the 321/barred avoiders have a
-generating tree without dead ends.  Like ``contains_classical``, the fast
-tests raise ValueError on a word that is not a permutation.  Each family
-is one ``_CLASS_RULES`` row, its word test (for ``in_class``, which
-validates the word once) and its enumerator; filtering every involution or
-permutation through the word tests is the test reference.
+each newly fixed stretch of letters and run it on over the letters that
+the open 2-cycles force later, refusing a pairing once these hold the
+pattern; that leaves no dead subtree.  The barred 3-bar-1-42 is the
+vincular pattern 23-1 (Claesson 2001), tested in one pass, and the
+321/barred avoiders have a generating tree without dead ends too.  Like
+``contains_classical``, the fast tests raise ValueError on a word that is
+not a permutation.  Each family is one ``_CLASS_RULES`` row, its word
+test (for ``in_class``, which validates the word once) and its enumerator;
+filtering every involution or permutation through the word tests is the
+test reference.
 
 The enumerators of every family but ``ALL`` yield each member with its
 fixed points, excedances, crossings and nestings (``_members``);
@@ -51,7 +53,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
@@ -358,9 +360,28 @@ def _involutions(
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
     # Pair the first free (zero) position i with a free j >= i, j == i a
     # fixed point; trying j in increasing order gives lexicographic order.
-    # Then w[:k] is fixed, k the next free position, and grow(regs, w[i:k])
-    # updates the prefix registers, or returns None once w[:k] holds the
-    # family's pattern, which prunes the pairing.
+    # Then w[:k] is fixed, k the next free position.  The pairing fixes
+    # letters past k too: each 2-cycle (a b), a <= k < b, puts the letter a
+    # at position b, and every completion keeps these forced letters after
+    # w[:k], in position order.  So grow(regs, w[i:k], ahead) runs the
+    # family's pattern machine over the new letters w[i:k] and on over the
+    # forced ones (``ahead``: the nonzero letters up to the last open arc),
+    # and refuses the pairing, None, once they hold the pattern, which then
+    # no completion avoids.  Otherwise it returns the registers of w[:k].
+    # No subtree is dead.  Let u be the completion with a fixed point at
+    # every free position, and f a fixed point of u past k.  Past k, u holds
+    # only fixed points and forced letters, so the letters above f and
+    # before it are the letters b at a <= k of the 2-cycles (a b) over f,
+    # a < f < b, and those below f and after it are their letters a at b;
+    # every other letter is below and before f, or above and after it.
+    # Each letter of 4321 or 3412 has two others of the pattern above and
+    # before it or below and after it, falling in 4321 and rising in 3412.
+    # So an occurrence through f gives two arcs over f, nested for 4321 and
+    # crossing for 3412, and their four letters, all in w[:k] or forced,
+    # hold the pattern: nested arcs a < c < d < b read b d c a, crossing
+    # arcs a < c < b < d read b d a c.  So u avoids the pattern when the
+    # pairing passes, and every pairing on the way to u reads a subsequence
+    # of u, so it passes too: the tree keeps exactly the live pairings.
     # Each member comes with its (fp, exc, crs, nes), but the tree carries
     # only crs, nes and arcs, bit b for each 2-cycle (a b) with a < i < b,
     # an arc still open over i.  A fixed point under an open arc makes one
@@ -381,11 +402,15 @@ def _involutions(
             k = i + 1
             while k < n and word[k]:
                 k += 1
-            grown = regs if grow is None else grow(regs, word[i:k])
-            if grown is None:
-                word[i] = word[j] = 0
-                j += 1
-                continue
+            grown = regs
+            if grow is not None:
+                last = ((arcs | 1 << j) >> k).bit_length()  # the last open arc
+                ahead = filter(None, word[k:k + last]) if last else ()
+                grown = grow(regs, word[i:k], ahead)
+                if grown is None:
+                    word[i] = word[j] = 0
+                    j += 1
+                    continue
             stack.append((i, j, regs, crs, nes, arcs))
             if j == i:
                 nes += arcs.bit_count()
@@ -407,27 +432,36 @@ def _involutions(
         j += 1
 
 
-def _grow_4321(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | None:
+def _grow_4321(
+    regs: tuple[int, int, int], letters: Sequence[int], ahead: Iterable[int] = ()
+) -> tuple | None:
     # The 4321 machine: the registers of a prefix run on over more letters,
-    # or None once the letters so far hold 4321.  bj is the largest last
-    # letter over decreasing subsequences of length j so far; a larger last
-    # letter is always easier to extend.  Letters are distinct, so each
-    # letter that does not complete 4321 raises one register: that of the
-    # longest decreasing subsequence it ends.
+    # or None once the letters so far hold 4321.  It goes on over ``ahead``
+    # too, but returns the registers as they stood after ``letters``.  bj
+    # is the largest last letter over decreasing subsequences of length j
+    # so far; a larger last letter is always easier to extend.  Letters are
+    # distinct, so each letter that does not complete 4321 raises one
+    # register: that of the longest decreasing subsequence it ends.
     b1, b2, b3 = regs
-    for v in letters:
-        if b3 > v:
-            return None
-        if b2 > v:
-            b3 = v
-        elif b1 > v:
-            b2 = v
-        else:
-            b1 = v
-    return b1, b2, b3
+    grown = None
+    for part in (letters, ahead):
+        for v in part:
+            if b3 > v:
+                return None
+            if b2 > v:
+                b3 = v
+            elif b1 > v:
+                b2 = v
+            else:
+                b1 = v
+        if grown is None:
+            grown = b1, b2, b3
+    return grown
 
 
-def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | None:
+def _grow_3412(
+    regs: tuple[int, int, int], letters: Sequence[int], ahead: Iterable[int] = ()
+) -> tuple | None:
     # The 3412 machine, run on like _grow_4321.  An occurrence is an ascent
     # (the 34), then a "1" below its low letter, then a later "2" between
     # the two.  seen: bit v for each letter v so far; low: the largest low
@@ -435,18 +469,22 @@ def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | No
     # that would end a 3412 as its "2".  A letter u below low is a "1"
     # after that ascent, so every v with u < v < low is banned from then on.
     seen, low, banned = regs
-    for v in letters:
-        bit = 1 << v
-        if banned & bit:
-            return None
-        if v < low:
-            banned |= (1 << low) - (bit << 1)
-        else:  # the best ascent ending at v starts at v's predecessor
-            below = (seen & (bit - 1)).bit_length() - 1
-            if below > low:
-                low = below
-        seen |= bit
-    return seen, low, banned
+    grown = None
+    for part in (letters, ahead):
+        for v in part:
+            bit = 1 << v
+            if banned & bit:
+                return None
+            if v < low:
+                banned |= (1 << low) - (bit << 1)
+            else:  # the best ascent ending at v starts at v's predecessor
+                below = (seen & (bit - 1)).bit_length() - 1
+                if below > low:
+                    low = below
+            seen |= bit
+        if grown is None:
+            grown = seen, low, banned
+    return grown
 
 
 def _avoiders_321_barred_3142(
@@ -531,10 +569,11 @@ def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
     """Yield the family's members of size n in lexicographic order.
 
     ``ALL`` runs ``itertools.permutations``.  The other families grow their
-    members left to right and drop every prefix that already holds the
-    family's pattern, so no non-member is ever built whole.  Filtering
-    every involution or permutation through ``in_class`` is the test
-    reference.
+    members left to right in generating trees without dead subtrees: every
+    prefix the tree keeps has a member below it.  ``I4321`` and ``I3412``
+    refuse a pairing once the prefix, with the letters its open 2-cycles
+    force later, holds the pattern.  Filtering every involution or
+    permutation through ``in_class`` is the test reference.
 
     >>> list(enumerate_class(3, PermClass.S321_B3142))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]

@@ -1,6 +1,12 @@
-"""Each demo runs to the end, and every line it ends in a boolean ends in True."""
+"""Each demo runs to the end and reports success.
+
+Every line a demo ends in a boolean ends in True, no line is a ``FAIL`` or
+``empty`` check status, and the verification tour prints a suite with every
+check passed and ``exit code: 0`` for its ``oeis-check`` run.
+"""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,9 +16,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# Lines each demo must print, beyond the checks that hold for all of them.
+REQUIRED = {
+    "verification_tour": (
+        re.compile(r"suite all: (\d+)/\1 checks passed in \d+ ms"),
+        re.compile(r"exit code: 0"),
+    ),
+}
+
 
 def test_demos_found():
     assert len(DEMOS) == 4
+    assert set(REQUIRED) <= {demo.stem for demo in DEMOS}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -31,3 +46,6 @@ def test_demo_runs(demo):
     lines = [ln.rstrip() for ln in proc.stdout.splitlines()]
     claims = [ln for ln in lines if ln.endswith(("True", "False"))]
     assert [ln for ln in claims if not ln.endswith("True")] == []
+    assert [ln for ln in lines if ln.startswith(("FAIL ", "empty "))] == []
+    for line in REQUIRED.get(demo.stem, ()):
+        assert any(line.fullmatch(ln) for ln in lines), line.pattern

@@ -388,10 +388,41 @@ class TestClasses:
                     assert in_class(w, cls) == (w in members), (cls, w)
 
     def test_pruned_enumerators_match_filtered_reference(self):
+        sizes = {PermClass.ALL: 8, PermClass.I4321: 13, PermClass.I3412: 13}
         for cls in PermClass:
-            for n in range(8 if cls is PermClass.ALL else 10):
+            for n in range(sizes.get(cls, 10)):
                 expected = list(filtered_class(n, cls))
                 assert list(enumerate_class(n, cls)) == expected, (cls, n)
+
+    @pytest.mark.parametrize("cls, machine", [
+        (PermClass.I4321, "_grow_4321"), (PermClass.I3412, "_grow_3412"),
+    ])
+    def test_involution_trees_have_no_dead_subtrees(self, monkeypatch, cls, machine):
+        # The tree runs the family's machine once per pairing it tries and
+        # keeps the pairing unless the machine returns None.  A kept pairing
+        # fixes w[:k], k the next cycle start or n, so with no dead subtree
+        # the kept pairings are the distinct such prefixes of the members.
+        run = getattr(permutations_module, machine)
+        kept = 0
+
+        def counted(*args):
+            nonlocal kept
+            grown = run(*args)
+            kept += grown is not None
+            return grown
+
+        monkeypatch.setattr(permutations_module, machine, counted)
+        for n in range(11):
+            prefixes = {
+                w[:k]
+                for w in filtered_class(n, cls)
+                for k in range(1, n + 1)
+                if k == n or w[k] > k
+            }
+            kept = 0
+            for _ in enumerate_class(n, cls):
+                pass
+            assert kept == len(prefixes), (cls, n)
 
     def test_carried_statistics_match_the_kernel(self):
         # The enumerators carry what no identity gives and derive the rest;
@@ -476,8 +507,9 @@ class TestClasses:
             assert list(enumerate_class(n, PermClass.INVOLUTIONS)) == list(expected)
 
     def test_long_involutions_without_recursion(self):
-        first = next(enumerate_class(3000, PermClass.INVOLUTIONS))
-        assert first == tuple(range(1, 3001))
+        for cls in (PermClass.INVOLUTIONS, PermClass.I4321, PermClass.I3412):
+            first = next(enumerate_class(3000, cls))
+            assert first == tuple(range(1, 3001)), cls
 
     def test_class_name_lookup(self):
         assert PermClass.from_name("I4321") is PermClass.I4321
