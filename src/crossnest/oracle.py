@@ -142,6 +142,8 @@ def distribution(
     >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
     '3 + q'
     """
+    if not isinstance(spec, StatSpec):
+        raise ValueError(f"unknown statistic {spec!r}")
     limit = _enum_limit()
     if n > limit and not allow_large:
         raise SizeLimitError(
@@ -408,15 +410,19 @@ def _dumont(cap: int) -> Iterator[Case]:
             yield f"{name} n={n}", got, recurrence(n)
 
 
-def _mtilde_equation(cap: int) -> tuple[PowerSeries, PowerSeries]:
+def _mtilde_equation(cap: int) -> Iterator[Case]:
+    # M(t) B(t) = B(t) + (t + t^2) M(t) with B(t) = 1 - q t^2 M(qt), term by
+    # term: B has t^j coefficient 1, 0, then -q^(j-1) m_(j-2) for j >= 2.
     v = ("q",)
-    m = named_series("Mtilde", cap)
-    mq = m.scale_argument(MultiPoly.variable(v, "q"))
-    q = MultiPoly.variable(v, "q")
-    one = PowerSeries.one(v, cap)
-    bracket = one - mq.shift(2).scale(q)
-    t_plus_t2 = PowerSeries.one(v, cap).shift(1) + PowerSeries.one(v, cap).shift(2)
-    return m * bracket, bracket + t_plus_t2 * m
+    m = named_series("Mtilde", cap).coeffs
+    zero = MultiPoly.zero(v)
+    b = [MultiPoly.one(v), zero] + [
+        MultiPoly.monomial(v, {"q": j - 1}, -1) * m[j - 2] for j in range(2, cap + 1)
+    ]
+    for n in range(cap + 1):
+        lhs = sum((m[i] * b[n - i] for i in range(n + 1)), zero)
+        rhs = sum((m[k] for k in (n - 1, n - 2) if k >= 0), b[n])
+        yield f"t^{n}", lhs, rhs
 
 
 def _dist_321(cap: int) -> Iterator[Case]:
@@ -513,7 +519,7 @@ _CHECKS: tuple[_Check, ...] = (
     _Check("a-series-recurrence", "qpoly", 20, ("recurrence", "fraction"),
            _versus_series("A", lambda n: q_motzkin(n), "q")),
     _Check("mtilde-functional-equation", "qpoly", 20, ("lhs", "rhs"),
-           _series_terms(_mtilde_equation)),
+           _mtilde_equation),
     _Check("main12-identity", "qpoly", 40, ("lhs", "rhs"),
            _series_terms(lambda cap: (
                named_series("main12-lhs", cap), named_series("main12-rhs", cap)))),

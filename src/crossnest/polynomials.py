@@ -221,7 +221,6 @@ class UniPoly:
 
 UNI_ZERO = UniPoly(())
 UNI_ONE = UniPoly((1,))
-UNI_Q = UniPoly((0, 1))
 
 
 def _pack(exps: Sequence[int]) -> int:

@@ -113,16 +113,16 @@ def _tableau_rows(
     beta: Callable[[int], Any],
     row: list,
     n: int = 0,
-    top: Callable[[int], int] | None = None,
+    order: int | None = None,
 ) -> Iterator[list]:
     """Yield rows n+1, n+2, ... of a Stieltjes tableau, given its row n.
 
     Each row follows from the one before by the recurrence of
     ``stieltjes_tableau``, entries missing from it counting as zero.  Row m
-    keeps the entries i = 0..min(m, top(m)), all of them without ``top``;
-    ``top`` must not grow by more than one per row.  Entries are polynomials
-    of one type, level values polynomials of that type or ints; each level
-    is consulted once, and only for level >= 1.
+    keeps the entries i = 0..min(m, order - m), the heights from which a
+    path still returns to 0 by t^order; all of them without ``order``.
+    Entries are polynomials of one type, level values polynomials of that
+    type or ints; each level is consulted once, and only for level >= 1.
     """
     alpha, beta = cache(alpha), cache(beta)
     zero = row[0] * 0
@@ -130,7 +130,7 @@ def _tableau_rows(
     while True:
         n += 1
         last = len(prev) - 1
-        width = n if top is None else min(n, top(n))
+        width = n if order is None else min(n, order - n)
         cur = []
         for i in range(width + 1):
             acc = prev[i + 1] if i < last else zero

@@ -1,8 +1,8 @@
 """Truncated power series in t and their continued-fraction expansions.
 
 A ``PowerSeries`` of order N keeps coefficients of t^0 .. t^N; every
-coefficient is a ``MultiPoly`` over one fixed variable tuple.  A
-``FractionSpec`` is a J-fraction
+coefficient is a ``MultiPoly`` over one fixed variable tuple.  It is a
+value with no series arithmetic.  A ``FractionSpec`` is a J-fraction
 
     1 / (1 - a_1 t - b_1 t^2 / (1 - a_2 t - b_2 t^2 / ...))
 
@@ -34,7 +34,7 @@ Level = Callable[[int], MultiPoly]
 
 
 class PowerSeries:
-    """Power series in t truncated at a fixed order."""
+    """Power series in t truncated at a fixed order: a value, no arithmetic."""
 
     __slots__ = ("variables", "coeffs")
 
@@ -51,76 +51,14 @@ class PowerSeries:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PowerSeries is immutable")
 
-    @classmethod
-    def one(cls, variables: Sequence[str], order: int) -> "PowerSeries":
-        variables = tuple(variables)
-        one = MultiPoly.one(variables)
-        zero = MultiPoly.zero(variables)
-        return cls(variables, [one] + [zero] * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> MultiPoly:
-        if not 0 <= n <= self.order:
+        if type(n) is not int or not 0 <= n <= self.order:
             raise ValueError(f"order {self.order} series has no t^{n} term")
         return self.coeffs[n]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order >= self.order:
-            return self
-        return PowerSeries(self.variables, self.coeffs[: order + 1])
-
-    def _align(self, other: "PowerSeries") -> tuple[int, "PowerSeries", "PowerSeries"]:
-        if self.variables != other.variables:
-            raise ValueError("series variables do not match")
-        n = min(self.order, other.order)
-        return n, self.truncate(n), other.truncate(n)
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        _, a, b = self._align(other)
-        return PowerSeries(
-            self.variables, [x + y for x, y in zip(a.coeffs, b.coeffs)]
-        )
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        _, a, b = self._align(other)
-        return PowerSeries(
-            self.variables, [x - y for x, y in zip(a.coeffs, b.coeffs)]
-        )
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n, a, b = self._align(other)
-        out = [MultiPoly.zero(self.variables) for _ in range(n + 1)]
-        for i, x in enumerate(a.coeffs):
-            if x.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                y = b.coeffs[j]
-                if not y.is_zero():
-                    out[i + j] = out[i + j] + x * y
-        return PowerSeries(self.variables, out)
-
-    def scale(self, factor: "MultiPoly | int") -> "PowerSeries":
-        return PowerSeries(self.variables, [c * factor for c in self.coeffs])
-
-    def shift(self, k: int) -> "PowerSeries":
-        """Multiply by t^k, keeping the order (high terms fall off)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        zero = MultiPoly.zero(self.variables)
-        coeffs = ([zero] * k + list(self.coeffs))[: self.order + 1]
-        return PowerSeries(self.variables, coeffs)
-
-    def scale_argument(self, mono: MultiPoly) -> "PowerSeries":
-        """Substitute t -> mono * t, i.e. multiply coefficient n by mono^n."""
-        out = []
-        power = MultiPoly.one(self.variables)
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * mono
-        return PowerSeries(self.variables, out)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -163,7 +101,7 @@ def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
     """
     _check_size(order, "order")
     one = MultiPoly.one(spec.variables)
-    rows = _tableau_rows(spec.alpha, spec.beta, [one], top=lambda n: order - n)
+    rows = _tableau_rows(spec.alpha, spec.beta, [one], order=order)
     return PowerSeries(spec.variables, [one] + [row[0] for row in islice(rows, order)])
 
 

@@ -1,10 +1,12 @@
-"""Each demo runs to the end and reports success.
+"""Each demo and the README quick start run to the end and report success.
 
 Every line a demo ends in a boolean ends in True, no line is a ``FAIL`` or
 ``empty`` check status, and the verification tour prints a suite with every
-check passed and ``exit code: 0`` for its ``oeis-check`` run.
+check passed and ``exit code: 0`` for its ``oeis-check`` run.  The README's
+``>>>`` examples run as a doctest.
 """
 
+import doctest
 import os
 import re
 import subprocess
@@ -49,3 +51,13 @@ def test_demo_runs(demo):
     assert [ln for ln in lines if ln.startswith(("FAIL ", "empty "))] == []
     for line in REQUIRED.get(demo.stem, ()):
         assert any(line.fullmatch(ln) for ln in lines), line.pattern
+
+
+def test_readme_quick_start():
+    # The fenced block's closing ``` would read as expected output, so the
+    # block is cut at the fence before doctest parses it.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    failed, attempted = doctest.DocTestRunner().run(test)
+    assert (failed, attempted) == (0, 8)

@@ -29,7 +29,7 @@ from crossnest.permutations import (
 )
 from crossnest.polynomials import MultiPoly
 from crossnest.qmotzkin import h_tableau, q_motzkin, q_motzkin_tilde
-from crossnest.series import named_series
+from crossnest.series import PowerSeries, named_series
 
 
 class TestStatSpec:
@@ -125,6 +125,13 @@ class TestDistribution:
         calls.clear()
         assert sum(1 for _ in enumerate_class(6, PermClass.ALL)) == 720
         assert calls == []
+
+    def test_unknown_statistic(self):
+        # A spec must be a StatSpec, as a class must be a PermClass.
+        with pytest.raises(ValueError, match=r"^unknown statistic 'crs'$"):
+            distribution(PermClass.I4321, 3, "crs")
+        with pytest.raises(ValueError, match=r"^unknown class 'I4321'$"):
+            distribution("I4321", 3, StatSpec.CRS)
 
     def test_total_count_at_one(self):
         poly = distribution(PermClass.ALL, 5, StatSpec.CRS_PLUS_NES)
@@ -400,3 +407,25 @@ class TestFailurePath:
             "(spaced, tails, tails, pairs)=(True, (1,), (1,), ((2, 1),)), "
             "(True, des, exc, excedances)=(True, (1,), (1,), ((1, 1),))"
         )
+
+    def test_mtilde_equation_sees_a_wrong_term(self, monkeypatch):
+        def check():
+            return {c.name: c for c in run_suite("qpoly", 20).checks}[
+                "mtilde-functional-equation"
+            ]
+
+        unpatched = check()
+        assert unpatched.passed and unpatched.objects == 21
+
+        def mtilde_off_at_t5(name, order):
+            series = named_series(name, order)
+            if name != "Mtilde":
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[5] = coeffs[5] + MultiPoly.variable(series.variables, "q")
+            return PowerSeries(series.variables, coeffs)
+
+        monkeypatch.setattr(oracle_module, "named_series", mtilde_off_at_t5)
+        broken = check()
+        assert broken.status == "FAIL"
+        assert broken.counterexample.startswith("t^5: lhs=")
