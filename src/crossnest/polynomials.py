@@ -26,6 +26,7 @@ Both render to a canonical text form: terms ascending by total exponent
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Mapping, Sequence
 
 # Exponents are packed into a single int key, _EXP_BITS bits per variable.
@@ -85,9 +86,20 @@ def _pack_slots(coeffs: Iterable[int], slot: int) -> int:
     )
 
 
+# Slot widths that a memoryview reads as native unsigned ints in one call,
+# on a little-endian host; other widths are read slot by slot.
+_NATIVE_SLOTS = (
+    {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
 def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
     """The first ``count`` slots of a nonnegative packed integer."""
     raw = packed.to_bytes(slot * count, "little")
+    if slot in _NATIVE_SLOTS:
+        return memoryview(raw).cast(_NATIVE_SLOTS[slot]).tolist()
     return [
         int.from_bytes(raw[k : k + slot], "little")
         for k in range(0, slot * count, slot)

@@ -113,16 +113,16 @@ def _tableau_rows(
     beta: Callable[[int], Any],
     row: list,
     n: int = 0,
-    order: int | None = None,
 ) -> Iterator[list]:
     """Yield rows n+1, n+2, ... of a Stieltjes tableau, given its row n.
 
     Each row follows from the one before by the recurrence of
-    ``stieltjes_tableau``, entries missing from it counting as zero.  Row m
-    keeps the entries i = 0..min(m, order - m), the heights from which a
-    path still returns to 0 by t^order; all of them without ``order``.
-    Entries are polynomials of one type, level values polynomials of that
-    type or ints; each level is consulted once, and only for level >= 1.
+    ``stieltjes_tableau``, entries missing from it counting as zero, and row
+    m has the entries i = 0..m.  Entries are polynomials of one type, level
+    values polynomials of that type or ints; each level is consulted once,
+    and only for level >= 1.  It serves ``stieltjes_tableau`` and
+    ``h_tableau``; ``jfraction_series`` runs its own packed tableau, cut to
+    the series' order.
     """
     alpha, beta = cache(alpha), cache(beta)
     zero = row[0] * 0
@@ -130,9 +130,8 @@ def _tableau_rows(
     while True:
         n += 1
         last = len(prev) - 1
-        width = n if order is None else min(n, order - n)
         cur = []
-        for i in range(width + 1):
+        for i in range(n + 1):
             acc = prev[i + 1] if i < last else zero
             if i <= last:
                 acc = acc + alpha(i + 1) * prev[i]

@@ -9,6 +9,8 @@ from crossnest.polynomials import (
     UNI_ZERO,
     UniPoly,
     _convolve,
+    _pack_slots,
+    _unpack_slots,
 )
 
 
@@ -59,6 +61,19 @@ class TestConvolve:
     )
     def test_convolve_property(self, a, b):
         assert _convolve(a, b) == naive_convolve(a, b)
+
+
+class TestSlots:
+    def test_unpack_matches_slot_by_slot_at_every_width(self):
+        # Widths 1, 2, 4 and 8 are read as native ints in one call, the
+        # others slot by slot; both must read what _pack_slots wrote.
+        rng = random.Random(17)
+        for slot in range(1, 11):
+            top = (1 << (8 * slot)) - 1
+            coeffs = [rng.choice((0, 1, top, rng.randint(0, top))) for _ in range(40)]
+            packed = _pack_slots(coeffs, slot)
+            assert _unpack_slots(packed, slot, len(coeffs)) == coeffs, slot
+            assert _unpack_slots(packed, slot, 45) == coeffs + [0] * 5, slot
 
 
 class TestUniPoly:

@@ -1,8 +1,13 @@
+from itertools import islice, permutations
+from math import factorial
+
 import pytest
 
 from crossnest.paths import enumerate_paths, path_statistics
+from crossnest.permutations import perm_statistics
 from crossnest.polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
 from crossnest.qmotzkin import (
+    _tableau_rows,
     motzkin_number,
     q_motzkin,
     q_motzkin_tilde,
@@ -21,6 +26,35 @@ from crossnest.series import (
 
 def uni_coeffs(series: PowerSeries) -> list[UniPoly]:
     return [c.as_unipoly("q") for c in series.coeffs]
+
+
+def tableau_column(spec: FractionSpec, order: int) -> PowerSeries:
+    """Reference expansion: column 0 of the generic tableau, to t^order.
+
+    Rows of ``_tableau_rows`` over the ``MultiPoly`` levels, uncut, one
+    ``MultiPoly`` product per entry and level; no packing.
+    """
+    one = MultiPoly.one(spec.variables)
+    rows = islice(_tableau_rows(spec.alpha, spec.beta, [one]), order)
+    return PowerSeries(spec.variables, [one] + [row[0] for row in rows])
+
+
+def corteel_spec() -> FractionSpec:
+    """Corteel's J-fraction of S_n with y, p, q marking exc, crs, nes.
+
+    alpha_k = [k]_{p,q} + y [k-1]_{p,q} and beta_k = y [k]_{p,q}^2, where
+    [k]_{p,q} = sum_j p^j q^(k-1-j).  Its levels are not monomials, and its
+    coefficients outgrow the Motzkin numbers.
+    """
+    v = ("y", "p", "q")
+    y = MultiPoly.variable(v, "y")
+
+    def qint(k: int) -> MultiPoly:
+        return MultiPoly.from_terms(v, {(0, j, k - 1 - j): 1 for j in range(k)})
+
+    return FractionSpec(
+        v, lambda k: qint(k) + y * qint(k - 1), lambda k: y * qint(k) * qint(k)
+    )
 
 
 def level_by_level(spec: FractionSpec, order: int) -> PowerSeries:
@@ -129,6 +163,82 @@ class TestJFraction:
         series = jfraction_series(spec, 14)
         table = stieltjes_tableau(alpha, beta, 14)
         assert uni_coeffs(series) == [row[0] for row in table]
+
+    @pytest.mark.parametrize("name", sorted(_J_PRESETS))
+    def test_presets_match_generic_tableau(self, name):
+        # The packed engine against one MultiPoly product per entry, at
+        # every order: a low order cuts the tableau differently.
+        spec = _j_spec(*_J_PRESETS[name])
+        cap = 30 if len(spec.variables) == 1 else 16
+        reference = tableau_column(spec, cap).coeffs
+        for order in range(cap + 1):
+            assert named_series(name, order).coeffs == reference[: order + 1], order
+
+    def test_no_variables(self):
+        two, three = MultiPoly.constant((), 2), MultiPoly.constant((), 3)
+        spec = FractionSpec((), lambda k: two, lambda k: three)
+        assert jfraction_series(spec, 12) == tableau_column(spec, 12)
+
+    def test_corteel_fraction_counts_permutations(self):
+        spec = corteel_spec()
+        series = jfraction_series(spec, 12)
+        for n in range(8):
+            counts: dict[tuple[int, int, int], int] = {}
+            for w in permutations(range(1, n + 1)):
+                r = perm_statistics(w)
+                key = (r.exc, r.crs, r.nes)
+                counts[key] = counts.get(key, 0) + 1
+            assert series.coefficient(n) == MultiPoly.from_terms(spec.variables, counts)
+        ones = dict.fromkeys(spec.variables, 1)
+        assert [c.evaluate(ones) for c in series.coeffs] == [
+            factorial(n) for n in range(13)
+        ]
+
+    def test_corteel_fraction_outgrows_a_motzkin_slot(self):
+        # A slot sized from M_12, as for monomial levels at t^12, would carry:
+        # the slot bound must come from the tableau at every variable = 1.
+        spec = corteel_spec()
+        series = jfraction_series(spec, 12)
+        assert series == tableau_column(spec, 12)
+        top = max(c for _, c in series.coefficient(12).terms_sorted())
+        assert top == 2_112_134
+        motzkin_slot = (motzkin_number(12).bit_length() + 8) // 8
+        assert top >= 1 << (8 * motzkin_slot)
+
+    def test_levels_read_once_from_one(self):
+        one = MultiPoly.one(("q",))
+        for order in range(9):
+            seen = {"alpha": [], "beta": []}
+
+            def level(name):
+                def at(k):
+                    assert k >= 1, "levels are 1-based"
+                    seen[name].append(k)
+                    return one
+                return at
+
+            jfraction_series(FractionSpec(("q",), level("alpha"), level("beta")), order)
+            assert seen["alpha"] == list(range(1, (order + 1) // 2 + 1)), order
+            assert seen["beta"] == list(range(1, order // 2 + 1)), order
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            (1, 1, r"^alpha\(1\) is not a MultiPoly over \('q',\)$"),
+            (MultiPoly.one(("y", "q")), MultiPoly.one(("q",)),
+             r"^alpha\(1\) is not a MultiPoly over \('q',\)$"),
+            (MultiPoly.one(("q",)), UNI_ONE,
+             r"^beta\(1\) is not a MultiPoly over \('q',\)$"),
+            (-MultiPoly.variable(("q",), "q"), MultiPoly.one(("q",)),
+             r"^alpha\(1\) has a negative coefficient$"),
+            (MultiPoly.one(("q",)), MultiPoly.from_terms(("q",), {(0,): 2, (1,): -1}),
+             r"^beta\(1\) has a negative coefficient$"),
+        ],
+    )
+    def test_level_contract(self, alpha, beta, message):
+        spec = FractionSpec(("q",), lambda k: alpha, lambda k: beta)
+        with pytest.raises(ValueError, match=message):
+            jfraction_series(spec, 4)
 
     @pytest.mark.parametrize("name", sorted(_J_PRESETS))
     def test_presets_match_level_by_level_expansion(self, name):
