@@ -87,7 +87,8 @@ def _pack_slots(coeffs: Iterable[int], slot: int) -> int:
 
 
 # Slot widths that a memoryview reads as native unsigned ints in one call,
-# on a little-endian host; other widths are read slot by slot.
+# on a little-endian host; a multiple of 8 bytes is read as 64-bit limbs,
+# and other widths slot by slot.
 _NATIVE_SLOTS = (
     {memoryview(bytes(8)).cast(f).itemsize: f for f in "BHIQ"}
     if sys.byteorder == "little"
@@ -96,10 +97,25 @@ _NATIVE_SLOTS = (
 
 
 def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
-    """The first ``count`` slots of a nonnegative packed integer."""
+    """The first ``count`` slots of a nonnegative packed integer.
+
+    Slots of 1, 2, 4 or 8 bytes come out of one ``memoryview`` cast.  A
+    wider slot of a multiple of 8 bytes is read from the same cast to 64-bit
+    limbs: one strided slice per limb position, merged from the top limb
+    down in one comprehension each, which skips the shift while the limbs
+    above are zero.  Any other width, and every width on a host without
+    native slots, is read slot by slot with ``int.from_bytes``.
+    """
     raw = packed.to_bytes(slot * count, "little")
     if slot in _NATIVE_SLOTS:
         return memoryview(raw).cast(_NATIVE_SLOTS[slot]).tolist()
+    if slot % 8 == 0 and 8 in _NATIVE_SLOTS:
+        limbs, width = memoryview(raw).cast(_NATIVE_SLOTS[8]), slot // 8
+        out = limbs[width - 1 :: width].tolist()
+        for j in reversed(range(width - 1)):
+            lower = limbs[j::width].tolist()
+            out = [v << 64 | w if v else w for v, w in zip(out, lower)]
+        return out
     return [
         int.from_bytes(raw[k : k + slot], "little")
         for k in range(0, slot * count, slot)

@@ -15,6 +15,12 @@ q is a shift.  The terms k and n-2-k share their product, which is added in
 at both shifts.  Coefficients are nonnegative, so none exceeds the value at
 q = 1, a Motzkin number, and a slot that holds that number with a bit to
 spare never carries into the next (see ``_q_recurrence``).
+
+``h_tableau``, the tableau with levels q^(i-1), runs packed too, on its
+entries divided by the q^(i(i-1)/2) that every path to height i carries:
+a step is an add, a shift and an add per entry, with no product.
+``stieltjes_tableau`` takes any levels, so it stays on polynomial products
+(``_tableau_rows``).
 """
 
 from __future__ import annotations
@@ -109,10 +115,7 @@ LevelSeq = Callable[[int], "UniPoly | int"]
 
 
 def _tableau_rows(
-    alpha: Callable[[int], Any],
-    beta: Callable[[int], Any],
-    row: list,
-    n: int = 0,
+    alpha: Callable[[int], Any], beta: Callable[[int], Any], row: list
 ) -> Iterator[list]:
     """Yield rows n+1, n+2, ... of a Stieltjes tableau, given its row n.
 
@@ -120,18 +123,18 @@ def _tableau_rows(
     ``stieltjes_tableau``, entries missing from it counting as zero, and row
     m has the entries i = 0..m.  Entries are polynomials of one type, level
     values polynomials of that type or ints; each level is consulted once,
-    and only for level >= 1.  It serves ``stieltjes_tableau`` and
-    ``h_tableau``; ``jfraction_series`` runs its own packed tableau, cut to
-    the series' order.
+    and only for level >= 1.  It serves ``stieltjes_tableau`` alone, whose
+    levels are arbitrary and may have negative coefficients, and is the
+    tests' reference for the packed tableaux: ``h_tableau`` and
+    ``jfraction_series`` each run their own.
     """
     alpha, beta = cache(alpha), cache(beta)
     zero = row[0] * 0
     prev = row
     while True:
-        n += 1
         last = len(prev) - 1
         cur = []
-        for i in range(n + 1):
+        for i in range(last + 2):
             acc = prev[i + 1] if i < last else zero
             if i <= last:
                 acc = acc + alpha(i + 1) * prev[i]
@@ -162,8 +165,44 @@ def stieltjes_tableau(
     return rows
 
 
-def _h_level(i: int) -> UniPoly:
-    return UniPoly.q_power(i - 1)
+def _h_step(prev: list[int], bits: int) -> list[int]:
+    """Row n of the reduced tableau g from its row n-1,
+
+        g[n][i] = g[n-1][i-1] + q^i (g[n-1][i] + g[n-1][i+1]),
+
+    entries outside row n-1 counting as zero, each entry packed ``bits``
+    bits per coefficient.  With ``bits`` = 0 it is the tableau at q = 1.
+    """
+    p = [0, *prev, 0, 0]
+    return [
+        p[i] + ((p[i + 1] + p[i + 2]) << i * bits) for i in range(len(prev) + 1)
+    ]
+
+
+def _h_packed_rows(row: list[UniPoly], n_max: int) -> Iterator[list[UniPoly]]:
+    """Yield rows len(row) .. n_max of ``h_tableau``, given the row before.
+
+    The given row is packed once, its low zeros divided out, at one slot
+    width for the whole extension, sized from the q = 1 tableau to n_max;
+    each new entry is unpacked once, with its low zeros put back.
+    """
+    n = len(row) - 1
+    ones = [sum(h.coeffs) for h in row]
+    for _ in range(n, n_max):
+        ones = _h_step(ones, 0)
+    slot = (max(ones).bit_length() + 8) // 8
+    slot = 1 << (slot - 1).bit_length() if slot <= 8 else -(-slot // 8) * 8
+    bits = 8 * slot
+    g = [_pack_slots(h.coeffs[i * (i - 1) // 2 :], slot) for i, h in enumerate(row)]
+    for _ in range(n, n_max):
+        g = _h_step(g, bits)
+        yield [
+            UniPoly(
+                [0] * (i * (i - 1) // 2)
+                + _unpack_slots(v, slot, -(-v.bit_length() // bits))
+            )
+            for i, v in enumerate(g)
+        ]
 
 
 def h_tableau(n_max: int) -> list[list[UniPoly]]:
@@ -174,12 +213,26 @@ def h_tableau(n_max: int) -> list[list[UniPoly]]:
 
     >>> str(h_tableau(4)[4][0])
     '5 + 3*q + q^2'
+
+    Entry (n, i) is a multiple of q^(i(i-1)/2): a path to height i climbs
+    through levels 1..i, and those up steps weigh q^0, ..., q^(i-1).  So the
+    rows are built from g[n][i] = h[n][i] / q^(i(i-1)/2), which obeys
+
+        g[n][i] = g[n-1][i-1] + q^i (g[n-1][i] + g[n-1][i+1]),
+
+    one add, one shift and one add per entry, on ints about half as long
+    and with no product.  Each g entry is one int, ``slot`` bytes per
+    coefficient.  No slot carries: every coefficient is nonnegative, so each
+    one of an entry, and of its partial sums, is at most the entry's value
+    at q = 1, and the q = 1 tableau only grows down each column, so the
+    last row built bounds them all.  ``slot`` holds that bound with a bit to
+    spare, rounded up to 1, 2, 4 or 8 bytes, or to a multiple of 8 above
+    that: the widths ``_unpack_slots`` reads without a call per slot.
     """
     _check_size(n_max, "n_max")
     rows = _h_rows
     if len(rows) <= n_max:
-        more = _tableau_rows(_h_level, _h_level, rows[-1], len(rows) - 1)
-        rows += islice(more, n_max + 1 - len(rows))
+        rows += _h_packed_rows(rows[-1], n_max)
     return [list(row) for row in rows[: n_max + 1]]
 
 

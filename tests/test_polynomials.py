@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crossnest import polynomials
 from crossnest.polynomials import (
     MultiPoly,
     UNI_ONE,
@@ -63,17 +64,34 @@ class TestConvolve:
         assert _convolve(a, b) == naive_convolve(a, b)
 
 
+def check_slots_read_back(slot: int) -> None:
+    # Values at the top of a slot, with only its top bit set, one byte short
+    # of the top, and one full low limb, so that a wide slot has zero and
+    # nonzero limbs above each limb.
+    rng = random.Random(17)
+    top = (1 << (8 * slot)) - 1
+    edges = (0, 1, top, 1 << (8 * slot - 1), top >> 8, (1 << 64) - 1 & top)
+    coeffs = [rng.choice(edges + (rng.randint(0, top),)) for _ in range(40)]
+    packed = _pack_slots(coeffs, slot)
+    assert _unpack_slots(packed, slot, len(coeffs)) == coeffs, slot
+    assert _unpack_slots(packed, slot, 45) == coeffs + [0] * 5, slot
+
+
 class TestSlots:
+    # Widths 1, 2, 4 and 8 are read as native ints in one call, 16 and 24 as
+    # 64-bit limbs, the others slot by slot; every route must read what
+    # _pack_slots wrote.
+    WIDTHS = range(1, 25)
+
     def test_unpack_matches_slot_by_slot_at_every_width(self):
-        # Widths 1, 2, 4 and 8 are read as native ints in one call, the
-        # others slot by slot; both must read what _pack_slots wrote.
-        rng = random.Random(17)
-        for slot in range(1, 11):
-            top = (1 << (8 * slot)) - 1
-            coeffs = [rng.choice((0, 1, top, rng.randint(0, top))) for _ in range(40)]
-            packed = _pack_slots(coeffs, slot)
-            assert _unpack_slots(packed, slot, len(coeffs)) == coeffs, slot
-            assert _unpack_slots(packed, slot, 45) == coeffs + [0] * 5, slot
+        for slot in self.WIDTHS:
+            check_slots_read_back(slot)
+
+    def test_big_endian_route_at_every_width(self, monkeypatch):
+        # With no native slots every width is read slot by slot.
+        monkeypatch.setattr(polynomials, "_NATIVE_SLOTS", {})
+        for slot in self.WIDTHS:
+            check_slots_read_back(slot)
 
 
 class TestUniPoly:

@@ -1,3 +1,4 @@
+from functools import cache
 from pathlib import Path
 from typing import Callable
 
@@ -5,7 +6,7 @@ import pytest
 
 from crossnest import qmotzkin
 from crossnest.oracle import run_suite
-from crossnest.polynomials import UNI_ONE, UniPoly
+from crossnest.polynomials import UNI_ONE, UniPoly, _unpack_slots
 from crossnest.qmotzkin import (
     h_recursion_rhs,
     h_tableau,
@@ -164,6 +165,17 @@ class TestPackedRecurrence:
             q_motzkin_tilde(-1)
 
 
+@cache
+def reference_h_tableau(n: int) -> list[list[UniPoly]]:
+    """Test-only reference: the generic tableau with levels q^(i-1), one
+    UniPoly product per level and entry."""
+
+    def level(i: int) -> UniPoly:
+        return UniPoly.q_power(i - 1)
+
+    return stieltjes_tableau(level, level, n)
+
+
 # All fifteen tableau entries for n <= 4 in canonical rendering.
 TABLE_RENDERED = [
     ["1"],
@@ -213,17 +225,46 @@ class TestTableau:
         assert len(h_tableau(5)[5]) == 6
 
     def test_cache_extension_matches_a_fresh_tableau(self, monkeypatch):
-        def level(i: int) -> UniPoly:
-            return UniPoly.q_power(i - 1)
+        monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
+        assert h_tableau(3) == reference_h_tableau(50)[:4]
+        assert h_tableau(12) == reference_h_tableau(50)[:13]
+        assert len(qmotzkin._h_rows) == 13
+
+    def test_fresh_tableau_matches_reference_at_every_size(self, monkeypatch):
+        for n in range(31):
+            monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
+            assert h_tableau(n) == reference_h_tableau(50)[: n + 1], n
+
+    def test_extension_across_slot_widths_matches_reference(self, monkeypatch):
+        # Row 40 fits 8-byte slots, one cast; rows 41..50 need 16-byte ones,
+        # read as 64-bit limbs, and row 40 is packed again at that width.
+        widths = []
+
+        def recording(packed, slot, count):
+            widths.append(slot)
+            return _unpack_slots(packed, slot, count)
 
         monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
-        assert h_tableau(3) == stieltjes_tableau(level, level, 3)
-        assert h_tableau(12) == stieltjes_tableau(level, level, 12)
-        assert len(qmotzkin._h_rows) == 13
+        monkeypatch.setattr(qmotzkin, "_unpack_slots", recording)
+        h_tableau(40)
+        assert set(widths) == {8}
+        widths.clear()
+        assert h_tableau(50) == reference_h_tableau(50)
+        assert set(widths) == {16}
+
+    def test_entries_have_their_up_steps_as_low_zeros(self):
+        # Entry (n, i) has exactly i(i-1)/2 leading zero coefficients, which
+        # h_tableau divides out; checked on the reference, not on h_tableau.
+        table = reference_h_tableau(50)
+        for n in range(1, 31):
+            for i in range(1, n + 1):
+                coeffs = table[n][i].coeffs
+                low = next(k for k, c in enumerate(coeffs) if c)
+                assert low == i * (i - 1) // 2, (n, i)
 
     def test_suite_builds_each_row_once(self, monkeypatch):
         built = []
-        real = qmotzkin._tableau_rows
+        real = qmotzkin._h_packed_rows
 
         def counting(*args, **kwargs):
             for row in real(*args, **kwargs):
@@ -231,7 +272,7 @@ class TestTableau:
                 yield row
 
         monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
-        monkeypatch.setattr(qmotzkin, "_tableau_rows", counting)
+        monkeypatch.setattr(qmotzkin, "_h_packed_rows", counting)
         assert run_suite("qpoly", 99).passed
         assert built == list(range(1, 31))
 
