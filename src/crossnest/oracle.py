@@ -391,10 +391,12 @@ def _tableau_first_column(cap: int) -> Iterator[Case]:
 
 
 def _tableau_row_pair(cap: int) -> Iterator[Case]:
+    # H(n,0) = H(n-1,0) + H(n-1,1) with column 0 from the recurrence, so
+    # only column 1 comes from the tableau, and the row checks it.
     table = h_tableau(cap)
     for n in range(1, cap + 1):
-        below = table[n - 1][0] + (table[n - 1][1] if n >= 2 else 0)
-        yield f"n={n}", table[n][0], below
+        below = q_motzkin_tilde(n - 1) + (table[n - 1][1] if n >= 2 else 0)
+        yield f"n={n}", q_motzkin_tilde(n), below
 
 
 def _dumont(cap: int) -> Iterator[Case]:

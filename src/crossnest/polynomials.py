@@ -27,6 +27,7 @@ Both render to a canonical text form: terms ascending by total exponent
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 # Exponents are packed into a single int key, _EXP_BITS bits per variable.
@@ -101,9 +102,9 @@ def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
 
     Slots of 1, 2, 4 or 8 bytes come out of one ``memoryview`` cast.  A
     wider slot of a multiple of 8 bytes is read from the same cast to 64-bit
-    limbs: one strided slice per limb position, merged from the top limb
-    down in one comprehension each, which skips the shift while the limbs
-    above are zero.  Any other width, and every width on a host without
+    limbs: the lowest limbs in one strided slice, then each higher limb ORed
+    in only where ``compress`` finds it nonzero, with no Python step for the
+    slots it skips.  Any other width, and every width on a host without
     native slots, is read slot by slot with ``int.from_bytes``.
     """
     raw = packed.to_bytes(slot * count, "little")
@@ -111,10 +112,11 @@ def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
         return memoryview(raw).cast(_NATIVE_SLOTS[slot]).tolist()
     if slot % 8 == 0 and 8 in _NATIVE_SLOTS:
         limbs, width = memoryview(raw).cast(_NATIVE_SLOTS[8]), slot // 8
-        out = limbs[width - 1 :: width].tolist()
-        for j in reversed(range(width - 1)):
-            lower = limbs[j::width].tolist()
-            out = [v << 64 | w if v else w for v, w in zip(out, lower)]
+        out = limbs[::width].tolist()
+        for j in range(1, width):
+            high = limbs[j::width]
+            for k in compress(range(count), high):
+                out[k] |= high[k] << 64 * j
         return out
     return [
         int.from_bytes(raw[k : k + slot], "little")

@@ -16,21 +16,31 @@ at both shifts.  Coefficients are nonnegative, so none exceeds the value at
 q = 1, a Motzkin number, and a slot that holds that number with a bit to
 spare never carries into the next (see ``_q_recurrence``).
 
-``h_tableau``, the tableau with levels q^(i-1), runs packed too, on its
-entries divided by the q^(i(i-1)/2) that every path to height i carries:
-a step is an add, a shift and an add per entry, with no product.
-``stieltjes_tableau`` takes any levels, so it stays on polynomial products
-(``_tableau_rows``).
+Every Stieltjes tableau of the package, ``stieltjes_tableau``,
+``h_tableau`` (levels q^(i-1)) and the J-fractions of
+``series.jfraction_series``, runs on one packed engine, ``_PackedTableau``:
+full rows for the first two, rows cut to the order for the third, by
+shifts and adds with no product, and each entry divided by the power of
+the packed variable that its up steps carry.  Levels must be nonnegative.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import islice
+from itertools import accumulate, count
 from typing import Any, Callable, Iterator, Sequence
 
 from .permutations import _check_size
-from .polynomials import UNI_ONE, UniPoly, _pack_slots, _unpack_slots
+from .polynomials import (
+    _EXP_BITS,
+    _EXP_MASK,
+    UNI_ONE,
+    UNI_ZERO,
+    MultiPoly,
+    UniPoly,
+    _pack,
+    _pack_slots,
+    _unpack_slots,
+)
 
 _motzkin_cache: list[int] = [1, 1]
 _q_motzkin_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]
@@ -114,35 +124,136 @@ def q_motzkin_tilde(n: int) -> UniPoly:
 LevelSeq = Callable[[int], "UniPoly | int"]
 
 
-def _tableau_rows(
-    alpha: Callable[[int], Any], beta: Callable[[int], Any], row: list
-) -> Iterator[list]:
-    """Yield rows n+1, n+2, ... of a Stieltjes tableau, given its row n.
+def _level_terms(level: Callable, name: str, k: int, variables: tuple) -> list:
+    """Level ``name``(k) as (exponent key, coefficient) terms."""
+    value = level(k)
+    if not isinstance(value, MultiPoly) or value.variables != variables:
+        raise ValueError(f"{name}({k}) is not a MultiPoly over {variables}")
+    terms = [(_pack(exps), c) for exps, c in value.terms_sorted()]
+    if any(c < 0 for _, c in terms):
+        raise ValueError(f"{name}({k}) has a negative coefficient")
+    return terms
 
-    Each row follows from the one before by the recurrence of
-    ``stieltjes_tableau``, entries missing from it counting as zero, and row
-    m has the entries i = 0..m.  Entries are polynomials of one type, level
-    values polynomials of that type or ints; each level is consulted once,
-    and only for level >= 1.  It serves ``stieltjes_tableau`` alone, whose
-    levels are arbitrary and may have negative coefficients, and is the
-    tests' reference for the packed tableaux: ``h_tableau`` and
-    ``jfraction_series`` each run their own.
+
+def _step(alpha: list, beta: list, down: list, ints: bool) -> Callable:
+    """Entry i of a row from entries i-1, i, i+1 of the row before, ints or
+    dicts of them.  An alpha term (key offset, shift, coefficient) equal to
+    the step down, ``down[i]``, is added first: (h[n-1][i+1] + h[n-1][i]) << s."""
+    down = down + [0]
+    fold = [(0, s, 1) in terms for terms, s in zip(alpha, down)] + [False]
+    alpha = [[t for t in terms if t != (0, s, 1)] for terms, s in zip(alpha, down)]
+    alpha, beta = alpha + [[]], [[]] + beta
+
+    def int_step(i: int, below: int, level: int, above: int) -> int:
+        acc = (above + level if fold[i] else above) << down[i]
+        for terms, entry in ((alpha[i], level), (beta[i], below)):
+            for _, shift, c in terms:
+                term = entry if c == 1 else c * entry
+                acc += term << shift if shift else term  # << 0 copies
+        return acc
+
+    def dict_step(i: int, below: dict, level: dict, above: dict) -> dict:
+        if fold[i]:
+            above = dict(above)
+            for k, v in level.items():
+                above[k] = above.get(k, 0) + v
+        s = down[i]
+        acc = {k: v << s for k, v in above.items()} if s else dict(above)
+        get = acc.get
+        for terms, entry in ((alpha[i], level), (beta[i], below)):
+            for off, shift, c in terms:
+                for key, val in entry.items():
+                    k, val = key + off, val if c == 1 else c * val
+                    acc[k] = get(k, 0) + (val << shift if shift else val)
+        return acc
+
+    return int_step if ints else dict_step
+
+
+class _PackedTableau:
+    """The Stieltjes tableau of ``stieltjes_tableau`` on packed big ints.
+
+    Row n keeps the heights i <= n, or cut, i <= min(n, n_max - n), which
+    can still return to 0 by row n_max; so alpha(k) and beta(k) are read
+    for k <= n_max, or cut, for k <= (n_max+1)/2 and k <= n_max/2.  Each
+    level is read once, never at 0, and must be a ``MultiPoly`` over
+    ``variables`` with nonnegative coefficients, or ``ValueError`` is raised.
+
+    An entry maps the key of every variable but one, x, to its polynomial
+    in x, one int of ``slot`` bytes per coefficient (the int alone when no
+    level has another variable), so a level term c*m is a key offset and a
+    shift, times c.  x has the most distinct exponents, ties to the last.
+    A path to height i climbs through levels 1..i, so entry (n, i) is a
+    multiple of x^z_i, z_i = m_1 + ... + m_i, m_k the least power of x in
+    beta(k) (0 if none), and is carried divided by it: the step down from
+    i+1 shifts by m_(i+1), the step up at level i takes beta(i) / x^m_i,
+    and unpacking puts ``zeros[i]`` = z_i back.  No slot carries: each
+    nonnegative coefficient of an entry, and of its partial sums, is at
+    most its value with every variable at 1, bounded by the same tableau in
+    plain ints; ``slot`` holds that with a bit to spare, as 1, 2, 4 or 8
+    bytes or a multiple of 8, the widths ``_unpack_slots`` reads in bulk.
     """
-    alpha, beta = cache(alpha), cache(beta)
-    zero = row[0] * 0
-    prev = row
-    while True:
-        last = len(prev) - 1
-        cur = []
-        for i in range(last + 2):
-            acc = prev[i + 1] if i < last else zero
-            if i <= last:
-                acc = acc + alpha(i + 1) * prev[i]
-            if i:
-                acc = acc + beta(i) * prev[i - 1]
-            cur.append(acc)
-        yield cur
-        prev = cur
+
+    def __init__(self, variables: tuple, alpha: Callable, beta: Callable,
+                 n_max: int, cut: bool = False):
+        self.variables, self.n_max, self.cut = variables, n_max, cut
+        tops = ((n_max + 1) // 2, n_max // 2) if cut else (n_max, n_max)
+        alpha, beta = (
+            [_level_terms(level, name, k, variables) for k in range(1, top + 1)]
+            for level, name, top in zip((alpha, beta), ("alpha", "beta"), tops)
+        )
+        keys = [key for terms in alpha + beta for key, _ in terms]
+        spread = [len({key >> _EXP_BITS * j & _EXP_MASK for key in keys})
+                  for j in range(len(variables))]
+        var = max(reversed(range(len(spread))), key=spread.__getitem__, default=0)
+        pbit = self.pbit = _EXP_BITS * var
+        low = [min((key >> pbit & _EXP_MASK for key, _ in terms), default=0)
+               for terms in beta]
+        self.zeros = list(accumulate(low, initial=0))
+
+        ones = ([[(0, 0, sum(c for _, c in terms))] for terms in side]
+                for side in (alpha, beta))
+        int_rows = self._rows(1, 0, _step(*ones, [0] * len(low), True))
+        slot = (max((max(row) for row in int_rows), default=1).bit_length() + 8) // 8
+        self.slot = 1 << (slot - 1).bit_length() if slot <= 8 else -(-slot // 8) * 8
+        bits = self.bits = 8 * self.slot
+
+        others = ~(_EXP_MASK << pbit)
+        ints = not any(key & others for key in keys)
+
+        def shifts(terms: list, m: int = 0) -> list[tuple[int, int, int]]:
+            return [(key & others, ((key >> pbit & _EXP_MASK) - m) * bits, c)
+                    for key, c in terms]
+
+        alpha = [shifts(terms) for terms in alpha]
+        step = _step(alpha, list(map(shifts, beta, low)), [m * bits for m in low], ints)
+        self._packed = (1, 0, step) if ints else ({0: 1}, {}, step)
+
+    def _rows(self, start: Any, zero: Any, step: Callable) -> Iterator[list]:
+        """Rows 1..n_max after row 0 = [start], missing entries ``zero``."""
+        n_max, cut = self.n_max, self.cut
+        prev = [start]
+        for n in range(1, n_max + 1):
+            p = [zero, *prev, zero, zero]
+            prev = [step(i, p[i], p[i + 1], p[i + 2])
+                    for i in range(min(n, n_max - n) + 1 if cut else n + 1)]
+            yield prev
+
+    def rows(self) -> Iterator[list]:
+        """Rows 1..n_max, every entry packed and divided by its x^z_i."""
+        return self._rows(*self._packed)
+
+    def unpack(self, packed: int) -> list[int]:
+        """The coefficients of one packed int, lowest power of x first."""
+        return _unpack_slots(packed, self.slot, -(-packed.bit_length() // self.bits))
+
+    def multipoly(self, entry: "int | dict[int, int]", i: int) -> MultiPoly:
+        """Entry (n, i) of a row as a ``MultiPoly``, its x^z_i put back."""
+        step, low = 1 << self.pbit, self.zeros[i] << self.pbit
+        terms: dict[int, int] = {}
+        for key, val in entry.items() if isinstance(entry, dict) else [(0, entry)]:
+            terms.update(zip(count(key + low, step), self.unpack(val)))
+        return MultiPoly(self.variables, terms)
 
 
 def stieltjes_tableau(
@@ -157,83 +268,44 @@ def stieltjes_tableau(
                   + h[n-1][i+1]
 
     where entries outside 0 <= i <= n-1 in row n-1 count as zero; alpha and
-    beta are only consulted for level >= 1.
+    beta are consulted once per level, and only for level >= 1.  Levels are
+    ``UniPoly``s or ints with nonnegative coefficients, or ``ValueError`` is
+    raised: the rows are the full rows of ``_PackedTableau``.
     """
     _check_size(n_max, "n_max")
-    rows = [[UNI_ONE]]
-    rows += islice(_tableau_rows(alpha, beta, rows[0]), n_max)
-    return rows
 
+    def level(seq: LevelSeq) -> Callable[[int], MultiPoly]:
+        return lambda k: MultiPoly.from_unipoly(UNI_ZERO + seq(k), ("q",))
 
-def _h_step(prev: list[int], bits: int) -> list[int]:
-    """Row n of the reduced tableau g from its row n-1,
-
-        g[n][i] = g[n-1][i-1] + q^i (g[n-1][i] + g[n-1][i+1]),
-
-    entries outside row n-1 counting as zero, each entry packed ``bits``
-    bits per coefficient.  With ``bits`` = 0 it is the tableau at q = 1.
-    """
-    p = [0, *prev, 0, 0]
-    return [
-        p[i] + ((p[i + 1] + p[i + 2]) << i * bits) for i in range(len(prev) + 1)
+    table = _PackedTableau(("q",), level(alpha), level(beta), n_max)
+    zeros = [[0] * z for z in table.zeros]
+    return [[UNI_ONE]] + [
+        [UniPoly(zeros[i] + table.unpack(e)) for i, e in enumerate(row)]
+        for row in table.rows()
     ]
 
 
-def _h_packed_rows(row: list[UniPoly], n_max: int) -> Iterator[list[UniPoly]]:
-    """Yield rows len(row) .. n_max of ``h_tableau``, given the row before.
-
-    The given row is packed once, its low zeros divided out, at one slot
-    width for the whole extension, sized from the q = 1 tableau to n_max;
-    each new entry is unpacked once, with its low zeros put back.
-    """
-    n = len(row) - 1
-    ones = [sum(h.coeffs) for h in row]
-    for _ in range(n, n_max):
-        ones = _h_step(ones, 0)
-    slot = (max(ones).bit_length() + 8) // 8
-    slot = 1 << (slot - 1).bit_length() if slot <= 8 else -(-slot // 8) * 8
-    bits = 8 * slot
-    g = [_pack_slots(h.coeffs[i * (i - 1) // 2 :], slot) for i, h in enumerate(row)]
-    for _ in range(n, n_max):
-        g = _h_step(g, bits)
-        yield [
-            UniPoly(
-                [0] * (i * (i - 1) // 2)
-                + _unpack_slots(v, slot, -(-v.bit_length() // bits))
-            )
-            for i, v in enumerate(g)
-        ]
+def _q_level(i: int) -> UniPoly:
+    return UniPoly.q_power(i - 1)
 
 
 def h_tableau(n_max: int) -> list[list[UniPoly]]:
-    """Tableau with alpha(i) = beta(i) = q^(i-1).
+    """``stieltjes_tableau`` with alpha(i) = beta(i) = q^(i-1).
 
-    Rows are cached and extended on demand; each call returns fresh lists.
-    Its first column reproduces ``q_motzkin_tilde``:
+    Rows are cached; each call returns fresh lists, and a call past the
+    cache builds the tableau again from row 0.  Its first column reproduces
+    ``q_motzkin_tilde``:
 
     >>> str(h_tableau(4)[4][0])
     '5 + 3*q + q^2'
 
-    Entry (n, i) is a multiple of q^(i(i-1)/2): a path to height i climbs
-    through levels 1..i, and those up steps weigh q^0, ..., q^(i-1).  So the
-    rows are built from g[n][i] = h[n][i] / q^(i(i-1)/2), which obeys
-
-        g[n][i] = g[n-1][i-1] + q^i (g[n-1][i] + g[n-1][i+1]),
-
-    one add, one shift and one add per entry, on ints about half as long
-    and with no product.  Each g entry is one int, ``slot`` bytes per
-    coefficient.  No slot carries: every coefficient is nonnegative, so each
-    one of an entry, and of its partial sums, is at most the entry's value
-    at q = 1, and the q = 1 tableau only grows down each column, so the
-    last row built bounds them all.  ``slot`` holds that bound with a bit to
-    spare, rounded up to 1, 2, 4 or 8 bytes, or to a multiple of 8 above
-    that: the widths ``_unpack_slots`` reads without a call per slot.
+    Entry (n, i) is a multiple of q^(i(i-1)/2), the weight of the up steps
+    through levels 1..i, which ``_PackedTableau`` divides out.
     """
     _check_size(n_max, "n_max")
-    rows = _h_rows
-    if len(rows) <= n_max:
-        rows += _h_packed_rows(rows[-1], n_max)
-    return [list(row) for row in rows[: n_max + 1]]
+    if len(_h_rows) <= n_max:
+        _h_rows[:] = stieltjes_tableau(_q_level, _q_level, n_max)
+    return [list(row) for row in _h_rows[: n_max + 1]]
 
 
 def h_recursion_rhs(n: int, i: int, table: Sequence[Sequence[UniPoly]]) -> UniPoly:

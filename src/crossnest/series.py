@@ -9,15 +9,12 @@ value with no series arithmetic.  A ``FractionSpec`` is a J-fraction
 with level coefficients a_k, b_k for k >= 1.  ``jfraction_series`` expands
 it to a given order: the t^n coefficient is the weighted count of Motzkin
 paths of length n (Flajolet, 1980), which is column 0 of the Stieltjes
-tableau with alpha = a and beta = b.  Row n only keeps the heights
-<= N - n from which a path can still return to 0 by t^N.  The levels are
-``MultiPoly``s with nonnegative coefficients, read once into terms.  The
-tableau runs packed: each entry maps the exponents of every variable but
-one to the polynomial in that one variable, held as one int with a fixed
-number of bytes per coefficient, so a level term is a key offset and a
-shift, not a product.  No coefficient exceeds its entry's value with every
-variable at 1, so a slot sized from the same tableau in plain ints never
-carries (Kronecker substitution; Harvey, 2009).
+tableau with alpha = a and beta = b.  The levels are ``MultiPoly``s with
+nonnegative coefficients.  The tableau runs on the package's one packed
+engine, ``qmotzkin._PackedTableau``, with row n cut to the heights
+<= N - n that can still return to 0 by t^N: one variable of each entry is
+packed into a big int (Kronecker substitution; Harvey, 2009), so a level
+term is a key offset and a shift, not a product.
 
 The one nested fraction, the left side of main12, is an S-fraction: its
 t^m coefficient sums Dyck paths whose down step from height k weighs
@@ -28,23 +25,13 @@ without the tableau and without a product; see ``_preset_main12_lhs``.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .permutations import _check_size
-from .polynomials import (
-    _EXP_BITS,
-    _EXP_MASK,
-    UNI_ONE,
-    UNI_ZERO,
-    MultiPoly,
-    UniPoly,
-    _pack,
-    _unpack_slots,
-)
-from .qmotzkin import q_motzkin, q_motzkin_tilde
+from .polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
+from .qmotzkin import _PackedTableau, q_motzkin, q_motzkin_tilde
 
 Level = Callable[[int], MultiPoly]
 
@@ -108,42 +95,6 @@ class FractionSpec:
     beta: Level
 
 
-def _cut_rows(
-    order: int, start: Any, zero: Any, mac: Callable, alpha: list, beta: list
-) -> Iterator[list]:
-    """Rows 1..order of the Stieltjes tableau with row 0 ``[start]``.
-
-    Row n keeps the heights i <= min(n, order - n); entries missing from the
-    row before count as ``zero``.  ``alpha[i]`` and ``beta[i]`` are levels
-    i + 1, and ``mac(acc, level, entry)`` adds level * entry to ``acc`` and
-    returns it; ``acc`` starts as a copy of the entry one height up.
-    """
-    prev = [start]
-    for n in range(1, order + 1):
-        last = len(prev) - 1
-        cur = []
-        for i in range(min(n, order - n) + 1):
-            acc = copy(prev[i + 1] if i < last else zero)
-            if i <= last:
-                acc = mac(acc, alpha[i], prev[i])
-            if i:
-                acc = mac(acc, beta[i - 1], prev[i - 1])
-            cur.append(acc)
-        yield cur
-        prev = cur
-
-
-def _level_terms(spec: FractionSpec, name: str, k: int) -> list:
-    """Level ``name``(k) of ``spec`` as (exponent tuple, coefficient) terms."""
-    level = getattr(spec, name)(k)
-    if not isinstance(level, MultiPoly) or level.variables != spec.variables:
-        raise ValueError(f"{name}({k}) is not a MultiPoly over {spec.variables}")
-    terms = level.terms_sorted()
-    if any(c < 0 for _, c in terms):
-        raise ValueError(f"{name}({k}) has a negative coefficient")
-    return terms
-
-
 def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
     """Expand a J-fraction to a power series truncated at t^order.
 
@@ -151,74 +102,15 @@ def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
 
         h[n][i] = h[n-1][i+1] + alpha(i+1) h[n-1][i] + beta(i) h[n-1][i-1],
 
-    and row n only keeps the heights i <= order - n from which a path still
-    returns to height 0 by t^order.  So alpha(k) is consulted for
-    k <= (order+1)/2 and beta(k) for k <= order/2, each once and never at 0.
-    Every level must be a ``MultiPoly`` over ``spec.variables`` with
-    nonnegative coefficients; anything else raises ``ValueError``.
-
-    Each entry is packed: a dict from the exponent key of every variable but
-    one, the packed variable, to that variable's polynomial as one int with
-    ``slot`` bytes per coefficient.  A level term c*m adds m's key offset to
-    the key and shifts the int by 8*slot bits per power of the packed
-    variable, with one multiply when c != 1; no polynomial product is taken.
-    The packed variable is the one with the most distinct exponents over the
-    levels read, ties going to the last, so that the ints are long and the
-    dicts small.  No slot carries: the coefficients are nonnegative, so every
-    coefficient of an entry, and of every partial sum of it, is at most the
-    entry's value with every variable at 1.  The same truncated tableau in
-    plain ints gives the largest such value, and ``slot`` holds it with a
-    bit to spare; a slot of at most 8 bytes is rounded up to 1, 2, 4 or 8,
-    which ``_unpack_slots`` reads in one call.  Only column 0 is unpacked,
-    once per row.
+    in the cut mode of ``qmotzkin._PackedTableau``: alpha(k) is consulted
+    for k <= (order+1)/2 and beta(k) for k <= order/2, each once and never
+    at 0, and must be a ``MultiPoly`` over ``spec.variables`` with
+    nonnegative coefficients, or ``ValueError`` is raised.
     """
     _check_size(order, "order")
-    variables = spec.variables
-    alpha = [_level_terms(spec, "alpha", k) for k in range(1, (order + 1) // 2 + 1)]
-    beta = [_level_terms(spec, "beta", k) for k in range(1, order // 2 + 1)]
-
-    ones = [[sum(c for _, c in terms) for terms in side] for side in (alpha, beta)]
-    int_rows = _cut_rows(order, 1, 0, lambda acc, a, h: acc + a * h, *ones)
-    top = max((max(row) for row in int_rows), default=1)
-    slot = (top.bit_length() + 8) // 8
-    if slot <= 8:
-        slot = 1 << (slot - 1).bit_length()
-    bits = 8 * slot
-
-    read = [exps for terms in alpha + beta for exps, _ in terms]
-    spread = [len({exps[j] for exps in read}) for j in range(len(variables))]
-    packed_var = max(reversed(range(len(spread))), key=spread.__getitem__, default=0)
-    pbit = _EXP_BITS * packed_var
-
-    def shifts(terms: list) -> list[tuple[int, int, int]]:
-        # (key offset, shift in bits, coefficient) per level term
-        out = []
-        for exps, c in terms:
-            key = _pack(exps)
-            e = key >> pbit & _EXP_MASK
-            out.append((key - (e << pbit), e * bits, c))
-        return out
-
-    def mac(acc: dict, level: list, entry: dict) -> dict:
-        get = acc.get
-        for off, shift, c in level:
-            for key, val in entry.items():
-                k = key + off
-                acc[k] = get(k, 0) + ((val if c == 1 else c * val) << shift)
-        return acc
-
-    def unpack(entry: dict) -> MultiPoly:
-        terms: dict[int, int] = {}
-        for key, val in entry.items():
-            coeffs = _unpack_slots(val, slot, -(-val.bit_length() // bits))
-            keys = range(key, key + (len(coeffs) << pbit), 1 << pbit)
-            terms.update(zip(keys, coeffs))
-        return MultiPoly(variables, terms)
-
-    rows = _cut_rows(order, {0: 1}, {}, mac, [shifts(t) for t in alpha],
-                     [shifts(t) for t in beta])
-    one = MultiPoly.one(variables)
-    return PowerSeries(variables, [one] + [unpack(row[0]) for row in rows])
+    table = _PackedTableau(spec.variables, spec.alpha, spec.beta, order, cut=True)
+    column = [table.multipoly(row[0], 0) for row in table.rows()]
+    return PowerSeries(spec.variables, [MultiPoly.one(spec.variables), *column])
 
 
 # The j-fraction presets, one row each: variables, then the exponents of

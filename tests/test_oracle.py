@@ -8,6 +8,7 @@ from test_permutations import pair_loop_statistics
 
 import crossnest.oracle as oracle_module
 import crossnest.permutations as permutations_module
+import crossnest.qmotzkin as qmotzkin_module
 from crossnest.bijections import phi1, phi2, phi3_inverse
 from crossnest.cli import cmd_dispatch
 from crossnest.oracle import (
@@ -27,7 +28,7 @@ from crossnest.permutations import (
     enumerate_class,
     head_tail_pairs,
 )
-from crossnest.polynomials import MultiPoly
+from crossnest.polynomials import UNI_ONE, MultiPoly
 from crossnest.qmotzkin import h_tableau, q_motzkin, q_motzkin_tilde
 from crossnest.series import PowerSeries, named_series
 
@@ -429,3 +430,32 @@ class TestFailurePath:
         broken = check()
         assert broken.status == "FAIL"
         assert broken.counterexample.startswith("t^5: lhs=")
+
+    def test_tableau_rows_see_a_fault_in_the_shared_engine(self, monkeypatch):
+        # One extra term at height 2 of every row the packed tableau builds,
+        # in full mode (h_tableau) and cut mode (the J-fraction presets):
+        # every row that reads the engine compares it with a computation
+        # that never runs it, so each one fails.
+        real = qmotzkin_module._PackedTableau._rows
+
+        def planted(self, start, zero, step):
+            def faulty(i, *entries):
+                entry = step(i, *entries)
+                if i != 2:
+                    return entry
+                if isinstance(entry, dict):
+                    return {**entry, 0: entry.get(0, 0) + 1}
+                return entry + 1
+
+            return real(self, start, zero, faulty)
+
+        monkeypatch.setattr(qmotzkin_module, "_h_rows", [[UNI_ONE]])
+        monkeypatch.setattr(qmotzkin_module._PackedTableau, "_rows", planted)
+        checks = {
+            c.name: c
+            for suite in ("qpoly", "distributions")
+            for c in run_suite(suite, 12).checks
+        }
+        for name in ("tableau-first-column", "tableau-recursion",
+                     "tableau-row-pair", "dist-321-crs", "dumont-expansion"):
+            assert checks[name].status == "FAIL", name

@@ -1,13 +1,17 @@
 from functools import cache
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from tableau_reference import tableau_rows
 
 from crossnest import qmotzkin
 from crossnest.oracle import run_suite
-from crossnest.polynomials import UNI_ONE, UniPoly, _unpack_slots
+from crossnest.polynomials import UNI_ONE, MultiPoly, UniPoly, _unpack_slots
 from crossnest.qmotzkin import (
+    _PackedTableau,
     h_recursion_rhs,
     h_tableau,
     motzkin_number,
@@ -167,13 +171,13 @@ class TestPackedRecurrence:
 
 @cache
 def reference_h_tableau(n: int) -> list[list[UniPoly]]:
-    """Test-only reference: the generic tableau with levels q^(i-1), one
-    UniPoly product per level and entry."""
+    """Test-only reference: the tableau with levels q^(i-1) on
+    ``tableau_rows``, one UniPoly product per level and entry."""
 
     def level(i: int) -> UniPoly:
         return UniPoly.q_power(i - 1)
 
-    return stieltjes_tableau(level, level, n)
+    return [[UNI_ONE], *islice(tableau_rows(level, level, [UNI_ONE]), n)]
 
 
 # All fifteen tableau entries for n <= 4 in canonical rendering.
@@ -237,7 +241,7 @@ class TestTableau:
 
     def test_extension_across_slot_widths_matches_reference(self, monkeypatch):
         # Row 40 fits 8-byte slots, one cast; rows 41..50 need 16-byte ones,
-        # read as 64-bit limbs, and row 40 is packed again at that width.
+        # read as 64-bit limbs, and the tableau is built again at that width.
         widths = []
 
         def recording(packed, slot, count):
@@ -263,16 +267,19 @@ class TestTableau:
                 assert low == i * (i - 1) // 2, (n, i)
 
     def test_suite_builds_each_row_once(self, monkeypatch):
+        # Every tableau row of the suite asks for one cap; only the first
+        # call builds, in full mode, and the J-fraction presets run cut.
         built = []
-        real = qmotzkin._h_packed_rows
+        real = _PackedTableau.rows
 
-        def counting(*args, **kwargs):
-            for row in real(*args, **kwargs):
-                built.append(len(row) - 1)
+        def counting(self):
+            for row in real(self):
+                if not self.cut:
+                    built.append(len(row) - 1)
                 yield row
 
         monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
-        monkeypatch.setattr(qmotzkin, "_h_packed_rows", counting)
+        monkeypatch.setattr(_PackedTableau, "rows", counting)
         assert run_suite("qpoly", 99).passed
         assert built == list(range(1, 31))
 
@@ -293,6 +300,82 @@ class TestTableau:
             stieltjes_tableau(lambda i: 1, lambda i: 1, -1)
         with pytest.raises(ValueError):
             h_tableau(-1)
+
+    def test_level_with_a_negative_coefficient_refused(self):
+        # The packed engine needs nonnegative levels: a negative coefficient
+        # could borrow from the slot below.
+        def beta(i: int) -> UniPoly:
+            return UniPoly((1, -1)) if i == 3 else UNI_ONE
+
+        with pytest.raises(ValueError, match=r"^beta\(3\) has a negative coefficient$"):
+            stieltjes_tableau(lambda i: 1, beta, 5)
+        negative = r"^alpha\(2\) has a negative coefficient$"
+        with pytest.raises(ValueError, match=negative):
+            stieltjes_tableau(lambda i: 1 - i, lambda i: 1, 5)
+
+    def test_matches_reference_on_mixed_levels(self):
+        # Int and UniPoly levels, a zero level, and low powers of q that
+        # change from level to level.
+        def alpha(i: int) -> "UniPoly | int":
+            return (0, 2, UniPoly((0, 1, 3)), UniPoly.q_power(5))[i % 4]
+
+        def beta(i: int) -> "UniPoly | int":
+            return UniPoly((0,) * (i % 3) + (1, 1)) if i != 4 else 0
+
+        reference = [[UNI_ONE], *islice(tableau_rows(alpha, beta, [UNI_ONE]), 14)]
+        assert stieltjes_tableau(alpha, beta, 14) == reference
+
+
+@st.composite
+def tableau_inputs(draw):
+    """Variables, nonnegative levels alpha(k) and beta(k) for k <= n_max as
+    term dicts, n_max and the mode.  Levels may be zero, constant, or have
+    a least power of each variable that changes from level to level, and a
+    coefficient may need more than 64 bits."""
+    nvars = draw(st.integers(1, 3))
+    n_max = draw(st.integers(0, 10))
+    coeff = st.one_of(st.integers(0, 3), st.just(1), st.integers(0, 1 << 80))
+    term = st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), coeff)
+    level = st.one_of(
+        st.just({}),
+        st.builds(lambda c: {(0,) * nvars: c}, coeff),
+        st.lists(term, max_size=3).map(dict),
+    )
+    alpha, beta = (draw(st.lists(level, min_size=n_max, max_size=n_max))
+                   for _ in range(2))
+    return ("x", "y", "z")[:nvars], alpha, beta, n_max, draw(st.booleans())
+
+
+def check_engine_against_reference(variables, alpha, beta, n_max, cut):
+    """Every entry the engine keeps, unpacked, equals the product tableau's."""
+
+    def level(terms: list) -> Callable[[int], MultiPoly]:
+        return lambda k: MultiPoly.from_terms(variables, terms[k - 1])
+
+    table = _PackedTableau(variables, level(alpha), level(beta), n_max, cut)
+    one = MultiPoly.one(variables)
+    reference = islice(tableau_rows(level(alpha), level(beta), [one]), n_max)
+    for n, (row, full) in enumerate(zip(table.rows(), reference), 1):
+        assert len(row) == (min(n, n_max - n) if cut else n) + 1, n
+        for i, entry in enumerate(row):
+            assert table.multipoly(entry, i) == full[i], (n, i)
+    return table
+
+
+class TestPackedTableau:
+    @settings(max_examples=80, deadline=None)
+    @given(tableau_inputs())
+    def test_matches_product_reference(self, inputs):
+        check_engine_against_reference(*inputs)
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_wide_slots_in_both_modes(self, cut):
+        # Coefficients past 64 bits, two variables, low powers of x that
+        # change from level to level: 16-byte slots read as 64-bit limbs.
+        alpha = [{(1, k % 2): 3 << 70, (0, 0): 1} for k in range(12)]
+        beta = [{(k % 3, 1): 1 << 66, (2, 2): 5} for k in range(12)]
+        table = check_engine_against_reference(("x", "y"), alpha, beta, 12, cut)
+        assert table.slot % 8 == 0 and table.slot > 8
 
 
 class TestRecursionRhs:

@@ -2,17 +2,12 @@ from itertools import islice, permutations
 from math import factorial
 
 import pytest
+from tableau_reference import tableau_rows
 
 from crossnest.paths import enumerate_paths, path_statistics
 from crossnest.permutations import perm_statistics
 from crossnest.polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
-from crossnest.qmotzkin import (
-    _tableau_rows,
-    motzkin_number,
-    q_motzkin,
-    q_motzkin_tilde,
-    stieltjes_tableau,
-)
+from crossnest.qmotzkin import motzkin_number, q_motzkin, q_motzkin_tilde
 from crossnest.series import (
     _J_PRESETS,
     PRESETS,
@@ -31,11 +26,11 @@ def uni_coeffs(series: PowerSeries) -> list[UniPoly]:
 def tableau_column(spec: FractionSpec, order: int) -> PowerSeries:
     """Reference expansion: column 0 of the generic tableau, to t^order.
 
-    Rows of ``_tableau_rows`` over the ``MultiPoly`` levels, uncut, one
+    Rows of ``tableau_rows`` over the ``MultiPoly`` levels, uncut, one
     ``MultiPoly`` product per entry and level; no packing.
     """
     one = MultiPoly.one(spec.variables)
-    rows = islice(_tableau_rows(spec.alpha, spec.beta, [one]), order)
+    rows = islice(tableau_rows(spec.alpha, spec.beta, [one]), order)
     return PowerSeries(spec.variables, [one] + [row[0] for row in rows])
 
 
@@ -147,7 +142,8 @@ class TestJFraction:
         assert str(series.coefficient(0)) == "1"
 
     def test_matches_stieltjes_tableau_column(self):
-        # The fraction expansion and the tableau must agree level by level.
+        # The fraction expansion and the product tableau must agree level by
+        # level; stieltjes_tableau runs the same engine, so it is no reference.
         def alpha(i: int) -> UniPoly:
             return UniPoly.q_power(i - 1)
 
@@ -161,7 +157,7 @@ class TestJFraction:
             lambda k: MultiPoly.from_unipoly(beta(k), v, "q"),
         )
         series = jfraction_series(spec, 14)
-        table = stieltjes_tableau(alpha, beta, 14)
+        table = [[UNI_ONE], *islice(tableau_rows(alpha, beta, [UNI_ONE]), 14)]
         assert uni_coeffs(series) == [row[0] for row in table]
 
     @pytest.mark.parametrize("name", sorted(_J_PRESETS))
