@@ -4,6 +4,11 @@ Everything is exact integer arithmetic: statistics and bijections on the
 combinatorial objects themselves, q-polynomial recurrences and tableaux,
 continued-fraction expansions of the matching generating series, and a
 brute-force oracle that checks each identity by enumeration.
+
+Importing the package loads the engine modules and nothing else.  The
+oracle (``crossnest.oracle``) loads on first use of ``run_suite`` or
+``VerificationReport``, which resolve through the module ``__getattr__``
+(PEP 562).
 """
 
 from .bijections import (
@@ -12,13 +17,6 @@ from .bijections import (
     phi2,
     phi3,
     phi3_inverse,
-)
-from .oracle import (
-    SizeLimitError,
-    StatSpec,
-    VerificationReport,
-    distribution,
-    run_suite,
 )
 from .paths import (
     PathStatRecord,
@@ -34,7 +32,9 @@ from .paths import (
 )
 from .permutations import (
     PermClass,
+    SizeLimitError,
     StatRecord,
+    StatSpec,
     avoids_barred_3142,
     check_permutation,
     contains_321,
@@ -42,6 +42,7 @@ from .permutations import (
     contains_4321,
     contains_classical,
     cycle_string,
+    distribution,
     enumerate_class,
     head_tail_pairs,
     in_class,
@@ -122,3 +123,17 @@ __all__ = [
     "strip_decomposition",
     "tunnel_matching",
 ]
+
+_ORACLE_NAMES = ("VerificationReport", "run_suite")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

@@ -1,15 +1,12 @@
-"""Brute-force distributions and the named-check verification suites.
+"""The named-check verification suites, over the brute-force distributions.
 
-``distribution`` sums a monomial over an enumerated permutation family,
-which is the ground truth the rest of the package is tested against.  The
-families' enumerators yield each member's (fp, exc, crs, nes), so it counts
-distinct tuples and never runs the statistics kernel, except over ``ALL``,
-whose members it leaves to the bitmask kernel ``_fp_exc_crs_nes_inv``.  The
-pair loop in the tests defines the statistics; the kernel and the carried
-statistics are both tested against it.
-Family sizes grow fast, so sizes above a guard (default 12, override with
-the CROSSNEST_ENUM_LIMIT environment variable or allow_large=True) are
-refused rather than silently churning.
+``distribution``, ``StatSpec``, ``SizeLimitError`` and the enumeration
+guard (``DEFAULT_ENUM_LIMIT``, ``ENUM_LIMIT_ENV``) live in
+``crossnest.permutations``, beside the family enumerators they consume;
+this module imports them back, so ``from crossnest.oracle import
+distribution`` still works.  Nothing in the package imports this module
+at load time: ``crossnest.run_suite`` loads it on first use, and the CLI
+only in ``verify``.
 
 The named checks are the rows of one table, ``_CHECKS``: a name, a suite,
 a size bound, labels for the two sides, and ``cases(cap)``, a generator of
@@ -27,13 +24,10 @@ case drawn, when drawing the next one raised), while the suite goes on.
 
 from __future__ import annotations
 
-import enum
-import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bijections import involution_shape_path, phi1, phi2, phi3, phi3_inverse
 from .paths import (
@@ -45,12 +39,16 @@ from .paths import (
     strip_decomposition,
     tunnel_matching,
 )
+# distribution and its guard live in permutations and stay importable here.
 from .permutations import (
+    DEFAULT_ENUM_LIMIT,
+    ENUM_LIMIT_ENV,
     PermClass,
+    SizeLimitError,
+    StatSpec,
     _check_size,
     _fp_exc_crs_nes_inv,
-    _member_named,
-    _members,
+    distribution,
     enumerate_class,
     head_tail_pairs,
     one_line,
@@ -67,101 +65,13 @@ from .qmotzkin import (
 )
 from .series import PowerSeries, named_series
 
-DEFAULT_ENUM_LIMIT = 12
-ENUM_LIMIT_ENV = "CROSSNEST_ENUM_LIMIT"
-
-
-class SizeLimitError(ValueError):
-    """Raised when an enumeration would exceed the size guard."""
-
-
-class StatSpec(enum.Enum):
-    """Statistic (or joint statistic) to distribute over a family."""
-
-    CRS = "crs"
-    NES = "nes"
-    CRS_PLUS_NES = "crs+nes"
-    JOINT_FP_EXC_CRS_NES = "fp-exc-crs-nes"
-    JOINT_EXC_CRS = "exc-crs"
-
-    @classmethod
-    def from_name(cls, name: str) -> "StatSpec":
-        return _member_named(cls, name, "statistic")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return _STAT_RULES[self][0]
-
-    def exponents(self, fp: int, exc: int, crs: int, nes: int) -> tuple[int, ...]:
-        return _STAT_RULES[self][1](fp, exc, crs, nes)
-
-
-# Each statistic: (variables, its exponents from fp, exc, crs, nes).
-_STAT_RULES = {
-    StatSpec.CRS: (("q",), lambda fp, exc, crs, nes: (crs,)),
-    StatSpec.NES: (("q",), lambda fp, exc, crs, nes: (nes,)),
-    StatSpec.CRS_PLUS_NES: (("q",), lambda fp, exc, crs, nes: (crs + nes,)),
-    StatSpec.JOINT_FP_EXC_CRS_NES: (
-        ("x", "y", "p", "q"), lambda fp, exc, crs, nes: (fp, exc, crs, nes)
-    ),
-    StatSpec.JOINT_EXC_CRS: (("y", "q"), lambda fp, exc, crs, nes: (exc, crs)),
-}
-
-
-def _enum_limit() -> int:
-    raw = os.environ.get(ENUM_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENUM_LIMIT_ENV} must be an integer, got {raw!r}"
-        ) from None
-    _check_size(limit, ENUM_LIMIT_ENV)
-    return limit
-
 
 def _tally(keys: Iterable[tuple[int, ...]], variables: tuple[str, ...]) -> MultiPoly:
     """The polynomial that sums one monomial x^key for each key."""
     return MultiPoly.from_terms(variables, Counter(keys))
 
 
-def distribution(
-    cls: PermClass, n: int, spec: StatSpec, *, allow_large: bool = False
-) -> MultiPoly:
-    """Monomial sum of a statistic over one family, by full enumeration.
-
-    The family's enumerator yields each member with its (fp, exc, crs, nes),
-    carried down its generating tree or derived at the leaf from what the
-    tree carries; only ``ALL`` leaves them to the bitmask statistics kernel
-    ``_fp_exc_crs_nes_inv``.  The pair loop of the tests, over every pair of
-    positions, defines them.  Members are counted per distinct statistics
-    tuple, and the spec's exponents are taken once per tuple.
-
-    >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
-    '3 + q'
-    """
-    if not isinstance(spec, StatSpec):
-        raise ValueError(f"unknown statistic {spec!r}")
-    limit = _enum_limit()
-    if n > limit and not allow_large:
-        raise SizeLimitError(
-            f"n={n} exceeds the enumeration guard ({limit}); raise "
-            f"{ENUM_LIMIT_ENV} or pass allow_large=True"
-        )
-    tally = Counter(
-        _fp_exc_crs_nes_inv(w)[:4] if stats is None else stats
-        for w, stats in _members(n, cls)
-    )
-    keys: Counter = Counter()
-    for stats, count in tally.items():
-        keys[spec.exponents(*stats)] += count
-    return MultiPoly.from_terms(spec.variables, keys)
-
-
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check's outcome; ``objects`` counts the cases it compared."""
 
     name: str
@@ -191,8 +101,7 @@ class CheckResult:
         return data
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     max_n: int
     checks: tuple[CheckResult, ...]
@@ -216,8 +125,7 @@ Cases = Callable[[int], Iterable[Case]]
 Sides = tuple[object, object]
 
 
-@dataclass(frozen=True)
-class _Check:
+class _Check(NamedTuple):
     """One named identity, checked on every object up to a size cap.
 
     ``cases(cap)`` lazily yields ``(where, lhs, rhs)``: ``where`` is the

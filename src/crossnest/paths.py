@@ -20,8 +20,7 @@ r.  The strip decomposition is the same pairs read as head/tail pairs
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .permutations import _check_head_tail, _check_size
 
@@ -85,8 +84,7 @@ def step_height(word: str, i: int) -> int:
     return _start_heights(w)[i - 1]
 
 
-@dataclass(frozen=True)
-class PathStatRecord:
+class PathStatRecord(NamedTuple):
     """Statistics of one path."""
 
     hor: int

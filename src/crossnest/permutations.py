@@ -45,15 +45,27 @@ operations on n-bit masks.  The O(n^2) loop over all pairs that restates
 the definitions above is its test reference.
 Head/tail pairs are read off the inversion table by the same letter scan
 and rebuilt by insertion.
+
+``distribution`` sums a monomial over an enumerated family, the ground
+truth the rest of the package is tested against; it lives here, beside
+``_members``, with ``StatSpec`` and the size guard, and ``crossnest.oracle``
+re-exports them.  It counts distinct (fp, exc, crs, nes) tuples and never
+runs the statistics kernel, except over ``ALL``.  Family sizes grow fast,
+so sizes above a guard (default 12, override with the CROSSNEST_ENUM_LIMIT
+environment variable or allow_large=True) are refused with
+``SizeLimitError`` rather than silently churning.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+import os
+from collections import Counter
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+from .polynomials import MultiPoly
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
@@ -151,8 +163,7 @@ def _is_involution(w: tuple[int, ...]) -> bool:
     return all(w[w[i] - 1] == i + 1 for i in range(len(w)))
 
 
-@dataclass(frozen=True)
-class StatRecord:
+class StatRecord(NamedTuple):
     """Statistics of one permutation."""
 
     exc: int
@@ -600,6 +611,94 @@ def in_class(word: Sequence[int], cls: PermClass) -> bool:
     if involutive and not _is_involution(w):
         return False
     return avoids is None or avoids(w)
+
+
+DEFAULT_ENUM_LIMIT = 12
+ENUM_LIMIT_ENV = "CROSSNEST_ENUM_LIMIT"
+
+
+class SizeLimitError(ValueError):
+    """Raised when an enumeration would exceed the size guard."""
+
+
+class StatSpec(enum.Enum):
+    """Statistic (or joint statistic) to distribute over a family."""
+
+    CRS = "crs"
+    NES = "nes"
+    CRS_PLUS_NES = "crs+nes"
+    JOINT_FP_EXC_CRS_NES = "fp-exc-crs-nes"
+    JOINT_EXC_CRS = "exc-crs"
+
+    @classmethod
+    def from_name(cls, name: str) -> "StatSpec":
+        return _member_named(cls, name, "statistic")
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return _STAT_RULES[self][0]
+
+    def exponents(self, fp: int, exc: int, crs: int, nes: int) -> tuple[int, ...]:
+        return _STAT_RULES[self][1](fp, exc, crs, nes)
+
+
+# Each statistic: (variables, its exponents from fp, exc, crs, nes).
+_STAT_RULES = {
+    StatSpec.CRS: (("q",), lambda fp, exc, crs, nes: (crs,)),
+    StatSpec.NES: (("q",), lambda fp, exc, crs, nes: (nes,)),
+    StatSpec.CRS_PLUS_NES: (("q",), lambda fp, exc, crs, nes: (crs + nes,)),
+    StatSpec.JOINT_FP_EXC_CRS_NES: (
+        ("x", "y", "p", "q"), lambda fp, exc, crs, nes: (fp, exc, crs, nes)
+    ),
+    StatSpec.JOINT_EXC_CRS: (("y", "q"), lambda fp, exc, crs, nes: (exc, crs)),
+}
+
+
+def _enum_limit() -> int:
+    raw = os.environ.get(ENUM_LIMIT_ENV)
+    if raw is None:
+        return DEFAULT_ENUM_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(
+            f"{ENUM_LIMIT_ENV} must be an integer, got {raw!r}"
+        ) from None
+    _check_size(limit, ENUM_LIMIT_ENV)
+    return limit
+
+
+def distribution(
+    cls: PermClass, n: int, spec: StatSpec, *, allow_large: bool = False
+) -> MultiPoly:
+    """Monomial sum of a statistic over one family, by full enumeration.
+
+    The family's enumerator yields each member with its (fp, exc, crs, nes),
+    carried down its generating tree or derived at the leaf from what the
+    tree carries; only ``ALL`` leaves them to the bitmask statistics kernel
+    ``_fp_exc_crs_nes_inv``.  The pair loop of the tests, over every pair of
+    positions, defines them.  Members are counted per distinct statistics
+    tuple, and the spec's exponents are taken once per tuple.
+
+    >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
+    '3 + q'
+    """
+    if not isinstance(spec, StatSpec):
+        raise ValueError(f"unknown statistic {spec!r}")
+    limit = _enum_limit()
+    if n > limit and not allow_large:
+        raise SizeLimitError(
+            f"n={n} exceeds the enumeration guard ({limit}); raise "
+            f"{ENUM_LIMIT_ENV} or pass allow_large=True"
+        )
+    tally = Counter(
+        _fp_exc_crs_nes_inv(w)[:4] if stats is None else stats
+        for w, stats in _members(n, cls)
+    )
+    keys: Counter = Counter()
+    for stats, count in tally.items():
+        keys[spec.exponents(*stats)] += count
+    return MultiPoly.from_terms(spec.variables, keys)
 
 
 def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:

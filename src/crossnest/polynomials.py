@@ -158,10 +158,11 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and cs[end - 1] == 0:
+            end -= 1
+        object.__setattr__(self, "coeffs", cs[:end])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")

@@ -25,9 +25,8 @@ without the tableau and without a product; see ``_preset_main12_lhs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .permutations import _check_size
 from .polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
@@ -86,8 +85,7 @@ class PowerSeries:
         return f"PowerSeries(order={self.order}, [{head}{tail}])"
 
 
-@dataclass(frozen=True)
-class FractionSpec:
+class FractionSpec(NamedTuple):
     """The J-fraction with level coefficients alpha(k), beta(k), k >= 1."""
 
     variables: tuple[str, ...]

@@ -18,7 +18,13 @@ from test_qmotzkin import (
     tilde_exponent,
 )
 
-from crossnest.cli import _CLASS_NAMES, _STAT_NAMES, build_parser, cmd_dispatch
+from crossnest.cli import (
+    _CLASS_NAMES,
+    _STAT_NAMES,
+    _SUITES,
+    build_parser,
+    cmd_dispatch,
+)
 from crossnest.oracle import SUITES, CheckResult, VerificationReport
 from crossnest.series import PRESETS
 
@@ -291,7 +297,8 @@ class TestVerify:
             ),
             elapsed_ms=0,
         )
-        monkeypatch.setattr("crossnest.cli.run_suite", lambda suite, max_n: failing)
+        # The CLI imports run_suite from the oracle when verify runs.
+        monkeypatch.setattr("crossnest.oracle.run_suite", lambda suite, max_n: failing)
         code, out, _ = run(capsys, "verify", "--suite", "paths", "--max-n", "3")
         assert code == 1
         assert out == (
@@ -381,6 +388,10 @@ class TestUsage:
         args = parser.parse_args(["poly", "M", "--n", "3"])
         assert args.command == "poly"
         assert args.n == 3
+
+    def test_suite_choices_are_the_oracle_suites(self):
+        # The parser spells the suites out so that it need not load the oracle.
+        assert _SUITES == SUITES
 
 
 # Each subcommand's positional arguments and options, with the values worth

@@ -99,6 +99,14 @@ class TestUniPoly:
         assert UniPoly((1, 0, 0)).coeffs == (1,)
         assert UniPoly((0, 0)).coeffs == ()
 
+    def test_any_iterable_of_coefficients(self):
+        # One pass over a generator; interior and low zeros stay.
+        assert UniPoly(c for c in (0, 2, 0, 3, 0, 0)).coeffs == (0, 2, 0, 3)
+        assert UniPoly([0, 0, 0]).coeffs == ()
+        assert UniPoly(iter(())).coeffs == ()
+        assert UniPoly(()).coeffs == () == UniPoly().coeffs
+        assert UniPoly([4]).coeffs == (4,)
+
     def test_arithmetic(self):
         p = UniPoly((1, 2))
         q = UniPoly((0, 1))
