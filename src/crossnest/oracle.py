@@ -20,6 +20,13 @@ cases it compared: a row with none does not pass (its status is
 ``empty``), and a row whose cases raise fails with the exception as its
 counterexample, placed at the object whose sides raised (or after the last
 case drawn, when drawing the next one raised), while the suite goes on.
+
+The library builds both q-Motzkin families on the packed tableau engine.
+So the rows that check that engine against the product recurrence
+(``a-series-recurrence``, ``dumont-expansion``, ``tableau-first-column``
+and ``tableau-row-pair``) take the recurrence side from the oracle's own
+``_product_recurrence``: one ``UniPoly`` product per term, built once per
+row, with no cache.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .permutations import (
     perm_statistics,
     permutation_from_head_tail,
 )
-from .polynomials import MultiPoly, UniPoly
+from .polynomials import UNI_ONE, MultiPoly, UniPoly
 from .qmotzkin import (
     h_recursion_rhs,
     h_tableau,
@@ -224,6 +231,32 @@ def _series_terms(sides: Callable[[int], tuple[PowerSeries, PowerSeries]]) -> Ca
     return cases
 
 
+def _product_recurrence(n: int, exponent: Callable[[int, int], int]) -> list[UniPoly]:
+    """M_0..M_n by M_m = M_{m-1} + sum_{k=0}^{m-2} q^exponent(k, m) M_k M_{m-2-k}.
+
+    One ``UniPoly`` product per term and no cache: the side of the q-Motzkin
+    rows that never runs the tableau engine.
+    """
+    values = [UNI_ONE, UNI_ONE]
+    for m in range(2, n + 1):
+        total = values[m - 1]
+        for k in range(m - 1):
+            prod = values[k] * values[m - 2 - k]
+            total = total + prod.times_q_power(exponent(k, m))
+        values.append(total)
+    return values[: n + 1]
+
+
+def _first_kind(k: int, m: int) -> int:
+    """The exponent of the term k of ``q_motzkin``'s recurrence."""
+    return k
+
+
+def _second_kind(k: int, m: int) -> int:
+    """The exponent of the term k of ``q_motzkin_tilde``'s recurrence."""
+    return 0 if k == m - 2 else k + 1
+
+
 # Row-specific sides and cases.
 
 
@@ -294,30 +327,38 @@ def _tableau_recursion(cap: int) -> Iterator[Case]:
 
 def _tableau_first_column(cap: int) -> Iterator[Case]:
     table = h_tableau(cap)
+    recurrence = _product_recurrence(cap, _second_kind)
     for n in range(cap + 1):
-        yield f"n={n}", table[n][0], q_motzkin_tilde(n)
+        yield f"n={n}", table[n][0], recurrence[n]
 
 
 def _tableau_row_pair(cap: int) -> Iterator[Case]:
     # H(n,0) = H(n-1,0) + H(n-1,1) with column 0 from the recurrence, so
     # only column 1 comes from the tableau, and the row checks it.
     table = h_tableau(cap)
+    recurrence = _product_recurrence(cap, _second_kind)
     for n in range(1, cap + 1):
-        below = q_motzkin_tilde(n - 1) + (table[n - 1][1] if n >= 2 else 0)
-        yield f"n={n}", q_motzkin_tilde(n), below
+        below = recurrence[n - 1] + (table[n - 1][1] if n >= 2 else 0)
+        yield f"n={n}", recurrence[n], below
 
 
 def _dumont(cap: int) -> Iterator[Case]:
     # Two j-fraction presets against recurrences that never build a tableau.
     recurrences = (
         ("motzkin", lambda n: UniPoly((motzkin_number(n),))),
-        ("main12-rhs", q_motzkin_tilde),
+        ("main12-rhs", _product_recurrence(cap, _second_kind).__getitem__),
     )
     for name, recurrence in recurrences:
         series = named_series(name, cap)
         for n in range(cap + 1):
             got = series.coefficient(n).as_unipoly("q")
             yield f"{name} n={n}", got, recurrence(n)
+
+
+def _a_series(cap: int) -> Iterator[Case]:
+    # The A preset against the recurrence of the first kind.
+    recurrence = _product_recurrence(cap, _first_kind)
+    yield from _versus_series("A", recurrence.__getitem__, "q")(cap)
 
 
 def _mtilde_equation(cap: int) -> Iterator[Case]:
@@ -427,7 +468,7 @@ _CHECKS: tuple[_Check, ...] = (
            _tableau_row_pair),
     _Check("dumont-expansion", "qpoly", 20, ("series", "recurrence"), _dumont),
     _Check("a-series-recurrence", "qpoly", 20, ("recurrence", "fraction"),
-           _versus_series("A", lambda n: q_motzkin(n), "q")),
+           _a_series),
     _Check("mtilde-functional-equation", "qpoly", 20, ("lhs", "rhs"),
            _mtilde_equation),
     _Check("main12-identity", "qpoly", 40, ("lhs", "rhs"),

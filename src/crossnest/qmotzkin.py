@@ -1,25 +1,29 @@
 """Motzkin numbers, their q-analogues, and Stieltjes-type tableaux.
 
-Two q-analogues are built from the same product recurrence, differing only
-in the exponent placed on the product term:
+The two q-analogues are the t^n coefficients of two J-fractions, column 0
+of the Stieltjes tableau with levels alpha(k), beta(k) (Flajolet, 1980):
 
-* ``q_motzkin``:        M_n = M_{n-1} + sum_{k=0}^{n-2} q^k     M_k M_{n-2-k}
-* ``q_motzkin_tilde``:  M~_n = M~_{n-1} + sum_{k=0}^{n-2} q^e(k) M~_k M~_{n-2-k}
-  with e(k) = k + 1, except e(n-2) = 0.
+* ``q_motzkin``:        alpha(k) = q^(k-1), beta(k) = q^(2(k-1)),
+  the ``A`` preset of ``series``;
+* ``q_motzkin_tilde``:  alpha(k) = beta(k) = q^(k-1), the ``main12-rhs``
+  preset and the first column of ``h_tableau``.
 
-Setting q = 1 in either recovers the Motzkin numbers.
+They satisfy the product recurrences
 
-Both run on packed integers, one ``slot``-byte field per coefficient, so
-that multiplying two polynomials is one big-integer product and a power of
-q is a shift.  The terms k and n-2-k share their product, which is added in
-at both shifts.  Coefficients are nonnegative, so none exceeds the value at
-q = 1, a Motzkin number, and a slot that holds that number with a bit to
-spare never carries into the next (see ``_q_recurrence``).
+* M_n  = M_{n-1}  + sum_{k=0}^{n-2} q^k    M_k  M_{n-2-k}
+* M~_n = M~_{n-1} + sum_{k=0}^{n-2} q^e(k) M~_k M~_{n-2-k},
+  with e(k) = k + 1, except e(n-2) = 0,
+
+and setting q = 1 in either recovers the Motzkin numbers.  The library
+never runs those recurrences: the oracle does, one ``UniPoly`` product per
+term, in ``oracle._product_recurrence``, and its rows
+``a-series-recurrence``, ``dumont-expansion``, ``tableau-first-column``
+and ``tableau-row-pair`` compare them with the tableau.
 
 Every Stieltjes tableau of the package, ``stieltjes_tableau``,
-``h_tableau`` (levels q^(i-1)) and the J-fractions of
+``h_tableau``, the two q-Motzkin families and the J-fractions of
 ``series.jfraction_series``, runs on one packed engine, ``_PackedTableau``:
-full rows for the first two, rows cut to the order for the third, by
+full rows for the first two, rows cut to the order for the others, by
 shifts and adds with no product, and each entry divided by the power of
 the packed variable that its up steps carry.  Levels must be nonnegative.
 """
@@ -38,7 +42,6 @@ from .polynomials import (
     MultiPoly,
     UniPoly,
     _pack,
-    _pack_slots,
     _unpack_slots,
 )
 
@@ -62,63 +65,6 @@ def motzkin_number(n: int) -> int:
             total += _motzkin_cache[k] * _motzkin_cache[m - 2 - k]
         _motzkin_cache.append(total)
     return _motzkin_cache[n]
-
-
-def _q_recurrence(
-    cache: list[UniPoly], n: int, exponent: Callable[[int, int], int]
-) -> UniPoly:
-    """Extend ``cache`` to index n by M_m = M_{m-1} + sum_k q^e M_k M_{m-2-k},
-    e = exponent(k, m), and return M_n.
-
-    Runs on packed integers: each polynomial is one int holding its
-    coefficients in ``slot``-byte fields, lowest degree lowest, so that
-    multiplying by q^e is a shift by 8*slot*e bits.  One slot width serves
-    the whole extension, ``slot = (motzkin_number(n).bit_length() + 8) // 8``
-    bytes.  No field ever carries into the next: every coefficient is
-    nonnegative, so each coefficient of every partial sum at step m, and of
-    every product M_k M_{m-2-k} in it, is at most M_m(1) = motzkin_number(m)
-    <= motzkin_number(n) < 2**(8*slot - 1).  The terms k and m-2-k share one
-    product, added in at both of their shifts.  Each cached entry is packed
-    once per extension and each new entry unpacked once.
-    """
-    _check_size(n)
-    if len(cache) > n:
-        return cache[n]
-    slot = (motzkin_number(n).bit_length() + 8) // 8
-    bits = 8 * slot
-    packed = [_pack_slots(p.coeffs, slot) for p in cache]
-    for m in range(len(cache), n + 1):
-        total = packed[m - 1]
-        for k in range(m // 2):
-            j = m - 2 - k
-            prod = packed[k] * packed[j]
-            total += prod << (exponent(k, m) * bits)
-            if j != k:
-                total += prod << (exponent(j, m) * bits)
-        packed.append(total)
-        count = -(-total.bit_length() // bits)
-        cache.append(UniPoly(_unpack_slots(total, slot, count)))
-    return cache[n]
-
-
-def q_motzkin(n: int) -> UniPoly:
-    """q-Motzkin polynomial of the first kind.
-
-    >>> str(q_motzkin(4))
-    '5 + 2*q + 2*q^2'
-    """
-    return _q_recurrence(_q_motzkin_cache, n, lambda k, m: k)
-
-
-def q_motzkin_tilde(n: int) -> UniPoly:
-    """q-Motzkin polynomial of the second kind.
-
-    >>> str(q_motzkin_tilde(4))
-    '5 + 3*q + q^2'
-    """
-    return _q_recurrence(
-        _q_tilde_cache, n, lambda k, m: 0 if k == m - 2 else k + 1
-    )
 
 
 LevelSeq = Callable[[int], "UniPoly | int"]
@@ -256,6 +202,23 @@ class _PackedTableau:
         return MultiPoly(self.variables, terms)
 
 
+_Q = ("q",)
+
+
+def _q_levels(slope: int) -> Callable[[int], MultiPoly]:
+    """The levels k -> q^(slope*(k-1)), as ``MultiPoly``s in q."""
+    return lambda k: MultiPoly.monomial(_Q, {"q": slope * (k - 1)})
+
+
+def _unipoly_rows(table: _PackedTableau) -> list[list[UniPoly]]:
+    """Rows 0..n_max of a full tableau in q, each entry a ``UniPoly``."""
+    zeros = [[0] * z for z in table.zeros]
+    return [[UNI_ONE]] + [
+        [UniPoly(zeros[i] + table.unpack(e)) for i, e in enumerate(row)]
+        for row in table.rows()
+    ]
+
+
 def stieltjes_tableau(
     alpha: LevelSeq, beta: LevelSeq, n_max: int
 ) -> list[list[UniPoly]]:
@@ -275,26 +238,21 @@ def stieltjes_tableau(
     _check_size(n_max, "n_max")
 
     def level(seq: LevelSeq) -> Callable[[int], MultiPoly]:
-        return lambda k: MultiPoly.from_unipoly(UNI_ZERO + seq(k), ("q",))
+        return lambda k: MultiPoly.from_unipoly(UNI_ZERO + seq(k), _Q)
 
-    table = _PackedTableau(("q",), level(alpha), level(beta), n_max)
-    zeros = [[0] * z for z in table.zeros]
-    return [[UNI_ONE]] + [
-        [UniPoly(zeros[i] + table.unpack(e)) for i, e in enumerate(row)]
-        for row in table.rows()
-    ]
-
-
-def _q_level(i: int) -> UniPoly:
-    return UniPoly.q_power(i - 1)
+    return _unipoly_rows(_PackedTableau(_Q, level(alpha), level(beta), n_max))
 
 
 def h_tableau(n_max: int) -> list[list[UniPoly]]:
     """``stieltjes_tableau`` with alpha(i) = beta(i) = q^(i-1).
 
     Rows are cached; each call returns fresh lists, and a call past the
-    cache builds the tableau again from row 0.  Its first column reproduces
-    ``q_motzkin_tilde``:
+    cache builds the tableau again from row 0, as the full rows of
+    ``_PackedTableau``.  Its first column is ``q_motzkin_tilde``, which
+    comes from the cut rows of the same tableau; the oracle's
+    ``tableau-first-column`` and ``tableau-row-pair`` check columns 0 and
+    1 against the product recurrence, and ``tableau-recursion`` every
+    entry against ``h_recursion_rhs``:
 
     >>> str(h_tableau(4)[4][0])
     '5 + 3*q + q^2'
@@ -304,8 +262,47 @@ def h_tableau(n_max: int) -> list[list[UniPoly]]:
     """
     _check_size(n_max, "n_max")
     if len(_h_rows) <= n_max:
-        _h_rows[:] = stieltjes_tableau(_q_level, _q_level, n_max)
+        table = _PackedTableau(_Q, _q_levels(1), _q_levels(1), n_max)
+        _h_rows[:] = _unipoly_rows(table)
     return [list(row) for row in _h_rows[: n_max + 1]]
+
+
+def _first_column(cache: list[UniPoly], n: int, beta_slope: int) -> UniPoly:
+    """Entry n of column 0 of the tableau with alpha(k) = q^(k-1) and
+    beta(k) = q^(beta_slope*(k-1)).  A call past ``cache`` runs the cut rows
+    of ``_PackedTableau`` from row 0 to n and caches every entry 0..n."""
+    _check_size(n)
+    if len(cache) <= n:
+        table = _PackedTableau(_Q, _q_levels(1), _q_levels(beta_slope), n, cut=True)
+        cache[:] = [UNI_ONE, *(UniPoly(table.unpack(row[0])) for row in table.rows())]
+    return cache[n]
+
+
+def q_motzkin(n: int) -> UniPoly:
+    """q-Motzkin polynomial of the first kind: the t^n coefficient of the
+    J-fraction with alpha(k) = q^(k-1), beta(k) = q^(2(k-1)), the ``A``
+    preset.  The oracle's ``a-series-recurrence`` checks it against the
+    product recurrence, and the ``dist-4321-crs-nes`` and ``dist-3412-nes``
+    rows against enumeration.
+
+    >>> str(q_motzkin(4))
+    '5 + 2*q + 2*q^2'
+    """
+    return _first_column(_q_motzkin_cache, n, 2)
+
+
+def q_motzkin_tilde(n: int) -> UniPoly:
+    """q-Motzkin polynomial of the second kind: the t^n coefficient of the
+    J-fraction with alpha(k) = beta(k) = q^(k-1), the ``main12-rhs`` preset
+    and the first column of ``h_tableau``.  The oracle's
+    ``dumont-expansion``, ``tableau-first-column`` and ``tableau-row-pair``
+    check it against the product recurrence, and ``dist-321-crs`` against
+    enumeration.
+
+    >>> str(q_motzkin_tilde(4))
+    '5 + 3*q + q^2'
+    """
+    return _first_column(_q_tilde_cache, n, 1)
 
 
 def h_recursion_rhs(n: int, i: int, table: Sequence[Sequence[UniPoly]]) -> UniPoly:

@@ -176,12 +176,9 @@ def _series_from_unipolys(polys: list[UniPoly]) -> PowerSeries:
     return PowerSeries(v, [MultiPoly.from_unipoly(p, v, "q") for p in polys])
 
 
-def _preset_m(order: int) -> PowerSeries:
-    return _series_from_unipolys([q_motzkin(n) for n in range(order + 1)])
-
-
-def _preset_mtilde(order: int) -> PowerSeries:
-    return _series_from_unipolys([q_motzkin_tilde(n) for n in range(order + 1)])
+def _preset_family(family: Callable[[int], UniPoly], order: int) -> PowerSeries:
+    family(order)  # one run of the tableau rows caches t^0..t^order
+    return _series_from_unipolys([family(n) for n in range(order + 1)])
 
 
 # Builders for series with a fixed combinatorial meaning; the verification
@@ -194,14 +191,15 @@ def _preset_mtilde(order: int) -> PowerSeries:
 #   A             crs+nes over 4321-avoiding involutions (q-Motzkin, first kind)
 #   S321-exc-crs  joint (exc, crs) over 321-avoiding permutations that also
 #                 avoid the barred pattern
-#   M, Mtilde     the two q-Motzkin families from their recurrences
+#   M, Mtilde     the two q-Motzkin families, column 0 of the cut tableau
+#                 with the levels of A and main12-rhs (qmotzkin)
 #   main12-lhs    nested-fraction form of the Mtilde generating series
 #   main12-rhs    j-fraction form of the same series
 PRESETS: dict[str, Callable[[int], PowerSeries]] = {
     **{name: partial(jfraction_series, _j_spec(*row))
        for name, row in _J_PRESETS.items()},
-    "M": _preset_m,
-    "Mtilde": _preset_mtilde,
+    "M": partial(_preset_family, q_motzkin),
+    "Mtilde": partial(_preset_family, q_motzkin_tilde),
     "main12-lhs": _preset_main12_lhs,
 }
 

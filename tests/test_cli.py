@@ -509,11 +509,11 @@ class TestModuleEntryPoint:
 
     @pytest.mark.parametrize(
         "which, n, exponent",
-        [("M", 24, first_exponent), ("Mtilde", 29, tilde_exponent)],
+        [("M", 24, first_exponent), ("Mtilde", 45, tilde_exponent)],
     )
     def test_poly_at_slot_boundary(self, which, n, exponent):
-        # A fresh process starts from a cold cache, so the packed recurrence
-        # runs its whole extension at a slot-boundary size.
+        # A fresh process starts from a cold cache, so the cut tableau runs
+        # its rows from row 0 at the first size of a new slot width.
         assert n in SLOT_BOUNDARY_SIZES
         proc = self.run_module("poly", which, "--n", str(n))
         assert proc.stdout == f"{product_recurrence(n, exponent)[n]}\n"

@@ -28,7 +28,7 @@ from crossnest.permutations import (
     enumerate_class,
     head_tail_pairs,
 )
-from crossnest.polynomials import UNI_ONE, MultiPoly
+from crossnest.polynomials import UNI_ONE, MultiPoly, UniPoly
 from crossnest.qmotzkin import h_tableau, q_motzkin, q_motzkin_tilde
 from crossnest.series import PowerSeries, named_series
 
@@ -433,9 +433,11 @@ class TestFailurePath:
 
     def test_tableau_rows_see_a_fault_in_the_shared_engine(self, monkeypatch):
         # One extra term at height 2 of every row the packed tableau builds,
-        # in full mode (h_tableau) and cut mode (the J-fraction presets):
-        # every row that reads the engine compares it with a computation
-        # that never runs it, so each one fails.
+        # in full mode (h_tableau) and cut mode (the J-fraction presets and
+        # both q-Motzkin families, their caches cold): every row that reads
+        # the engine compares it with a computation that never runs it, so
+        # each one fails.  dist-path-transport alone compares path tallies
+        # with enumeration and never reads the engine.
         real = qmotzkin_module._PackedTableau._rows
 
         def planted(self, start, zero, step):
@@ -450,6 +452,8 @@ class TestFailurePath:
             return real(self, start, zero, faulty)
 
         monkeypatch.setattr(qmotzkin_module, "_h_rows", [[UNI_ONE]])
+        monkeypatch.setattr(qmotzkin_module, "_q_motzkin_cache", [UNI_ONE, UNI_ONE])
+        monkeypatch.setattr(qmotzkin_module, "_q_tilde_cache", [UNI_ONE, UNI_ONE])
         monkeypatch.setattr(qmotzkin_module._PackedTableau, "_rows", planted)
         checks = {
             c.name: c
@@ -457,5 +461,37 @@ class TestFailurePath:
             for c in run_suite(suite, 12).checks
         }
         for name in ("tableau-first-column", "tableau-recursion",
-                     "tableau-row-pair", "dist-321-crs", "dumont-expansion"):
+                     "tableau-row-pair", "dist-321-crs", "dumont-expansion",
+                     "a-series-recurrence", "dist-4321-crs-nes", "dist-3412-nes"):
             assert checks[name].status == "FAIL", name
+        passed = {name for name, c in checks.items() if c.status != "FAIL"}
+        assert passed == {"dist-path-transport"}
+
+    def test_recurrence_rows_see_a_wrong_term_in_the_oracle_recurrence(
+        self, monkeypatch
+    ):
+        # The converse: with the engine intact, a wrong M_5 on the oracle's
+        # recurrence side fails each of the four rows that read it, at n=5,
+        # and no other row.
+        real = oracle_module._product_recurrence
+
+        def planted(n, exponent):
+            values = real(n, exponent)
+            if n >= 5:
+                values[5] = values[5] + UniPoly.q_power(1)
+            return values
+
+        reads_it = {"a-series-recurrence", "dumont-expansion",
+                    "tableau-first-column", "tableau-row-pair"}
+        unpatched = {c.name: c for c in run_suite("qpoly", 12).checks}
+        assert all(unpatched[name].passed for name in reads_it)
+        monkeypatch.setattr(oracle_module, "_product_recurrence", planted)
+        checks = {
+            c.name: c
+            for suite in ("qpoly", "distributions")
+            for c in run_suite(suite, 12).checks
+        }
+        failed = {name for name, c in checks.items() if c.status == "FAIL"}
+        assert failed == reads_it
+        for name in reads_it:
+            assert re.match(r"^(main12-rhs )?n=5: ", checks[name].counterexample), name

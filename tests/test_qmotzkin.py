@@ -56,9 +56,10 @@ def product_recurrence(
     return values[: n + 1]
 
 
-# Sizes whose Motzkin number fills whole bytes: there the recurrence's slot
-# width is one byte more than its largest coefficient could need.
-SLOT_BOUNDARY_SIZES = (13, 24, 29, 40)
+# The slot width of the cut tableau that builds M_n and M~_n, in bytes, on
+# both sides of each of its first four changes: n = 8, 13, 24 and 45.
+SLOT_WIDTHS = {7: 1, 8: 2, 12: 2, 13: 4, 23: 4, 24: 8, 44: 8, 45: 16}
+SLOT_BOUNDARY_SIZES = tuple(SLOT_WIDTHS)
 
 
 @pytest.fixture
@@ -127,31 +128,44 @@ class TestQMotzkin:
 
 
 class TestPackedRecurrence:
+    """Both families, column 0 of the cut rows of the packed tableau (the
+    row recurrence of ``_PackedTableau`` on packed ints), against the
+    test-only product recurrence."""
+
     REFERENCE = {
-        "_q_motzkin_cache": product_recurrence(40, first_exponent),
-        "_q_tilde_cache": product_recurrence(40, tilde_exponent),
+        "_q_motzkin_cache": product_recurrence(45, first_exponent),
+        "_q_tilde_cache": product_recurrence(45, tilde_exponent),
     }
     KINDS = (("_q_motzkin_cache", q_motzkin), ("_q_tilde_cache", q_motzkin_tilde))
 
     def test_one_step_at_a_time_matches_reference(self, cold_caches):
         for name, kind in self.KINDS:
-            for n in range(41):
+            for n in range(46):
                 assert kind(n) == self.REFERENCE[name][n], (name, n)
 
     def test_one_extension_matches_reference(self, cold_caches):
         for name, kind in self.KINDS:
-            assert kind(40) == self.REFERENCE[name][40]
+            assert kind(45) == self.REFERENCE[name][45]
             assert getattr(qmotzkin, name) == self.REFERENCE[name]
 
     @pytest.mark.parametrize("n", SLOT_BOUNDARY_SIZES)
-    def test_slot_boundary_sizes(self, cold_caches, n):
-        assert motzkin_number(n).bit_length() % 8 == 0
+    def test_slot_boundary_sizes(self, cold_caches, monkeypatch, n):
+        widths = []
+
+        def recording(packed, slot, count):
+            widths.append(slot)
+            return _unpack_slots(packed, slot, count)
+
+        monkeypatch.setattr(qmotzkin, "_unpack_slots", recording)
         for name, kind in self.KINDS:
+            widths.clear()
             assert kind(n) == self.REFERENCE[name][n]
             assert getattr(qmotzkin, name) == self.REFERENCE[name][: n + 1]
+            assert set(widths) == {SLOT_WIDTHS[n]}, name
 
     def test_stepwise_extension_matches_one_fresh_call(self, monkeypatch):
-        # Each extension picks its own slot width.
+        # Each call past the cache runs the rows again from row 0, at its
+        # own slot width.
         for name, kind in self.KINDS:
             monkeypatch.setattr(qmotzkin, name, [UNI_ONE, UNI_ONE])
             fresh = kind(30)
