@@ -96,30 +96,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     text = " ".join(args.object)
     if args.kind == "perm":
         w = parse_permutation(text)
-        r = perm_statistics(w)
-        print(f"n: {len(w)}")
-        print(f"word: {one_line(w)}")
-        print(f"cycles: {cycle_string(w)}")
-        print(f"exc: {r.exc}")
-        print(f"fp: {r.fp}")
-        print(f"crs: {r.crs}")
-        print(f"nes: {r.nes}")
-        print(f"inv: {r.inv}")
-        print("exc_set:", *r.exc_set)
-        print("des_set:", *r.des_set)
-        print(f"involution: {'true' if r.is_involution else 'false'}")
+        record = perm_statistics(w)._asdict()
+        record["involution"] = "true" if record.pop("is_involution") else "false"
+        fields = {"n": len(w), "word": one_line(w), "cycles": cycle_string(w), **record}
     else:
         p = parse_path(text)
-        r = path_statistics(p)
-        print(f"n: {len(p)}")
-        print(f"word: {p}")
-        print(f"hor: {r.hor}")
-        print(f"up: {r.up}")
-        print(f"down: {r.down}")
-        print(f"sh_u: {r.sh_u}")
-        print(f"sh_h: {r.sh_h}")
-        print(f"sh_d: {r.sh_d}")
-        print(f"area: {r.area}")
+        fields = {"n": len(p), "word": p, **path_statistics(p)._asdict()}
+    for name, value in fields.items():
+        # A set prints as its elements, space-separated after the colon.
+        print(f"{name}:", *(value if isinstance(value, tuple) else (value,)))
     return 0
 
 

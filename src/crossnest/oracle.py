@@ -200,9 +200,17 @@ def _each_path_stats(sides: Callable[[str, PathStatRecord], Sides]) -> Cases:
     return _each_path(lambda p: sides(p, path_statistics(p)))
 
 
-def _each_size(sides: Callable[[int], Sides]) -> Cases:
-    """Cases over the sizes n up to cap; ``sides(n)``."""
-    return _each(lambda cap: range(cap + 1), sides)
+def _each_size(sides: Callable[[int], Sides], *families: Callable) -> Cases:
+    """Cases over the sizes n up to cap; ``sides(n)``.  Each q-Motzkin family
+    given is asked for at cap first: one run of its cut tableau caches every
+    n below, where asking for n = 0, 1, ... in turn would run it per n."""
+
+    def sizes(cap: int) -> range:
+        for family in families:
+            family(cap)
+        return range(cap + 1)
+
+    return _each(sizes, sides)
 
 
 def _versus_series(name: str, other: Callable[[int], object], var: str = "") -> Cases:
@@ -343,7 +351,7 @@ def _tableau_row_pair(cap: int) -> Iterator[Case]:
 
 
 def _dumont(cap: int) -> Iterator[Case]:
-    # Two j-fraction presets against recurrences that never build a tableau.
+    # Two presets against recurrences that never build a tableau.
     recurrences = (
         ("motzkin", lambda n: UniPoly((motzkin_number(n),))),
         ("main12-rhs", _product_recurrence(cap, _second_kind).__getitem__),
@@ -378,6 +386,7 @@ def _mtilde_equation(cap: int) -> Iterator[Case]:
 
 def _dist_321(cap: int) -> Iterator[Case]:
     table = h_tableau(cap)
+    q_motzkin_tilde(cap)  # one run of the cut tableau caches n <= cap
     for n in range(cap + 1):
         got = _enumerated(PermClass.S321_B3142, n, StatSpec.CRS)
         yield f"n={n}", got, q_motzkin_tilde(n)
@@ -459,7 +468,7 @@ _CHECKS: tuple[_Check, ...] = (
     _Check("qmotzkin-at-one", "qpoly", 30, ("(M(1), Mtilde(1))", "Motzkin"),
            _each_size(lambda n: (
                (q_motzkin(n).evaluate(1), q_motzkin_tilde(n).evaluate(1)),
-               (motzkin_number(n),) * 2))),
+               (motzkin_number(n),) * 2), q_motzkin, q_motzkin_tilde)),
     _Check("tableau-recursion", "qpoly", 25, ("tableau", "closed form"),
            _tableau_recursion),
     _Check("tableau-first-column", "qpoly", 30, ("column", "recurrence"),
@@ -475,13 +484,15 @@ _CHECKS: tuple[_Check, ...] = (
            _series_terms(lambda cap: (
                named_series("main12-lhs", cap), named_series("main12-rhs", cap)))),
     _Check("i-abcd-vs-paths", "qpoly", 10, ("paths", "fraction"),
-           _versus_series("I-abcd", _abcd_tally)),
+           _versus_series("I-abcd", lambda n: _abcd_tally(n))),
     _Check("dist-4321-crs-nes", "distributions", 10, ("enumeration", "polynomial"),
            _each_size(lambda n: (
-               _enumerated(PermClass.I4321, n, StatSpec.CRS_PLUS_NES), q_motzkin(n)))),
+               _enumerated(PermClass.I4321, n, StatSpec.CRS_PLUS_NES), q_motzkin(n)),
+               q_motzkin)),
     _Check("dist-3412-nes", "distributions", 10, ("enumeration", "polynomial"),
            _each_size(lambda n: (
-               _enumerated(PermClass.I3412, n, StatSpec.NES), q_motzkin(n)))),
+               _enumerated(PermClass.I3412, n, StatSpec.NES), q_motzkin(n)),
+               q_motzkin)),
     _Check("dist-321-crs", "distributions", 9, ("enumeration", "polynomial"),
            _dist_321),
     _Check("dist-4321-joint-fraction", "distributions", 9, ("enumeration", "fraction"),

@@ -16,7 +16,9 @@ included.
 
 Both render to a canonical text form: terms ascending by total exponent
 (ties broken by the exponent tuple), a coefficient of 1 and an exponent of
-1 are suppressed, and the zero polynomial renders as ``"0"``.
+1 are suppressed, and the zero polynomial renders as ``"0"``.  Each type
+writes its own monomials' text, and ``_join_terms`` joins the pairs of
+coefficient and monomial text with their signs.
 
 >>> str(UniPoly((5, 3, 1)))
 '5 + 3*q + q^2'
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import sys
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 # Exponents are packed into a single int key, _EXP_BITS bits per variable.
 # Keys of same-shape monomials add under multiplication with no carries as
@@ -124,25 +126,18 @@ def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
     ]
 
 
-def _format_terms(terms: Iterable[tuple[int, Sequence[tuple[str, int]]]]) -> str:
-    """Render (coefficient, [(var, exponent), ...]) terms canonically."""
+def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
+    """Join nonzero (coefficient, monomial text) terms, ``""`` the constant
+    monomial; a unit coefficient shows only its sign."""
     pieces: list[str] = []
-    for coeff, exps in terms:
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        factors = [v if e == 1 else f"{v}^{e}" for v, e in exps if e]
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + body)
-        else:
-            pieces.append((" - " if coeff < 0 else " + ") + body)
-    return "".join(pieces) if pieces else "0"
+    for c, mono in terms:
+        pieces.append(" - " if c < 0 else " + ")
+        c = abs(c)
+        pieces.append(f"{c}*{mono}" if c != 1 and mono else mono or str(c))
+    if not pieces:
+        return "0"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 class UniPoly:
@@ -244,7 +239,8 @@ class UniPoly:
         return bool(self.coeffs)
 
     def __str__(self) -> str:
-        return _format_terms((c, (("q", e),)) for e, c in enumerate(self.coeffs))
+        return _join_terms((c, f"q^{e}" if e > 1 else "q" if e else "")
+                           for e, c in enumerate(self.coeffs) if c)
 
     def __repr__(self) -> str:
         return f"UniPoly({self.coeffs!r})"
@@ -263,8 +259,12 @@ def _pack(exps: Sequence[int]) -> int:
     return key
 
 
-def _unpack(key: int, nvars: int) -> tuple[int, ...]:
-    return tuple((key >> (_EXP_BITS * i)) & _EXP_MASK for i in range(nvars))
+def _unpack(keys: Collection[int], nvars: int) -> list[tuple[int, ...]]:
+    """The exponent tuples of packed keys, unpacked one variable at a time
+    (with no variables, one empty tuple per key)."""
+    shifts = range(0, _EXP_BITS * nvars, _EXP_BITS)
+    columns = [[k >> s & _EXP_MASK for k in keys] for s in shifts]
+    return list(zip(*columns)) or [()] * len(keys)
 
 
 class MultiPoly:
@@ -348,10 +348,9 @@ class MultiPoly:
 
     def terms_sorted(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms as (exponent tuple, coefficient), canonical order."""
-        n = len(self.variables)
-        out = [(_unpack(k, n), c) for k, c in self._terms.items()]
-        out.sort(key=lambda t: (sum(t[0]), t[0]))
-        return out
+        exps = _unpack(self._terms, len(self.variables))
+        rows = sorted(zip(map(sum, exps), exps, self._terms.values()))
+        return [(e, c) for _, e, c in rows]
 
     def coefficient(self, exps: Mapping[str, int]) -> int:
         vec = [exps.get(v, 0) for v in self.variables]
@@ -417,9 +416,8 @@ class MultiPoly:
         if missing:
             raise ValueError(f"missing assignments for: {sorted(missing)}")
         total = 0
-        n = len(self.variables)
-        for k, c in self._terms.items():
-            exps = _unpack(k, n)
+        terms = zip(_unpack(self._terms, len(self.variables)), self._terms.values())
+        for exps, c in terms:
             for v, e in zip(self.variables, exps):
                 if e:
                     c *= assignments[v] ** e
@@ -429,10 +427,9 @@ class MultiPoly:
     def as_unipoly(self, var: str = "q") -> UniPoly:
         """Project onto one variable; the others must not occur."""
         i = self.variables.index(var)
-        n = len(self.variables)
         coeffs: dict[int, int] = {}
-        for k, c in self._terms.items():
-            exps = _unpack(k, n)
+        terms = zip(_unpack(self._terms, len(self.variables)), self._terms.values())
+        for exps, c in terms:
             if any(e for j, e in enumerate(exps) if j != i):
                 raise ValueError(f"polynomial involves more than {var!r}")
             coeffs[exps[i]] = c
@@ -457,8 +454,9 @@ class MultiPoly:
         return bool(self._terms)
 
     def __str__(self) -> str:
-        return _format_terms(
-            (c, tuple(zip(self.variables, exps)))
+        return _join_terms(
+            (c, "*".join([f"{v}^{e}" if e > 1 else v
+                          for v, e in zip(self.variables, exps) if e]))
             for exps, c in self.terms_sorted()
         )
 

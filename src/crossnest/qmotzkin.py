@@ -41,7 +41,6 @@ from .polynomials import (
     UNI_ZERO,
     MultiPoly,
     UniPoly,
-    _pack,
     _unpack_slots,
 )
 
@@ -75,7 +74,7 @@ def _level_terms(level: Callable, name: str, k: int, variables: tuple) -> list:
     value = level(k)
     if not isinstance(value, MultiPoly) or value.variables != variables:
         raise ValueError(f"{name}({k}) is not a MultiPoly over {variables}")
-    terms = [(_pack(exps), c) for exps, c in value.terms_sorted()]
+    terms = list(value._terms.items())
     if any(c < 0 for _, c in terms):
         raise ValueError(f"{name}({k}) has a negative coefficient")
     return terms

@@ -122,9 +122,7 @@ _J_PRESETS: dict[str, tuple[tuple[str, ...], dict, dict]] = {
                     {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "p": (0, 2)}),
     "I3412-joint": (("x", "y", "p", "q"),
                     {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "q": (0, 2)}),
-    "A": (("q",), {"q": (0, 1)}, {"q": (0, 2)}),
     "S321-exc-crs": (("y", "q"), {"q": (0, 1)}, {"y": (1, 0), "q": (0, 1)}),
-    "main12-rhs": (("q",), {"q": (0, 1)}, {"q": (0, 1)}),
 }
 
 
@@ -188,18 +186,20 @@ def _preset_family(family: Callable[[int], UniPoly], order: int) -> PowerSeries:
 #                 a^hor b^up c^sh_u d^sh_h summed over paths of each length
 #   I4321-joint   joint (fp, exc, crs, nes) over 4321-avoiding involutions
 #   I3412-joint   joint (fp, exc, crs, nes) over 3412-avoiding involutions
-#   A             crs+nes over 4321-avoiding involutions (q-Motzkin, first kind)
+#   A             crs+nes over 4321-avoiding involutions: the M family
 #   S321-exc-crs  joint (exc, crs) over 321-avoiding permutations that also
 #                 avoid the barred pattern
-#   M, Mtilde     the two q-Motzkin families, column 0 of the cut tableau
-#                 with the levels of A and main12-rhs (qmotzkin)
+#   M, Mtilde     the two q-Motzkin families, each column 0 of the cut tableau
+#                 of its J-fraction (qmotzkin)
 #   main12-lhs    nested-fraction form of the Mtilde generating series
-#   main12-rhs    j-fraction form of the same series
+#   main12-rhs    j-fraction form of the same series: the Mtilde family
 PRESETS: dict[str, Callable[[int], PowerSeries]] = {
     **{name: partial(jfraction_series, _j_spec(*row))
        for name, row in _J_PRESETS.items()},
     "M": partial(_preset_family, q_motzkin),
+    "A": partial(_preset_family, q_motzkin),
     "Mtilde": partial(_preset_family, q_motzkin_tilde),
+    "main12-rhs": partial(_preset_family, q_motzkin_tilde),
     "main12-lhs": _preset_main12_lhs,
 }
 

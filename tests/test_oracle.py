@@ -495,3 +495,169 @@ class TestFailurePath:
         assert failed == reads_it
         for name in reads_it:
             assert re.match(r"^(main12-rhs )?n=5: ", checks[name].counterexample), name
+
+
+class TestFamilyBuilds:
+    def test_family_rows_build_each_family_once(self, monkeypatch):
+        # A row that reads a q-Motzkin family asks for it at the cap before
+        # it draws cases, so from cold caches it runs that family's cut
+        # tableau once, not once per n past the cache.  beta(2) tells the
+        # builds apart: q^2 for q_motzkin, q for q_motzkin_tilde.
+        builds = []
+        real = qmotzkin_module._PackedTableau.__init__
+
+        def counting(self, variables, alpha, beta, n_max, cut=False):
+            if cut:
+                builds.append(str(beta(2)))
+            real(self, variables, alpha, beta, n_max, cut)
+
+        def cold():
+            monkeypatch.setattr(qmotzkin_module, "_q_motzkin_cache", [UNI_ONE, UNI_ONE])
+            monkeypatch.setattr(qmotzkin_module, "_q_tilde_cache", [UNI_ONE, UNI_ONE])
+            builds.clear()
+
+        monkeypatch.setattr(qmotzkin_module._PackedTableau, "__init__", counting)
+        rows = {c.name: c for c in _CHECKS}
+        for name, families in (
+            ("qmotzkin-at-one", ["q^2", "q"]),
+            ("dist-4321-crs-nes", ["q^2"]),
+            ("dist-3412-nes", ["q^2"]),
+            ("dist-321-crs", ["q"]),
+        ):
+            cold()
+            check = rows[name]
+            cases = list(check.cases(check.bound))
+            assert len(cases) >= check.bound + 1, name
+            assert all(lhs == rhs for _, lhs, rhs in cases), name
+            assert builds == families, name
+        # The whole suite: each family once, beside one build per joint preset.
+        cold()
+        assert run_suite("distributions", 10).passed
+        assert sorted(builds) == ["q", "q^2", "y*p^2", "y*q", "y*q^2"]
+
+
+def fault_off_by_one(field: int):
+    """The real function's tuple with field ``field`` one too big."""
+    def plant(real):
+        def faulty(*args):
+            values = list(real(*args))
+            values[field] += 1
+            return tuple(values)
+        return faulty
+    return plant
+
+
+def record_off_by_one(field: str):
+    """The real ``path_statistics`` with ``field`` one too big."""
+    def plant(real):
+        def faulty(p):
+            r = real(p)
+            return r._replace(**{field: getattr(r, field) + 1})
+        return faulty
+    return plant
+
+
+def poly_off_at(size: int):
+    """The real q-polynomial family, one too big at n = ``size``."""
+    def plant(real):
+        return lambda n: real(n) + 1 if n == size else real(n)
+    return plant
+
+
+def tableau_off_at(n: int, i: int):
+    """The real ``h_tableau`` with entry (n, i) one too big."""
+    def plant(real):
+        def faulty(n_max):
+            table = real(n_max)
+            if n_max >= n:
+                table[n][i] = table[n][i] + 1
+            return table
+        return faulty
+    return plant
+
+
+def series_off_at(preset: str, n: int):
+    """The real ``named_series`` with t^n of ``preset`` one too big."""
+    def plant(real):
+        def faulty(name, order):
+            series = real(name, order)
+            if name != preset or order < n:
+                return series
+            coeffs = list(series.coeffs)
+            coeffs[n] = coeffs[n] + 1
+            return PowerSeries(series.variables, coeffs)
+        return faulty
+    return plant
+
+
+def enumeration_off_for(cls: PermClass):
+    """The real ``_enumerated``, one too big for ``cls`` at n = 3."""
+    def plant(real):
+        def faulty(c, n, spec):
+            poly = real(c, n, spec)
+            return poly + 1 if c is cls and n == 3 else poly
+        return faulty
+    return plant
+
+
+# One planted fault per _CHECKS row: the oracle-module name it replaces, on
+# one side of that row, and the fault as a function of the real one.  Every
+# fault shows by n = 4.
+PLANTED_FAULTS = {
+    "inv-identity": ("_fp_exc_crs_nes_inv", fault_off_by_one(4)),
+    "head-tail-roundtrip": ("permutation_from_head_tail",
+                            lambda real: lambda pairs, n: tuple(range(1, n + 1))),
+    "class-tails-des-exc": ("head_tail_pairs", lambda real: lambda w: tuple(
+        (h + 1, t) for h, t in real(w))),
+    "class-nonnesting": ("_fp_exc_crs_nes_inv", fault_off_by_one(3)),
+    "area-down-identity": ("path_statistics", record_off_by_one("sh_d")),
+    "area-up-identity": ("path_statistics", record_off_by_one("sh_u")),
+    "height-sum-difference": ("path_statistics", record_off_by_one("down")),
+    "strip-roundtrip": ("path_from_head_tail", lambda real: lambda pairs, n: "h" * n),
+    "matchings-perfect": ("tunnel_matching", lambda real: lambda p: real(p)[1:]),
+    "path-count-recurrence": ("motzkin_number", lambda real: lambda n: real(n) + 1),
+    "phi1-transport": ("phi1", lambda real: phi2),
+    "phi2-transport": ("phi2", lambda real: phi1),
+    "phi3-transport": ("phi3", lambda real: lambda p: real(p)[::-1]),
+    "phi-bijectivity": ("phi3", lambda real: lambda p: tuple(range(1, len(p) + 1))),
+    "phi-roundtrips": ("phi3_inverse", lambda real: lambda w: "h" * len(w)),
+    "qmotzkin-at-one": ("q_motzkin_tilde", poly_off_at(3)),
+    "tableau-recursion": ("h_recursion_rhs",
+                          lambda real: lambda n, i, table: real(n, i, table) + 1),
+    "tableau-first-column": ("h_tableau", tableau_off_at(3, 0)),
+    "tableau-row-pair": ("h_tableau", tableau_off_at(3, 1)),
+    "dumont-expansion": ("_second_kind", lambda real: lambda k, m: k + 1),
+    "a-series-recurrence": ("_first_kind", lambda real: lambda k, m: k + 1),
+    "mtilde-functional-equation": ("named_series", series_off_at("Mtilde", 3)),
+    "main12-identity": ("named_series", series_off_at("main12-lhs", 4)),
+    "i-abcd-vs-paths": ("_abcd_tally", lambda real: lambda n: real(n) * 2),
+    "dist-4321-crs-nes": ("q_motzkin", poly_off_at(3)),
+    "dist-3412-nes": ("_enumerated", enumeration_off_for(PermClass.I3412)),
+    "dist-321-crs": ("q_motzkin_tilde", poly_off_at(3)),
+    "dist-4321-joint-fraction": ("_enumerated", enumeration_off_for(PermClass.I4321)),
+    "dist-3412-joint-fraction": ("named_series", series_off_at("I3412-joint", 3)),
+    "dist-321-joint-fraction": ("_enumerated",
+                                enumeration_off_for(PermClass.S321_B3142)),
+    "dist-path-transport": ("_phi2_predicts", fault_off_by_one(3)),
+}
+
+
+class TestPlantedFaults:
+    def test_table_covers_every_row(self):
+        assert sorted(PLANTED_FAULTS) == sorted(c.name for c in _CHECKS)
+
+    @pytest.mark.parametrize("row", sorted(PLANTED_FAULTS))
+    def test_planted_fault_fails_its_row(self, row, monkeypatch):
+        # The row alone, through run_suite: it passes, then fails with the
+        # fault planted on one of its sides.
+        monkeypatch.setattr(oracle_module, "_CHECKS",
+                            tuple(c for c in _CHECKS if c.name == row))
+
+        def status():
+            (check,) = run_suite("all", 5).checks
+            return check.status
+
+        assert status() == "pass"
+        name, plant = PLANTED_FAULTS[row]
+        monkeypatch.setattr(oracle_module, name, plant(getattr(oracle_module, name)))
+        assert status() == "FAIL"

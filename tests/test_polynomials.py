@@ -150,6 +150,64 @@ class TestUniPoly:
         assert (a * b).coeffs == tuple(naive_convolve(list(a.coeffs), list(b.coeffs)))
 
 
+def format_terms(terms):
+    """Reference rendering, the route before monomial text: one
+    (coefficient, ((var, exponent), ...)) tuple per term, zeros dropped."""
+    pieces = []
+    for coeff, exps in terms:
+        if coeff == 0:
+            continue
+        mag = abs(coeff)
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in exps if e]
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        if not pieces:
+            pieces.append(("-" if coeff < 0 else "") + body)
+        else:
+            pieces.append((" - " if coeff < 0 else " + ") + body)
+    return "".join(pieces) if pieces else "0"
+
+
+# Zero, units of either sign, small and wide coefficients of either sign.
+COEFFS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(1 << 80), 1 << 80),
+)
+
+
+@st.composite
+def term_dicts(draw):
+    """Variables (0 to 4 of them) and {exponent tuple: coefficient}."""
+    variables = ("x", "y", "p", "q")[: draw(st.integers(0, 4))]
+    exps = st.tuples(*[st.integers(0, 12)] * len(variables))
+    return variables, draw(st.dictionaries(exps, COEFFS, max_size=10))
+
+
+class TestRenderingMatchesReference:
+    @settings(max_examples=300)
+    @given(st.lists(COEFFS, max_size=15))
+    def test_unipoly(self, coeffs):
+        expected = format_terms((c, (("q", e),)) for e, c in enumerate(coeffs))
+        assert str(UniPoly(coeffs)) == expected
+
+    @settings(max_examples=300)
+    @given(term_dicts())
+    def test_multipoly(self, data):
+        variables, terms = data
+        poly = MultiPoly.from_terms(variables, terms)
+        ordered = sorted(
+            ((e, c) for e, c in terms.items() if c), key=lambda t: (sum(t[0]), t[0])
+        )
+        assert poly.terms_sorted() == ordered
+        expected = format_terms((c, tuple(zip(variables, e))) for e, c in ordered)
+        assert str(poly) == expected
+
+
 VARS = ("x", "y", "p", "q")
 
 

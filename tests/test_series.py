@@ -19,6 +19,16 @@ from crossnest.series import (
 )
 
 
+# The J-fraction levels of every preset the engine expands from a spec, and
+# of A and main12-rhs, which are the cached q_motzkin and q_motzkin_tilde
+# families: both routes must give the same series.
+LEVEL_SPECS = {
+    **_J_PRESETS,
+    "A": (("q",), {"q": (0, 1)}, {"q": (0, 2)}),
+    "main12-rhs": (("q",), {"q": (0, 1)}, {"q": (0, 1)}),
+}
+
+
 def uni_coeffs(series: PowerSeries) -> list[UniPoly]:
     return [c.as_unipoly("q") for c in series.coeffs]
 
@@ -160,11 +170,11 @@ class TestJFraction:
         table = [[UNI_ONE], *islice(tableau_rows(alpha, beta, [UNI_ONE]), 14)]
         assert uni_coeffs(series) == [row[0] for row in table]
 
-    @pytest.mark.parametrize("name", sorted(_J_PRESETS))
+    @pytest.mark.parametrize("name", sorted(LEVEL_SPECS))
     def test_presets_match_generic_tableau(self, name):
         # The packed engine against one MultiPoly product per entry, at
         # every order: a low order cuts the tableau differently.
-        spec = _j_spec(*_J_PRESETS[name])
+        spec = _j_spec(*LEVEL_SPECS[name])
         cap = 30 if len(spec.variables) == 1 else 16
         reference = tableau_column(spec, cap).coeffs
         for order in range(cap + 1):
@@ -236,9 +246,9 @@ class TestJFraction:
         with pytest.raises(ValueError, match=message):
             jfraction_series(spec, 4)
 
-    @pytest.mark.parametrize("name", sorted(_J_PRESETS))
+    @pytest.mark.parametrize("name", sorted(LEVEL_SPECS))
     def test_presets_match_level_by_level_expansion(self, name):
-        spec = _j_spec(*_J_PRESETS[name])
+        spec = _j_spec(*LEVEL_SPECS[name])
         for order in range(13):
             assert named_series(name, order) == level_by_level(spec, order), order
 
