@@ -16,15 +16,15 @@ draws an arc from i to word[i]:
 Inversions, excedances, descents and fixed points are the usual ones, and
 ``inv = exc + crs + 2 * nes`` holds for every permutation.
 
-4321 and 3412 each have one scan of prefix registers (West 1995) that
-serves both the word test and the enumerator: the word test runs it over
-the whole word (321 runs the 4321 scan behind a letter above them all),
-and the enumerators of ``I4321`` and ``I3412`` carry its registers over
-each newly fixed stretch of letters and run it on over the letters that
-the open 2-cycles force later, refusing a pairing once these hold the
-pattern; that leaves no dead subtree.  The barred 3-bar-1-42 is the
-vincular pattern 23-1 (Claesson 2001), tested in one pass, and the
-321/barred avoiders have a generating tree without dead ends too.  Like
+4321 and 3412 each have one scan of prefix registers (West 1995), which
+the word test runs over the whole word (321 runs the 4321 scan behind a
+letter above them all).  The enumerators of ``I4321`` and ``I3412`` run no
+scan: an involution contains 4321 exactly when two of its 2-cycles nest,
+and 3412 exactly when two cross, so one involution tree serves all three
+involution families, each with its range of partners for the next 2-cycle,
+and leaves no dead subtree.  The barred 3-bar-1-42 is the vincular
+pattern 23-1 (Claesson 2001), tested in one pass, and the 321/barred
+avoiders have a generating tree without dead ends too.  Like
 ``contains_classical``, the fast tests raise ValueError on a word that is
 not a permutation.  Each family is one ``_CLASS_RULES`` row, its word
 test (for ``in_class``, which validates the word once) and its enumerator;
@@ -63,7 +63,7 @@ import itertools
 import os
 from collections import Counter
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .polynomials import MultiPoly
 
@@ -367,35 +367,33 @@ def _check_size(n: int, name: str = "n") -> None:
 
 
 def _involutions(
-    n: int, grow: Callable | None = None, regs: object = ()
+    n: int, partners: Callable[[int, int, int], tuple[int, int]]
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
-    # Pair the first free (zero) position i with a free j >= i, j == i a
-    # fixed point; trying j in increasing order gives lexicographic order.
-    # Then w[:k] is fixed, k the next free position.  The pairing fixes
-    # letters past k too: each 2-cycle (a b), a <= k < b, puts the letter a
-    # at position b, and every completion keeps these forced letters after
-    # w[:k], in position order.  So grow(regs, w[i:k], ahead) runs the
-    # family's pattern machine over the new letters w[i:k] and on over the
-    # forced ones (``ahead``: the nonzero letters up to the last open arc),
-    # and refuses the pairing, None, once they hold the pattern, which then
-    # no completion avoids.  Otherwise it returns the registers of w[:k].
-    # No subtree is dead.  Let u be the completion with a fixed point at
-    # every free position, and f a fixed point of u past k.  Past k, u holds
-    # only fixed points and forced letters, so the letters above f and
-    # before it are the letters b at a <= k of the 2-cycles (a b) over f,
-    # a < f < b, and those below f and after it are their letters a at b;
-    # every other letter is below and before f, or above and after it.
-    # Each letter of 4321 or 3412 has two others of the pattern above and
-    # before it or below and after it, falling in 4321 and rising in 3412.
-    # So an occurrence through f gives two arcs over f, nested for 4321 and
-    # crossing for 3412, and their four letters, all in w[:k] or forced,
-    # hold the pattern: nested arcs a < c < d < b read b d c a, crossing
-    # arcs a < c < b < d read b d a c.  So u avoids the pattern when the
-    # pairing passes, and every pairing on the way to u reads a subsequence
-    # of u, so it passes too: the tree keeps exactly the live pairings.
+    # Pair the first free (zero) position i with itself, a fixed point, and
+    # then with each free j in range(lo, hi), the family's partner range
+    # lo, hi = partners(i, arcs, n); this order is lexicographic.  arcs has
+    # bit b for each 2-cycle (a b) with a < i < b, an arc still open over i;
+    # these b are exactly the filled positions past i.  An involution holds
+    # 4321 exactly when two of its 2-cycles nest, and 3412 exactly when two
+    # cross:
+    # * Nested 2-cycles a < c < d < b read b d c a, crossing ones
+    #   a < c < b < d read b d a c.
+    # * With no nesting, the letters at openers rise, the letters at
+    #   closers rise, and the fixed points rise, so a falling run takes at
+    #   most one letter of each kind: three letters.
+    # * With no crossing, the word is the direct sum of a block (b, s + 1,
+    #   1), where (1 b) is the cycle of 1 (the block is just 1 when b = 1)
+    #   and s a non-crossing involution, and a non-crossing involution t.
+    #   3412 is sum-indecomposable, so an occurrence lies in one summand,
+    #   and in the block it can use neither b, first and largest, nor 1,
+    #   last and smallest; induction on s and t gives the rest.
+    # A new 2-cycle (i j) nests under each open arc that closes after j and
+    # crosses each one that closes before it, so I4321 takes its partners
+    # past every open arc and I3412 before the first open arc closes; every
+    # position there is free.  Every pairing offered completes to a member
+    # (fixed points at the free positions left), so no subtree is dead.
     # Each member comes with its (fp, exc, crs, nes), but the tree carries
-    # only crs, nes and arcs, bit b for each 2-cycle (a b) with a < i < b,
-    # an arc still open over i.  A fixed point under an open arc makes one
+    # only crs, nes and arcs.  A fixed point under an open arc makes one
     # nesting with it, and a new 2-cycle (i j) makes two crossings with each
     # open arc that closes before j and two nestings with each one that
     # closes after it (Flajolet 1980: the open arcs are the height of the
@@ -403,76 +401,73 @@ def _involutions(
     # 2-cycle, so its c cycles give fp = 2c - n and exc = n - c.
     word = [0] * n
     stack: list[tuple] = []
-    i = j = 0
-    crs = nes = arcs = 0
+    i = j = crs = nes = arcs = 0
+    lo, hi = partners(0, 0, n) if n else (0, 0)
     while True:
-        while j < n and word[j]:
-            j += 1
-        if j < n:
+        if j < hi:
             word[i], word[j] = j + 1, i + 1
-            k = i + 1
-            while k < n and word[k]:
-                k += 1
-            grown = regs
-            if grow is not None:
-                last = ((arcs | 1 << j) >> k).bit_length()  # the last open arc
-                ahead = filter(None, word[k:k + last]) if last else ()
-                grown = grow(regs, word[i:k], ahead)
-                if grown is None:
-                    word[i] = word[j] = 0
-                    j += 1
-                    continue
-            stack.append((i, j, regs, crs, nes, arcs))
+            stack.append((i, j, lo, hi, crs, nes, arcs))
             if j == i:
                 nes += arcs.bit_count()
             else:
                 crs += 2 * (arcs & ((1 << j) - 1)).bit_count()
                 nes += 2 * (arcs >> j).bit_count()
                 arcs |= 1 << j
-            arcs &= -1 << k  # the arcs closing at i + 1..k - 1 are done
-            i = j = k
-            regs = grown
+            i += 1
+            while i < n and word[i]:
+                i += 1
+            arcs &= -1 << i  # the arcs that closed before i are done
+            lo, hi = partners(i, arcs, n) if i < n else (0, 0)
+            j = i
             continue
         if i == n:
             c = len(stack)
             yield tuple(word), (2 * c - n, n - c, crs, nes)
         if not stack:
             return
-        i, j, regs, crs, nes, arcs = stack.pop()
+        i, j, lo, hi, crs, nes, arcs = stack.pop()
         word[i] = word[j] = 0
-        j += 1
+        j = lo if j == i else j + 1
+        while j < hi and word[j]:
+            j += 1
 
 
-def _grow_4321(
-    regs: tuple[int, int, int], letters: Sequence[int], ahead: Iterable[int] = ()
-) -> tuple | None:
+def _free_partners(i: int, arcs: int, n: int) -> tuple[int, int]:
+    # Every involution: any later position; the tree skips the filled ones.
+    return i + 1, n
+
+
+def _nonnesting_partners(i: int, arcs: int, n: int) -> tuple[int, int]:
+    # I4321: the positions past the end of every open arc.
+    return max(i + 1, arcs.bit_length()), n
+
+
+def _noncrossing_partners(i: int, arcs: int, n: int) -> tuple[int, int]:
+    # I3412: the positions before the first open arc's end.
+    return i + 1, (arcs & -arcs).bit_length() - 1 if arcs else n
+
+
+def _grow_4321(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | None:
     # The 4321 machine: the registers of a prefix run on over more letters,
-    # or None once the letters so far hold 4321.  It goes on over ``ahead``
-    # too, but returns the registers as they stood after ``letters``.  bj
-    # is the largest last letter over decreasing subsequences of length j
-    # so far; a larger last letter is always easier to extend.  Letters are
-    # distinct, so each letter that does not complete 4321 raises one
-    # register: that of the longest decreasing subsequence it ends.
+    # or None once the letters so far hold 4321.  bj is the largest last
+    # letter over decreasing subsequences of length j so far; a larger last
+    # letter is always easier to extend.  Letters are distinct, so each
+    # letter that does not complete 4321 raises one register: that of the
+    # longest decreasing subsequence it ends.
     b1, b2, b3 = regs
-    grown = None
-    for part in (letters, ahead):
-        for v in part:
-            if b3 > v:
-                return None
-            if b2 > v:
-                b3 = v
-            elif b1 > v:
-                b2 = v
-            else:
-                b1 = v
-        if grown is None:
-            grown = b1, b2, b3
-    return grown
+    for v in letters:
+        if b3 > v:
+            return None
+        if b2 > v:
+            b3 = v
+        elif b1 > v:
+            b2 = v
+        else:
+            b1 = v
+    return b1, b2, b3
 
 
-def _grow_3412(
-    regs: tuple[int, int, int], letters: Sequence[int], ahead: Iterable[int] = ()
-) -> tuple | None:
+def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | None:
     # The 3412 machine, run on like _grow_4321.  An occurrence is an ascent
     # (the 34), then a "1" below its low letter, then a later "2" between
     # the two.  seen: bit v for each letter v so far; low: the largest low
@@ -480,22 +475,18 @@ def _grow_3412(
     # that would end a 3412 as its "2".  A letter u below low is a "1"
     # after that ascent, so every v with u < v < low is banned from then on.
     seen, low, banned = regs
-    grown = None
-    for part in (letters, ahead):
-        for v in part:
-            bit = 1 << v
-            if banned & bit:
-                return None
-            if v < low:
-                banned |= (1 << low) - (bit << 1)
-            else:  # the best ascent ending at v starts at v's predecessor
-                below = (seen & (bit - 1)).bit_length() - 1
-                if below > low:
-                    low = below
-            seen |= bit
-        if grown is None:
-            grown = seen, low, banned
-    return grown
+    for v in letters:
+        bit = 1 << v
+        if banned & bit:
+            return None
+        if v < low:
+            banned |= (1 << low) - (bit << 1)
+        else:  # the best ascent ending at v starts at v's predecessor
+            below = (seen & (bit - 1)).bit_length() - 1
+            if below > low:
+                low = below
+        seen |= bit
+    return seen, low, banned
 
 
 def _avoiders_321_barred_3142(
@@ -553,14 +544,14 @@ _CLASS_RULES = {
         False, None,
         lambda n: zip(itertools.permutations(range(1, n + 1)), itertools.repeat(None)),
     ),
-    PermClass.INVOLUTIONS: (True, None, _involutions),
+    PermClass.INVOLUTIONS: (True, None, lambda n: _involutions(n, _free_partners)),
     PermClass.I4321: (
         True, lambda w: _grow_4321((0, 0, 0), w) is not None,
-        lambda n: _involutions(n, _grow_4321, (0, 0, 0)),
+        lambda n: _involutions(n, _nonnesting_partners),
     ),
     PermClass.I3412: (
         True, lambda w: _grow_3412((0, 0, 0), w) is not None,
-        lambda n: _involutions(n, _grow_3412, (0, 0, 0)),
+        lambda n: _involutions(n, _noncrossing_partners),
     ),
     PermClass.S321_B3142: (
         False,
@@ -581,10 +572,11 @@ def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
 
     ``ALL`` runs ``itertools.permutations``.  The other families grow their
     members left to right in generating trees without dead subtrees: every
-    prefix the tree keeps has a member below it.  ``I4321`` and ``I3412``
-    refuse a pairing once the prefix, with the letters its open 2-cycles
-    force later, holds the pattern.  Filtering every involution or
-    permutation through ``in_class`` is the test reference.
+    prefix the tree keeps has a member below it.  ``I4321`` pairs the next
+    free position only past the end of every open 2-cycle (no two nest),
+    and ``I3412`` only before the first one ends (no two cross).
+    Filtering every involution or permutation through ``in_class``, which
+    runs the pattern scans, is the test reference.
 
     >>> list(enumerate_class(3, PermClass.S321_B3142))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]

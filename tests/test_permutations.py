@@ -398,20 +398,29 @@ class TestClasses:
         (PermClass.I4321, "_grow_4321"), (PermClass.I3412, "_grow_3412"),
     ])
     def test_involution_trees_have_no_dead_subtrees(self, monkeypatch, cls, machine):
-        # The tree runs the family's machine once per pairing it tries and
-        # keeps the pairing unless the machine returns None.  A kept pairing
-        # fixes w[:k], k the next cycle start or n, so with no dead subtree
-        # the kept pairings are the distinct such prefixes of the members.
-        run = getattr(permutations_module, machine)
+        # The tree takes every pairing its partner range offers: the fixed
+        # point and each position in range(lo, hi), all free in these two
+        # families.  A pairing fixes w[:k], k the next cycle start or n, so
+        # with no dead subtree the pairings offered are the distinct such
+        # prefixes of the members.  The tree never runs the word test's
+        # pattern machine; in_class does, so the reference prefixes are
+        # drawn before the patches.
+        name = {
+            PermClass.I4321: "_nonnesting_partners",
+            PermClass.I3412: "_noncrossing_partners",
+        }[cls]
+        rule = getattr(permutations_module, name)
         kept = 0
 
-        def counted(*args):
+        def counted(i, arcs, n):
             nonlocal kept
-            grown = run(*args)
-            kept += grown is not None
-            return grown
+            lo, hi = rule(i, arcs, n)
+            kept += 1 + hi - lo
+            return lo, hi
 
-        monkeypatch.setattr(permutations_module, machine, counted)
+        def unused(*args):
+            raise AssertionError(f"the {cls.value} tree ran {machine}")
+
         for n in range(11):
             prefixes = {
                 w[:k]
@@ -419,10 +428,26 @@ class TestClasses:
                 for k in range(1, n + 1)
                 if k == n or w[k] > k
             }
-            kept = 0
-            for _ in enumerate_class(n, cls):
-                pass
+            with monkeypatch.context() as patch:
+                patch.setattr(permutations_module, name, counted)
+                patch.setattr(permutations_module, machine, unused)
+                kept = 0
+                for _ in enumerate_class(n, cls):
+                    pass
             assert kept == len(prefixes), (cls, n)
+
+    def test_arc_rule_matches_classical_containment(self):
+        # The rule the involution trees rest on, checked without the trees
+        # or the pattern machines: an involution contains 4321 exactly when
+        # two of its 2-cycles nest, and 3412 exactly when two cross.
+        for n in range(10):
+            for w in involutions_lex(n):
+                cycles = [(a, b) for a, b in enumerate(w, 1) if a < b]
+                pairs = list(itertools.combinations(cycles, 2))
+                nested = any(a < c < d < b for (a, b), (c, d) in pairs)
+                crossing = any(a < c < b < d for (a, b), (c, d) in pairs)
+                assert contains_classical(w, (4, 3, 2, 1)) == nested, w
+                assert contains_classical(w, (3, 4, 1, 2)) == crossing, w
 
     def test_carried_statistics_match_the_kernel(self):
         # The enumerators carry what no identity gives and derive the rest;
