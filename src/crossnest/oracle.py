@@ -21,12 +21,22 @@ cases it compared: a row with none does not pass (its status is
 counterexample, placed at the object whose sides raised (or after the last
 case drawn, when drawing the next one raised), while the suite goes on.
 
+The rows over enumerated words trust the enumerator, as ``in_class``
+validates a word once and its word tests trust it: ``inv-identity`` runs
+the statistics kernel ``_fp_exc_crs_nes_inv``, and ``head-tail-roundtrip``
+the kernels ``_head_tail_pairs`` and ``_permutation_from_head_tail``, none
+of which validates its input again.  ``class-tails-des-exc`` keeps the
+validating ``head_tail_pairs``, so one row still runs the public wrapper.
+
 The library builds both q-Motzkin families on the packed tableau engine.
 So the rows that check that engine against the product recurrence
 (``a-series-recurrence``, ``dumont-expansion``, ``tableau-first-column``
 and ``tableau-row-pair``) take the recurrence side from the oracle's own
 ``_product_recurrence``: one ``UniPoly`` product per term, built once per
-row, with no cache.
+row, with no cache.  A row names the families it reads, directly or
+through a preset, and ``run_suite`` asks for each family once, at the
+largest cap among the suite's rows that read it, before the first of them
+runs; so one run of its cut tableau serves them all.
 """
 
 from __future__ import annotations
@@ -55,12 +65,13 @@ from .permutations import (
     StatSpec,
     _check_size,
     _fp_exc_crs_nes_inv,
+    _head_tail_pairs,
+    _permutation_from_head_tail,
     distribution,
     enumerate_class,
     head_tail_pairs,
     one_line,
     perm_statistics,
-    permutation_from_head_tail,
 )
 from .polynomials import UNI_ONE, MultiPoly, UniPoly
 from .qmotzkin import (
@@ -138,6 +149,7 @@ class _Check(NamedTuple):
     ``cases(cap)`` lazily yields ``(where, lhs, rhs)``: ``where`` is the
     object (a path, a permutation word, or a label such as ``"n=3"``), and
     ``labels`` name ``lhs`` and ``rhs`` in the counterexample.
+    ``families`` are the q-Motzkin families the cases read.
     """
 
     name: str
@@ -145,6 +157,7 @@ class _Check(NamedTuple):
     bound: int
     labels: tuple[str, str]
     cases: Cases
+    families: tuple[Callable[[int], UniPoly], ...] = ()
 
 
 # Helpers and case producers shared by the rows.  Each ``sides`` callable
@@ -426,7 +439,7 @@ _CHECKS: tuple[_Check, ...] = (
            _each_member(PermClass.ALL, _inv_sides)),
     _Check("head-tail-roundtrip", "statistics", 8, ("rebuilt", "word"),
            _each_member(PermClass.ALL, lambda w: (
-               permutation_from_head_tail(head_tail_pairs(w), len(w)), w))),
+               _permutation_from_head_tail(_head_tail_pairs(w), len(w)), w))),
     _Check("class-tails-des-exc", "statistics", 9,
            ("(spaced, tails, tails, pairs)", "(True, des, exc, excedances)"),
            _each_member(PermClass.S321_B3142, _tail_sides)),
@@ -468,33 +481,36 @@ _CHECKS: tuple[_Check, ...] = (
     _Check("qmotzkin-at-one", "qpoly", 30, ("(M(1), Mtilde(1))", "Motzkin"),
            _each_size(lambda n: (
                (q_motzkin(n).evaluate(1), q_motzkin_tilde(n).evaluate(1)),
-               (motzkin_number(n),) * 2), q_motzkin, q_motzkin_tilde)),
+               (motzkin_number(n),) * 2), q_motzkin, q_motzkin_tilde),
+           (q_motzkin, q_motzkin_tilde)),
     _Check("tableau-recursion", "qpoly", 25, ("tableau", "closed form"),
            _tableau_recursion),
     _Check("tableau-first-column", "qpoly", 30, ("column", "recurrence"),
            _tableau_first_column),
     _Check("tableau-row-pair", "qpoly", 30, ("H(n,0)", "H(n-1,0)+H(n-1,1)"),
            _tableau_row_pair),
-    _Check("dumont-expansion", "qpoly", 20, ("series", "recurrence"), _dumont),
+    _Check("dumont-expansion", "qpoly", 20, ("series", "recurrence"), _dumont,
+           (q_motzkin_tilde,)),
     _Check("a-series-recurrence", "qpoly", 20, ("recurrence", "fraction"),
-           _a_series),
+           _a_series, (q_motzkin,)),
     _Check("mtilde-functional-equation", "qpoly", 20, ("lhs", "rhs"),
-           _mtilde_equation),
+           _mtilde_equation, (q_motzkin_tilde,)),
     _Check("main12-identity", "qpoly", 40, ("lhs", "rhs"),
            _series_terms(lambda cap: (
-               named_series("main12-lhs", cap), named_series("main12-rhs", cap)))),
+               named_series("main12-lhs", cap), named_series("main12-rhs", cap))),
+           (q_motzkin_tilde,)),
     _Check("i-abcd-vs-paths", "qpoly", 10, ("paths", "fraction"),
            _versus_series("I-abcd", lambda n: _abcd_tally(n))),
     _Check("dist-4321-crs-nes", "distributions", 10, ("enumeration", "polynomial"),
            _each_size(lambda n: (
                _enumerated(PermClass.I4321, n, StatSpec.CRS_PLUS_NES), q_motzkin(n)),
-               q_motzkin)),
+               q_motzkin), (q_motzkin,)),
     _Check("dist-3412-nes", "distributions", 10, ("enumeration", "polynomial"),
            _each_size(lambda n: (
                _enumerated(PermClass.I3412, n, StatSpec.NES), q_motzkin(n)),
-               q_motzkin)),
+               q_motzkin), (q_motzkin,)),
     _Check("dist-321-crs", "distributions", 9, ("enumeration", "polynomial"),
-           _dist_321),
+           _dist_321, (q_motzkin_tilde,)),
     _Check("dist-4321-joint-fraction", "distributions", 9, ("enumeration", "fraction"),
            _versus_series("I4321-joint", lambda n: _enumerated(
                PermClass.I4321, n, StatSpec.JOINT_FP_EXC_CRS_NES))),
@@ -534,6 +550,10 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
     _check_size(max_n, "max_n")
     selected = [c for c in _CHECKS if suite in ("all", c.suite)]
     selected.sort(key=lambda c: c.name)
+    warm: dict[Callable[[int], UniPoly], int] = {}
+    for check in selected:
+        for family in check.families:
+            warm[family] = max(warm.get(family, 0), min(check.bound, max_n))
     results = []
     suite_start = time.perf_counter()
     for check in selected:
@@ -543,6 +563,9 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
         where: object = None
         start = time.perf_counter()
         try:
+            for family in check.families:
+                if family in warm:  # the family's first reader builds it
+                    family(warm.pop(family))
             for where, lhs, rhs in check.cases(cap):
                 objects += 1
                 if lhs != rhs:

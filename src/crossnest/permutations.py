@@ -44,7 +44,9 @@ scan over the letters with sets of positions as bitmasks, O(n) big-int
 operations on n-bit masks.  The O(n^2) loop over all pairs that restates
 the definitions above is its test reference.
 Head/tail pairs are read off the inversion table by the same letter scan
-and rebuilt by insertion.
+and rebuilt by insertion; the public pair and rebuild functions validate
+their input and then call the trusted kernels ``_head_tail_pairs`` and
+``_permutation_from_head_tail``.
 
 ``distribution`` sums a monomial over an enumerated family, the ground
 truth the rest of the package is tested against; it lives here, beside
@@ -699,15 +701,23 @@ def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
     They are the inversion table: with L_v the number of letters below v
     standing left of v, v gives the pair (v - 1, 1 + L_v) when 1 + L_v < v.
     ``permutation_from_head_tail`` puts each v at index L_v, so this inverts it.
-    L_v is a popcount: the letters v = 1..n are scanned upwards, as in the
-    statistics kernel, with the positions of the letters below v as a bitmask.
+    The word is validated here; ``_head_tail_pairs`` is the trusted kernel,
+    for words that are permutations by construction.
 
     >>> head_tail_pairs((3, 2, 1))
     ((1, 1), (2, 1))
     >>> head_tail_pairs((1, 2, 3))
     ()
     """
-    w = check_permutation(word)
+    return _head_tail_pairs(check_permutation(word))
+
+
+def _head_tail_pairs(w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """``head_tail_pairs`` of a word known to be a permutation.
+
+    L_v is a popcount: the letters v = 1..n are scanned upwards, as in the
+    statistics kernel, with the positions of the letters below v as a bitmask.
+    """
     pos = [0] * (len(w) + 1)
     for i, v in enumerate(w):
         pos[v] = i
@@ -739,11 +749,9 @@ def permutation_from_head_tail(
     """Rebuild the permutation with the given head/tail pairs.
 
     Each pair (h, t) stands for the block s_h s_{h-1} ... s_t of adjacent
-    transpositions, applied to the identity in ascending head order.  That
-    block moves the letter h + 1, still at position h + 1, left to position
-    t, and later, larger letters never change how many smaller letters
-    stand left of it.  So each v = 1..n is inserted into the word so far at
-    index t - 1 when v - 1 heads a pair (v - 1, t), and at the end otherwise.
+    transpositions, applied to the identity in ascending head order.  The
+    pairs are validated here; ``_permutation_from_head_tail`` is the trusted
+    kernel, for pairs that ``_head_tail_pairs`` made.
 
     >>> permutation_from_head_tail(((1, 1), (2, 1)), 3)
     (3, 2, 1)
@@ -751,6 +759,20 @@ def permutation_from_head_tail(
     (1, 2, 3, 4)
     """
     _check_head_tail(pairs, n)
+    return _permutation_from_head_tail(pairs, n)
+
+
+def _permutation_from_head_tail(
+    pairs: Sequence[tuple[int, int]], n: int
+) -> tuple[int, ...]:
+    """``permutation_from_head_tail`` of pairs known to have the head/tail shape.
+
+    The block (h, t) moves the letter h + 1, still at position h + 1, left
+    to position t, and later, larger letters never change how many smaller
+    letters stand left of it.  So each v = 1..n is inserted into the word so
+    far at index t - 1 when v - 1 heads a pair (v - 1, t), and at the end
+    otherwise.
+    """
     tails = dict(pairs)
     w: list[int] = []
     for v in range(1, n + 1):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 from collections import Counter
 
@@ -216,6 +217,16 @@ class TestRunSuite:
         assert by_name["path-count-recurrence"].objects == 4  # n = 0..3
         assert by_name["strip-roundtrip"].objects == 1 + 1 + 2 + 4
 
+    def test_word_rows_compare_every_permutation(self):
+        # The rows over S_n trust the enumerated words, so nothing they
+        # compare may go missing: one case per permutation of size <= 6.
+        by_name = {c.name: c for c in run_suite("statistics", 6).checks}
+        total = sum(math.factorial(k) for k in range(7))
+        assert total == 874
+        for name in ("head-tail-roundtrip", "inv-identity"):
+            assert by_name[name].passed, name
+            assert by_name[name].objects == total, name
+
     def test_empty_checks_do_not_pass(self):
         report = run_suite("all", 0)
         empty = sorted(c.name for c in report.checks if c.objects == 0)
@@ -384,7 +395,8 @@ class TestFailurePath:
             phi3_inverse(phi1(p))
 
     def test_head_tail_pairs_broken(self, monkeypatch):
-        monkeypatch.setattr("crossnest.oracle.head_tail_pairs", lambda w: ())
+        # The round trip reads the trusted kernel, not the public wrapper.
+        monkeypatch.setattr("crossnest.oracle._head_tail_pairs", lambda w: ())
         by_name = {c.name: c for c in run_suite("statistics", 4).checks}
         roundtrip = by_name["head-tail-roundtrip"]
         assert not roundtrip.passed
@@ -497,26 +509,37 @@ class TestFailurePath:
             assert re.match(r"^(main12-rhs )?n=5: ", checks[name].counterexample), name
 
 
+class FamilyBuilds:
+    """Counts the cut tableaux built from cold q caches; ``beta(2)`` tells
+    the builds apart: q^2 for q_motzkin, q for q_motzkin_tilde."""
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.builds = []
+        real = qmotzkin_module._PackedTableau.__init__
+
+        def counting(table, variables, alpha, beta, n_max, cut=False):
+            if cut:
+                self.builds.append((str(beta(2)), n_max))
+            real(table, variables, alpha, beta, n_max, cut)
+
+        monkeypatch.setattr(qmotzkin_module._PackedTableau, "__init__", counting)
+
+    def cold(self):
+        self.monkeypatch.setattr(qmotzkin_module, "_q_motzkin_cache", [UNI_ONE, UNI_ONE])
+        self.monkeypatch.setattr(qmotzkin_module, "_q_tilde_cache", [UNI_ONE, UNI_ONE])
+        self.builds.clear()
+
+    def betas(self):
+        return [beta for beta, _ in self.builds]
+
+
 class TestFamilyBuilds:
     def test_family_rows_build_each_family_once(self, monkeypatch):
         # A row that reads a q-Motzkin family asks for it at the cap before
         # it draws cases, so from cold caches it runs that family's cut
-        # tableau once, not once per n past the cache.  beta(2) tells the
-        # builds apart: q^2 for q_motzkin, q for q_motzkin_tilde.
-        builds = []
-        real = qmotzkin_module._PackedTableau.__init__
-
-        def counting(self, variables, alpha, beta, n_max, cut=False):
-            if cut:
-                builds.append(str(beta(2)))
-            real(self, variables, alpha, beta, n_max, cut)
-
-        def cold():
-            monkeypatch.setattr(qmotzkin_module, "_q_motzkin_cache", [UNI_ONE, UNI_ONE])
-            monkeypatch.setattr(qmotzkin_module, "_q_tilde_cache", [UNI_ONE, UNI_ONE])
-            builds.clear()
-
-        monkeypatch.setattr(qmotzkin_module._PackedTableau, "__init__", counting)
+        # tableau once, not once per n past the cache.
+        counter = FamilyBuilds(monkeypatch)
         rows = {c.name: c for c in _CHECKS}
         for name, families in (
             ("qmotzkin-at-one", ["q^2", "q"]),
@@ -524,16 +547,40 @@ class TestFamilyBuilds:
             ("dist-3412-nes", ["q^2"]),
             ("dist-321-crs", ["q"]),
         ):
-            cold()
+            counter.cold()
             check = rows[name]
             cases = list(check.cases(check.bound))
             assert len(cases) >= check.bound + 1, name
             assert all(lhs == rhs for _, lhs, rhs in cases), name
-            assert builds == families, name
+            assert counter.betas() == families, name
         # The whole suite: each family once, beside one build per joint preset.
-        cold()
+        counter.cold()
         assert run_suite("distributions", 10).passed
-        assert sorted(builds) == ["q", "q^2", "y*p^2", "y*q", "y*q^2"]
+        assert sorted(counter.betas()) == ["q", "q^2", "y*p^2", "y*q", "y*q^2"]
+
+    def test_suite_builds_each_family_once_at_its_largest_cap(self, monkeypatch):
+        # The qpoly rows read the families at caps 20 and 30; the suite asks
+        # for each at 30 before its first reader, so each is built once,
+        # and every row reports as it does when it runs on its own.
+        counter = FamilyBuilds(monkeypatch)
+        counter.cold()
+        report = run_suite("qpoly", 30)
+        assert report.passed
+        families = [b for b in counter.builds if b[0] in ("q^2", "q")]
+        assert sorted(families) == [("q", 30), ("q^2", 30)]
+        for check in report.checks:
+            counter.cold()
+            monkeypatch.setattr(oracle_module, "_CHECKS",
+                                tuple(c for c in _CHECKS if c.name == check.name))
+            (alone,) = run_suite("qpoly", 30).checks
+            assert alone._replace(elapsed_ms=0) == check._replace(elapsed_ms=0)
+
+    @pytest.mark.parametrize("suite", ["statistics", "paths", "bijections"])
+    def test_suites_that_read_no_family_build_none(self, suite, monkeypatch):
+        counter = FamilyBuilds(monkeypatch)
+        counter.cold()
+        assert run_suite(suite, 6).passed
+        assert counter.builds == []
 
 
 def fault_off_by_one(field: int):
@@ -605,7 +652,7 @@ def enumeration_off_for(cls: PermClass):
 # fault shows by n = 4.
 PLANTED_FAULTS = {
     "inv-identity": ("_fp_exc_crs_nes_inv", fault_off_by_one(4)),
-    "head-tail-roundtrip": ("permutation_from_head_tail",
+    "head-tail-roundtrip": ("_permutation_from_head_tail",
                             lambda real: lambda pairs, n: tuple(range(1, n + 1))),
     "class-tails-des-exc": ("head_tail_pairs", lambda real: lambda w: tuple(
         (h + 1, t) for h, t in real(w))),
