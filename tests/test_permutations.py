@@ -583,23 +583,19 @@ class TestHeadTail:
     def test_closed_forms_match_references(self):
         # Pair sets with the head/tail shape and permutations are in
         # bijection, so n <= 8 also covers every valid pair set.  The
-        # trusted kernels, which the oracle runs on enumerated words, give
-        # what the validating functions and the references give.
+        # public functions are the kernels behind validation, and the
+        # oracle runs the kernels alone on enumerated words.
         words = [w for n in range(9) for w in itertools.permutations(range(1, n + 1))]
         rng = random.Random(6)
         for _ in range(24):
             n = rng.randint(100, 400)
             words.append(tuple(rng.sample(range(1, n + 1), n)))
         for w in words:
-            pairs = head_tail_pairs(w)
-            assert _head_tail_pairs(w) == pairs == sliding_head_tail_pairs(w), w
-            n = len(w)
-            assert (
-                _permutation_from_head_tail(pairs, n)
-                == permutation_from_head_tail(pairs, n)
-                == swapping_permutation_from_head_tail(pairs, n)
-                == w
-            ), w
+            pairs = _head_tail_pairs(w)
+            assert pairs == sliding_head_tail_pairs(w), w
+            rebuilt = _permutation_from_head_tail(pairs, len(w))
+            assert rebuilt == swapping_permutation_from_head_tail(pairs, len(w)) == w
+            assert permutation_from_head_tail(pairs, len(w)) == w
 
     def test_phi3_inverse_matches_head_tail_route_on_long_paths(self):
         rng = random.Random(11)
