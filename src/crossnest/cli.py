@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--n", type=int, required=True)
     p_dist.add_argument("--json", action="store_true")
 
-    p_poly = sub.add_parser("poly", help="q-Motzkin polynomial by recurrence")
+    p_poly = sub.add_parser(
+        "poly", help="q-Motzkin polynomial, column 0 of its cut tableau"
+    )
     p_poly.add_argument("which", choices=("M", "Mtilde"))
     p_poly.add_argument("--n", type=int, required=True)
 

@@ -126,6 +126,14 @@ def _unpack_slots(packed: int, slot: int, count: int) -> list[int]:
     ]
 
 
+def _slot_bytes(top: int) -> int:
+    """Bytes per slot for nonnegative coefficients at most ``top``, with a
+    bit to spare: 1, 2, 4 or 8, else a multiple of 8, the widths that
+    ``_unpack_slots`` reads in bulk."""
+    slot = (top.bit_length() + 8) // 8
+    return 1 << (slot - 1).bit_length() if slot <= 8 else -(-slot // 8) * 8
+
+
 def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
     """Join nonzero (coefficient, monomial text) terms, ``""`` the constant
     monomial; a unit coefficient shows only its sign."""
@@ -164,7 +172,7 @@ class UniPoly:
 
     @classmethod
     def q_power(cls, k: int) -> "UniPoly":
-        if k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be nonnegative")
         return cls((0,) * k + (1,))
 
@@ -180,7 +188,7 @@ class UniPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def times_q_power(self, k: int) -> "UniPoly":
-        if k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be nonnegative")
         if not self.coeffs:
             return self
@@ -253,7 +261,7 @@ UNI_ONE = UniPoly((1,))
 def _pack(exps: Sequence[int]) -> int:
     key = 0
     for i, e in enumerate(exps):
-        if e < 0 or e > _EXP_MASK:
+        if type(e) is not int or not 0 <= e <= _EXP_MASK:
             raise ValueError(f"exponent {e} out of range")
         key |= e << (_EXP_BITS * i)
     return key
@@ -286,6 +294,17 @@ class MultiPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
+
+    @classmethod
+    def _nonzero(
+        cls, variables: tuple[str, ...], terms: dict[int, int]
+    ) -> "MultiPoly":
+        """The polynomial that owns ``terms``, whose coefficients the caller
+        knows to be nonzero: no check and no copy."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "variables", variables)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     @classmethod
     def zero(cls, variables: Sequence[str]) -> "MultiPoly":
@@ -338,7 +357,7 @@ class MultiPoly:
     ) -> "MultiPoly":
         variables = tuple(variables)
         i = variables.index(var)
-        return cls(
+        return cls._nonzero(
             variables,
             {e << (_EXP_BITS * i): c for e, c in enumerate(p.coeffs) if c},
         )

@@ -30,7 +30,8 @@ the packed variable that its up steps carry.  Levels must be nonnegative.
 
 from __future__ import annotations
 
-from itertools import accumulate, count
+from functools import lru_cache
+from itertools import accumulate, compress, count
 from typing import Any, Callable, Iterator, Sequence
 
 from .permutations import _check_size
@@ -41,6 +42,7 @@ from .polynomials import (
     UNI_ZERO,
     MultiPoly,
     UniPoly,
+    _slot_bytes,
     _unpack_slots,
 )
 
@@ -115,6 +117,29 @@ def _step(alpha: list, beta: list, down: list, ints: bool) -> Callable:
     return int_step if ints else dict_step
 
 
+def _rows(start: Any, zero: Any, step: Callable, n_max: int,
+          cut: bool) -> Iterator[list]:
+    """Rows 1..n_max of a tableau after row 0 = [start], missing entries
+    ``zero``; row n keeps i <= n, or cut, i <= min(n, n_max - n)."""
+    prev = [start]
+    for n in range(1, n_max + 1):
+        p = [zero, *prev, zero, zero]
+        prev = [step(i, p[i], p[i + 1], p[i + 2])
+                for i in range(min(n, n_max - n) + 1 if cut else n + 1)]
+        yield prev
+
+
+@lru_cache(maxsize=64)
+def _slot_for_shape(alpha: tuple, beta: tuple, n_max: int, cut: bool) -> int:
+    """The slot width, in bytes, of a packed tableau whose levels sum to
+    ``alpha`` and ``beta`` with every variable at 1: its largest entry is
+    at most the largest entry of the same tableau in plain ints.  That pass
+    reads nothing else, so tableaux of one shape share it."""
+    ones = ([[(0, 0, c)] for c in side] for side in (alpha, beta))
+    int_rows = _rows(1, 0, _step(*ones, [0] * len(beta), True), n_max, cut)
+    return _slot_bytes(max((max(row) for row in int_rows), default=1))
+
+
 class _PackedTableau:
     """The Stieltjes tableau of ``stieltjes_tableau`` on packed big ints.
 
@@ -135,8 +160,12 @@ class _PackedTableau:
     and unpacking puts ``zeros[i]`` = z_i back.  No slot carries: each
     nonnegative coefficient of an entry, and of its partial sums, is at
     most its value with every variable at 1, bounded by the same tableau in
-    plain ints; ``slot`` holds that with a bit to spare, as 1, 2, 4 or 8
-    bytes or a multiple of 8, the widths ``_unpack_slots`` reads in bulk.
+    plain ints; ``slot`` holds that with a bit to spare (``_slot_bytes``).
+    That integer pass reads only the shape: the level sums at 1, ``n_max``
+    and ``cut``.  It is cached by shape (``_slot_for_shape``), so the two
+    q-Motzkin families at one n, or the joint presets at one order, share
+    one pass.  ``multipoly`` reads the slots into a ``MultiPoly`` and skips
+    the zero ones as it goes.
     """
 
     def __init__(self, variables: tuple, alpha: Callable, beta: Callable,
@@ -156,11 +185,9 @@ class _PackedTableau:
                for terms in beta]
         self.zeros = list(accumulate(low, initial=0))
 
-        ones = ([[(0, 0, sum(c for _, c in terms))] for terms in side]
+        sums = (tuple(sum(c for _, c in terms) for terms in side)
                 for side in (alpha, beta))
-        int_rows = self._rows(1, 0, _step(*ones, [0] * len(low), True))
-        slot = (max((max(row) for row in int_rows), default=1).bit_length() + 8) // 8
-        self.slot = 1 << (slot - 1).bit_length() if slot <= 8 else -(-slot // 8) * 8
+        self.slot = _slot_for_shape(*sums, n_max, cut)
         bits = self.bits = 8 * self.slot
 
         others = ~(_EXP_MASK << pbit)
@@ -174,19 +201,9 @@ class _PackedTableau:
         step = _step(alpha, list(map(shifts, beta, low)), [m * bits for m in low], ints)
         self._packed = (1, 0, step) if ints else ({0: 1}, {}, step)
 
-    def _rows(self, start: Any, zero: Any, step: Callable) -> Iterator[list]:
-        """Rows 1..n_max after row 0 = [start], missing entries ``zero``."""
-        n_max, cut = self.n_max, self.cut
-        prev = [start]
-        for n in range(1, n_max + 1):
-            p = [zero, *prev, zero, zero]
-            prev = [step(i, p[i], p[i + 1], p[i + 2])
-                    for i in range(min(n, n_max - n) + 1 if cut else n + 1)]
-            yield prev
-
     def rows(self) -> Iterator[list]:
         """Rows 1..n_max, every entry packed and divided by its x^z_i."""
-        return self._rows(*self._packed)
+        return _rows(*self._packed, self.n_max, self.cut)
 
     def unpack(self, packed: int) -> list[int]:
         """The coefficients of one packed int, lowest power of x first."""
@@ -197,8 +214,9 @@ class _PackedTableau:
         step, low = 1 << self.pbit, self.zeros[i] << self.pbit
         terms: dict[int, int] = {}
         for key, val in entry.items() if isinstance(entry, dict) else [(0, entry)]:
-            terms.update(zip(count(key + low, step), self.unpack(val)))
-        return MultiPoly(self.variables, terms)
+            coeffs = self.unpack(val)
+            terms.update(compress(zip(count(key + low, step), coeffs), coeffs))
+        return MultiPoly._nonzero(self.variables, terms)
 
 
 _Q = ("q",)

@@ -19,18 +19,21 @@ term is a key offset and a shift, not a product.
 The one nested fraction, the left side of main12, is an S-fraction: its
 t^m coefficient sums Dyck paths whose down step from height k weighs
 c_k = L_k t + q^(k-1) t^2.  Every weight is a monomial in q, so one loop
-over path prefixes expands it by shifts and additions in ``UniPoly``,
-without the tableau and without a product; see ``_preset_main12_lhs``.
+over path prefixes expands it on packed ints, one slot per power of q, by
+shifts and additions, without the tableau and without a product.  A first
+run of the same loop in plain ints at q = 1 sizes the slot from every
+entry it holds; see ``_preset_main12_lhs``.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from itertools import compress
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import _check_size
-from .polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
-from .qmotzkin import _PackedTableau, q_motzkin, q_motzkin_tilde
+from .polynomials import MultiPoly, UniPoly, _slot_bytes, _unpack_slots
+from .qmotzkin import _Q, _PackedTableau, q_motzkin, q_motzkin_tilde
 
 Level = Callable[[int], MultiPoly]
 
@@ -135,6 +138,25 @@ def _j_spec(variables: tuple[str, ...], alpha: dict, beta: dict) -> FractionSpec
     return FractionSpec(variables, level(alpha), level(beta))
 
 
+def _dyck_rows(order: int, bits: int) -> Iterator[list[int]]:
+    """Rows 1..order of the Dyck-path loop of ``_preset_main12_lhs``, each
+    weight q^k a shift by k * ``bits``: packed ints, or at bits = 0 the
+    plain ints at q = 1."""
+    prev2: list[int] = []
+    prev1 = [1] * (order + 1)  # row 0: the prefixes of up steps only
+    for m in range(1, order + 1):
+        row = []
+        acc = 0
+        for h in range(order - m + 1):
+            if h % 2 == 0:
+                acc += prev1[h + 1] << h // 2 * bits
+            if prev2:
+                acc += prev2[h + 1] << h * bits
+            row.append(acc)
+        yield row
+        prev2, prev1 = prev1, row
+
+
 def _preset_main12_lhs(order: int) -> PowerSeries:
     """1 / (1 - c_1 / (1 - c_2 / ...)) read as a sum over Dyck paths.
 
@@ -146,37 +168,30 @@ def _preset_main12_lhs(order: int) -> PowerSeries:
 
         D[m][h] = D[m][h-1] + L_{h+1} D[m-1][h+1] + q^h D[m-2][h+1],
 
-    and t^m is D[m][0].  The weights are monomials, so each term is a shift
-    and no product is needed.  Each of the h down steps still owed costs at
-    least one t, so row m keeps h <= order - m, and only rows m-1 and m-2
-    are held.  The loop never touches the tableau, so the two sides of
-    main12 stay independent computations.
+    and t^m is D[m][0].  Each of the h down steps still owed costs at least
+    one t, so row m keeps h <= order - m, and only rows m-1 and m-2 are
+    held.  The weights are monomials, so the loop runs on packed ints, one
+    slot per power of q (Kronecker substitution), and q^k is a shift by k
+    slots.  No slot carries: every coefficient of an entry, and of its
+    partial sums, is at most the entry at q = 1, so a first run in plain
+    ints sizes the slot from every entry of every row; column 0 holds the
+    smallest entry of a row.  The loop never touches the tableau, so the
+    two sides of main12 stay independent computations.
     """
-    coeffs = [UNI_ONE]
-    prev2: list[UniPoly] = []
-    prev1 = [UNI_ONE] * (order + 1)  # row 0: the prefixes of up steps only
-    for m in range(1, order + 1):
-        row = []
-        acc = UNI_ZERO
-        for h in range(order - m + 1):
-            if h % 2 == 0:
-                acc = acc + prev1[h + 1].times_q_power(h // 2)
-            if prev2:
-                acc = acc + prev2[h + 1].times_q_power(h)
-            row.append(acc)
-        coeffs.append(row[0])
-        prev2, prev1 = prev1, row
-    return _series_from_unipolys(coeffs)
-
-
-def _series_from_unipolys(polys: list[UniPoly]) -> PowerSeries:
-    v = ("q",)
-    return PowerSeries(v, [MultiPoly.from_unipoly(p, v, "q") for p in polys])
+    top = max((max(row) for row in _dyck_rows(order, 0)), default=1)
+    slot = _slot_bytes(top)
+    bits = 8 * slot
+    coeffs = [MultiPoly.one(_Q)]
+    for row in _dyck_rows(order, bits):
+        slots = _unpack_slots(row[0], slot, -(-row[0].bit_length() // bits))
+        coeffs.append(MultiPoly._nonzero(_Q, dict(compress(enumerate(slots), slots))))
+    return PowerSeries(_Q, coeffs)
 
 
 def _preset_family(family: Callable[[int], UniPoly], order: int) -> PowerSeries:
     family(order)  # one run of the tableau rows caches t^0..t^order
-    return _series_from_unipolys([family(n) for n in range(order + 1)])
+    return PowerSeries(_Q, [MultiPoly.from_unipoly(family(n), _Q)
+                            for n in range(order + 1)])
 
 
 # Builders for series with a fixed combinatorial meaning; the verification

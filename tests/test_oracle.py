@@ -5,6 +5,7 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_permutations import pair_loop_statistics
 
 import crossnest.oracle as oracle_module
@@ -166,6 +167,25 @@ class TestDistribution:
 
 
 class TestRunSuite:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(SUITES), st.text()),
+        st.one_of(st.integers(-3, 3), st.booleans(), st.floats(), st.none()),
+    )
+    def test_fuzzed_entry_point_reports_or_refuses(self, suite, max_n):
+        # Any suite text and any max_n up to 3: a report with no FAIL row,
+        # or ValueError for an unknown suite or a max_n that is not a
+        # nonnegative int; no other exception escapes.
+        valid = suite in SUITES and type(max_n) is int and max_n >= 0
+        try:
+            report = run_suite(suite, max_n)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        assert report.suite == suite
+        assert [c.name for c in report.checks if c.status == "FAIL"] == []
+
     def test_vacuous_suite_passes(self):
         report = run_suite("paths", 0)
         assert report.passed
@@ -445,9 +465,9 @@ class TestFailurePath:
         # the engine compares it with a computation that never runs it, so
         # each one fails.  dist-path-transport alone compares path tallies
         # with enumeration and never reads the engine.
-        real = qmotzkin_module._PackedTableau._rows
+        real = qmotzkin_module._rows
 
-        def planted(self, start, zero, step):
+        def planted(start, zero, step, n_max, cut):
             def faulty(i, *entries):
                 entry = step(i, *entries)
                 if i != 2:
@@ -456,12 +476,12 @@ class TestFailurePath:
                     return {**entry, 0: entry.get(0, 0) + 1}
                 return entry + 1
 
-            return real(self, start, zero, faulty)
+            return real(start, zero, faulty, n_max, cut)
 
         monkeypatch.setattr(qmotzkin_module, "_h_rows", [[UNI_ONE]])
         monkeypatch.setattr(qmotzkin_module, "_q_motzkin_cache", [UNI_ONE, UNI_ONE])
         monkeypatch.setattr(qmotzkin_module, "_q_tilde_cache", [UNI_ONE, UNI_ONE])
-        monkeypatch.setattr(qmotzkin_module._PackedTableau, "_rows", planted)
+        monkeypatch.setattr(qmotzkin_module, "_rows", planted)
         checks = {
             c.name: c
             for suite in ("qpoly", "distributions")

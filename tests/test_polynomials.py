@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +131,14 @@ class TestUniPoly:
         assert UNI_ZERO.times_q_power(5).is_zero()
         with pytest.raises(ValueError):
             UniPoly.q_power(-1)
+
+    @pytest.mark.parametrize("k", [-1, True, False, 1.0, 2.5, "1", None])
+    def test_shift_exponent_must_be_a_nonnegative_int(self, k):
+        # A bool is not read as 0 or 1, and a float is refused as a value,
+        # not with a TypeError from tuple repetition.
+        for shift in (UniPoly.q_power, UNI_ONE.times_q_power, UNI_ZERO.times_q_power):
+            with pytest.raises(ValueError, match=r"^exponent must be nonnegative$"):
+                shift(k)
 
     def test_rendering(self):
         assert str(UniPoly((5, 3, 1))) == "5 + 3*q + q^2"
@@ -304,3 +313,17 @@ class TestMultiPoly:
     def test_exponent_bound_enforced(self):
         with pytest.raises(ValueError):
             MultiPoly.monomial(("q",), {"q": 2**21})
+
+    @pytest.mark.parametrize("e", [-1, 2**21, True, False, 1.0, 2.5, "1", None])
+    def test_exponent_must_be_an_int_in_range(self, e):
+        # Every route that packs an exponent refuses a bool, a float or any
+        # other non-int, with the message of an exponent out of range.
+        v = ("p", "q")
+        message = rf"^exponent {re.escape(str(e))} out of range$"
+        for pack in (
+            lambda: MultiPoly.monomial(v, {"q": e}),
+            lambda: MultiPoly.from_terms(v, {(0, e): 1}),
+            lambda: MultiPoly.one(v).coefficient({"q": e}),
+        ):
+            with pytest.raises(ValueError, match=message):
+                pack()

@@ -1,4 +1,4 @@
-from functools import cache
+from functools import cache, lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Callable
@@ -19,6 +19,7 @@ from crossnest.qmotzkin import (
     q_motzkin_tilde,
     stieltjes_tableau,
 )
+from crossnest.series import named_series
 
 BFILE = Path(__file__).parent / "data" / "b001006.txt"
 
@@ -390,6 +391,50 @@ class TestPackedTableau:
         beta = [{(k % 3, 1): 1 << 66, (2, 2): 5} for k in range(12)]
         table = check_engine_against_reference(("x", "y"), alpha, beta, 12, cut)
         assert table.slot % 8 == 0 and table.slot > 8
+
+
+class TestSizingPass:
+    """The integer pass that sizes a packed tableau's slot reads only the
+    level sums at 1, n_max and the mode, and is cached by them."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # A cold cache around the real pass, recording each shape it runs.
+        shapes = []
+        real = qmotzkin._slot_for_shape.__wrapped__
+
+        def counting(*shape):
+            shapes.append(shape)
+            return real(*shape)
+
+        monkeypatch.setattr(qmotzkin, "_slot_for_shape", lru_cache(counting))
+        return shapes
+
+    def test_both_families_share_one_pass(self, cold_caches, passes):
+        reference = TestPackedRecurrence.REFERENCE
+        assert q_motzkin(30) == reference["_q_motzkin_cache"][30]
+        assert q_motzkin_tilde(30) == reference["_q_tilde_cache"][30]
+        (shape,) = passes
+        assert shape == ((1,) * 15, (1,) * 15, 30, True)
+
+    def test_joint_presets_share_one_pass(self, passes):
+        for name in ("I4321-joint", "I3412-joint", "I-abcd"):
+            named_series(name, 16)
+        assert len(passes) == 1
+
+    def test_other_level_sums_run_their_own_pass(self, passes):
+        # alpha = 2 and beta = 1 + q sum to 2 at q = 1, not 1 as q^(k-1)
+        # does: that shape gets its own pass, and a third tableau with the
+        # same sums (alpha = 2q, beta = q + q^3) shares it.
+        def check(alpha, beta):
+            reference = [[UNI_ONE], *islice(tableau_rows(alpha, beta, [UNI_ONE]), 12)]
+            assert stieltjes_tableau(alpha, beta, 12) == reference
+
+        check(UniPoly.q_power, UniPoly.q_power)
+        check(lambda k: 2, lambda k: UniPoly((1, 1)))
+        assert [shape[:2] for shape in passes] == [((1,) * 12,) * 2, ((2,) * 12,) * 2]
+        check(lambda k: UniPoly((0, 2)), lambda k: UniPoly((0, 1, 0, 1)))
+        assert len(passes) == 2
 
 
 class TestRecursionRhs:

@@ -1,12 +1,22 @@
 from itertools import islice, permutations
 from math import factorial
+from typing import Iterator
 
 import pytest
 from tableau_reference import tableau_rows
 
+import crossnest.qmotzkin as qmotzkin_module
+import crossnest.series as series_module
 from crossnest.paths import enumerate_paths, path_statistics
 from crossnest.permutations import perm_statistics
-from crossnest.polynomials import UNI_ONE, UNI_ZERO, MultiPoly, UniPoly
+from crossnest.polynomials import (
+    UNI_ONE,
+    UNI_ZERO,
+    MultiPoly,
+    UniPoly,
+    _slot_bytes,
+    _unpack_slots,
+)
 from crossnest.qmotzkin import motzkin_number, q_motzkin, q_motzkin_tilde
 from crossnest.series import (
     _J_PRESETS,
@@ -62,6 +72,35 @@ def corteel_spec() -> FractionSpec:
     )
 
 
+def even_q_spec() -> FractionSpec:
+    """Levels in q^2 only, so every packed entry has a zero in each odd slot."""
+    v = ("q",)
+
+    def powers(*exps: int) -> MultiPoly:
+        return MultiPoly.from_terms(v, {(e,): 1 for e in exps})
+
+    return FractionSpec(
+        v, lambda k: powers(2 * k), lambda k: powers(2 * k - 2, 2 * k + 2)
+    )
+
+
+def matchings_spec() -> FractionSpec:
+    """Perfect matchings with p, q marking crs, nes: alpha_k = 0 and
+    beta_k = [k]_{p^2,q^2}.  Every odd t^n is 0, and the packed q slots of
+    every entry alternate with zeros."""
+    v = ("p", "q")
+
+    def beta(k: int) -> MultiPoly:
+        return MultiPoly.from_terms(v, {(2 * j, 2 * (k - 1 - j)): 1 for j in range(k)})
+
+    return FractionSpec(v, lambda k: MultiPoly.zero(v), beta)
+
+
+def stored_zeros(series: PowerSeries) -> int:
+    """How many coefficient dicts of the series hold a zero coefficient."""
+    return sum(0 in c._terms.values() for c in series.coeffs)
+
+
 def level_by_level(spec: FractionSpec, order: int) -> PowerSeries:
     """Reference j-fraction expansion from the deepest level up.
 
@@ -112,6 +151,26 @@ def main12_lhs_level_by_level(order: int) -> list[UniPoly]:
             out.append(term)
         inner = out
     return inner
+
+
+def main12_lhs_dyck_unipoly(order: int) -> Iterator[list[UniPoly]]:
+    """Reference Dyck-path loop of ``series._preset_main12_lhs`` in
+    ``UniPoly``: rows 1..order of D, every weight q^k a ``times_q_power``
+    shift, every entry a tuple of coefficients, with no packing and no slot
+    to size.  Column 0 of the rows is t^1..t^order."""
+    prev2: list[UniPoly] = []
+    prev1 = [UNI_ONE] * (order + 1)  # row 0: the prefixes of up steps only
+    for m in range(1, order + 1):
+        row = []
+        acc = UNI_ZERO
+        for h in range(order - m + 1):
+            if h % 2 == 0:
+                acc = acc + prev1[h + 1].times_q_power(h // 2)
+            if prev2:
+                acc = acc + prev2[h + 1].times_q_power(h)
+            row.append(acc)
+        yield row
+        prev2, prev1 = prev1, row
 
 
 class TestPowerSeries:
@@ -252,6 +311,18 @@ class TestJFraction:
         for order in range(13):
             assert named_series(name, order) == level_by_level(spec, order), order
 
+    @pytest.mark.parametrize("spec", [even_q_spec(), matchings_spec()],
+                             ids=["q-squared", "matchings"])
+    def test_zero_slots_are_dropped_as_read(self, spec):
+        # The engine's entries hold zero slots, which the read-out skips: the
+        # series equals the reference, and no coefficient stores a 0.
+        for order in range(13):
+            series = jfraction_series(spec, order)
+            assert series == level_by_level(spec, order), order
+            assert stored_zeros(series) == 0, order
+        if spec.alpha(1).is_zero():  # matchings: no odd t^n
+            assert all(series.coefficient(n).is_zero() for n in range(1, 13, 2))
+
     def test_negative_order(self):
         v = ("q",)
         one = MultiPoly.one(v)
@@ -354,9 +425,61 @@ class TestPresets:
             assert named_series("main12-lhs", k).coeffs == full.coeffs[: k + 1], k
 
     def test_main12_lhs_matches_level_by_level_expansion(self):
-        for order in range(26):
+        for order in [*range(26), 60]:
             lhs = uni_coeffs(named_series("main12-lhs", order))
             assert lhs == main12_lhs_level_by_level(order), order
+
+    def test_main12_lhs_packed_loop_matches_unipoly_loop(self, monkeypatch):
+        # The packed loop against the same loop in UniPoly, at every order
+        # to 30 and on both sides of each change of slot width to 60: 1, 2,
+        # 4, 8 and 16 bytes, sized from the loop in plain ints.
+        widths = []
+
+        def recording(packed, slot, count):
+            widths.append(slot)
+            return _unpack_slots(packed, slot, count)
+
+        monkeypatch.setattr(series_module, "_unpack_slots", recording)
+        expected = {7: 1, 8: 2, 12: 2, 13: 4, 23: 4, 24: 8, 44: 8, 45: 16, 60: 16}
+        for order in sorted({*range(31), *expected}):
+            widths.clear()
+            lhs = named_series("main12-lhs", order)
+            column = [row[0] for row in main12_lhs_dyck_unipoly(order)]
+            assert uni_coeffs(lhs) == [UNI_ONE, *column], order
+            assert stored_zeros(lhs) == 0, order
+            if order in expected:
+                assert set(widths) == {expected[order]}, order
+
+    def test_main12_lhs_slot_bound_reads_every_entry(self, monkeypatch):
+        # The slot is sized from the largest entry of any row at q = 1.
+        # Entries grow with the height, so at t^40 that entry (57 bits)
+        # outgrows every entry of column 0 (56 bits).
+        tops = []
+
+        def recording(top):
+            tops.append(top)
+            return _slot_bytes(top)
+
+        monkeypatch.setattr(series_module, "_slot_bytes", recording)
+        named_series("main12-lhs", 40)
+        rows = list(main12_lhs_dyck_unipoly(40))
+        assert tops == [max(e.evaluate(1) for row in rows for e in row)]
+        assert tops[0] > max(row[0].evaluate(1) for row in rows)
+
+    def test_main12_lhs_never_builds_the_tableau(self, monkeypatch):
+        # The two sides of main12 stay different computations: the left
+        # side builds with the packed tableau engine unusable.
+        expected = named_series("main12-lhs", 40)
+
+        class Refused:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("main12-lhs built a _PackedTableau")
+
+        monkeypatch.setattr(series_module, "_PackedTableau", Refused)
+        monkeypatch.setattr(qmotzkin_module, "_PackedTableau", Refused)
+        assert named_series("main12-lhs", 40) == expected
+        with pytest.raises(AssertionError, match="built a _PackedTableau"):
+            named_series("I-abcd", 4)
 
     def test_main12_lhs_is_mtilde_to_order_60(self):
         lhs = named_series("main12-lhs", 60)
