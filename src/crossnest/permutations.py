@@ -679,6 +679,7 @@ def distribution(
     """
     if not isinstance(spec, StatSpec):
         raise ValueError(f"unknown statistic {spec!r}")
+    _check_size(n)
     limit = _enum_limit()
     if n > limit and not allow_large:
         raise SizeLimitError(

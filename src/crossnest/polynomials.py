@@ -29,7 +29,7 @@ coefficient and monomial text with their signs.
 from __future__ import annotations
 
 import sys
-from itertools import compress
+from itertools import compress, count
 from typing import Collection, Iterable, Mapping, Sequence
 
 # Exponents are packed into a single int key, _EXP_BITS bits per variable.
@@ -49,7 +49,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
     When both operands are nonnegative the product is computed by packing
     each list into one big integer, fixed-width slots in little-endian
-    order, and multiplying once.  Slot width is chosen from the bound
+    order, and multiplying once.  Slot width is ``_slot_bytes`` of the bound
     max(a)*max(b)*min(len(a),len(b)) on any output coefficient, so slots
     cannot overflow into their neighbours and the result is exact.  Mixed
     signs fall back to the schoolbook loop.  Low-order zeros are stripped
@@ -75,8 +75,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return out
-    bound = max(a) * max(b) * min(la, lb) + 1
-    slot = (bound.bit_length() + 7) // 8
+    slot = _slot_bytes(max(a) * max(b) * min(la, lb))
     product = _pack_slots(a, slot) * _pack_slots(b, slot)
     return _unpack_slots(product, slot, la + lb - 1)
 
@@ -134,6 +133,12 @@ def _slot_bytes(top: int) -> int:
     return 1 << (slot - 1).bit_length() if slot <= 8 else -(-slot // 8) * 8
 
 
+def _slot_coeffs(packed: int, slot: int) -> list[int]:
+    """Every coefficient of a nonnegative packed int, ``slot`` bytes each,
+    lowest first, up to its highest nonzero slot."""
+    return _unpack_slots(packed, slot, -(-packed.bit_length() // (8 * slot)))
+
+
 def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
     """Join nonzero (coefficient, monomial text) terms, ``""`` the constant
     monomial; a unit coefficient shows only its sign."""
@@ -185,6 +190,8 @@ class UniPoly:
         return not self.coeffs
 
     def coefficient(self, k: int) -> int:
+        if type(k) is not int:
+            raise ValueError(f"exponent {k} out of range")
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def times_q_power(self, k: int) -> "UniPoly":
@@ -362,6 +369,26 @@ class MultiPoly:
             {e << (_EXP_BITS * i): c for e, c in enumerate(p.coeffs) if c},
         )
 
+    @classmethod
+    def _from_slots(cls, variables: tuple[str, ...], i: int, entries: Iterable,
+                    slot: int, low: int) -> "MultiPoly":
+        """The sum over (key, packed) in ``entries`` of key (as from ``_along``)
+        times the slots of packed as the powers low, low + 1, ... of variable
+        i; zero slots are skipped as read."""
+        step = 1 << _EXP_BITS * i
+        terms: dict[int, int] = {}
+        for key, packed in entries:
+            coeffs = _slot_coeffs(packed, slot)
+            terms.update(compress(zip(count(key + low * step, step), coeffs), coeffs))
+        return cls._nonzero(variables, terms)
+
+    def _along(self, i: int) -> list[tuple[int, int, int]]:
+        """The terms as (key of the other variables, exponent of variable i,
+        coefficient); the keys add as the monomials multiply."""
+        shift = _EXP_BITS * i
+        others = ~(_EXP_MASK << shift)
+        return [(k & others, k >> shift & _EXP_MASK, c) for k, c in self._terms.items()]
+
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -445,17 +472,11 @@ class MultiPoly:
 
     def as_unipoly(self, var: str = "q") -> UniPoly:
         """Project onto one variable; the others must not occur."""
-        i = self.variables.index(var)
-        coeffs: dict[int, int] = {}
-        terms = zip(_unpack(self._terms, len(self.variables)), self._terms.values())
-        for exps, c in terms:
-            if any(e for j, e in enumerate(exps) if j != i):
-                raise ValueError(f"polynomial involves more than {var!r}")
-            coeffs[exps[i]] = c
-        if not coeffs:
-            return UNI_ZERO
-        out = [0] * (max(coeffs) + 1)
-        for e, c in coeffs.items():
+        terms = self._along(self.variables.index(var))
+        if any(key for key, _, _ in terms):
+            raise ValueError(f"polynomial involves more than {var!r}")
+        out = [0] * (max((e for _, e, _ in terms), default=-1) + 1)
+        for _, e, c in terms:
             out[e] = c
         return UniPoly(out)
 

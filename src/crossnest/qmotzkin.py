@@ -3,10 +3,9 @@
 The two q-analogues are the t^n coefficients of two J-fractions, column 0
 of the Stieltjes tableau with levels alpha(k), beta(k) (Flajolet, 1980):
 
-* ``q_motzkin``:        alpha(k) = q^(k-1), beta(k) = q^(2(k-1)),
-  the ``A`` preset of ``series``;
-* ``q_motzkin_tilde``:  alpha(k) = beta(k) = q^(k-1), the ``main12-rhs``
-  preset and the first column of ``h_tableau``.
+* ``q_motzkin``:        alpha(k) = q^(k-1), beta(k) = q^(2(k-1)), row ``A``;
+* ``q_motzkin_tilde``:  alpha(k) = beta(k) = q^(k-1), row ``main12-rhs``,
+  also the first column of ``h_tableau``.
 
 They satisfy the product recurrences
 
@@ -26,25 +25,19 @@ Every Stieltjes tableau of the package, ``stieltjes_tableau``,
 full rows for the first two, rows cut to the order for the others, by
 shifts and adds with no product, and each entry divided by the power of
 the packed variable that its up steps carry.  Levels must be nonnegative.
+The built-in tableaux read their monomial levels from one table,
+``_FRACTIONS``, through ``_fraction``; only ``polynomials`` reads the key
+and slot layouts (``MultiPoly._along``, ``._from_slots``, ``_slot_coeffs``).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate, compress, count
+from functools import lru_cache, partial
+from itertools import accumulate
 from typing import Any, Callable, Iterator, Sequence
 
 from .permutations import _check_size
-from .polynomials import (
-    _EXP_BITS,
-    _EXP_MASK,
-    UNI_ONE,
-    UNI_ZERO,
-    MultiPoly,
-    UniPoly,
-    _slot_bytes,
-    _unpack_slots,
-)
+from .polynomials import UNI_ONE, MultiPoly, UniPoly, _slot_bytes, _slot_coeffs
 
 _motzkin_cache: list[int] = [1, 1]
 _q_motzkin_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]
@@ -72,14 +65,15 @@ LevelSeq = Callable[[int], "UniPoly | int"]
 
 
 def _level_terms(level: Callable, name: str, k: int, variables: tuple) -> list:
-    """Level ``name``(k) as (exponent key, coefficient) terms."""
+    """Level ``name``(k) split by ``MultiPoly._along`` at each variable."""
     value = level(k)
     if not isinstance(value, MultiPoly) or value.variables != variables:
         raise ValueError(f"{name}({k}) is not a MultiPoly over {variables}")
-    terms = list(value._terms.items())
-    if any(c < 0 for _, c in terms):
-        raise ValueError(f"{name}({k}) has a negative coefficient")
-    return terms
+    splits = [value._along(j) for j in range(len(variables) or 1)]
+    for _, _, c in splits[0]:
+        if c < 0:
+            raise ValueError(f"{name}({k}) has a negative coefficient")
+    return splits
 
 
 def _step(alpha: list, beta: list, down: list, ints: bool) -> Callable:
@@ -160,12 +154,10 @@ class _PackedTableau:
     and unpacking puts ``zeros[i]`` = z_i back.  No slot carries: each
     nonnegative coefficient of an entry, and of its partial sums, is at
     most its value with every variable at 1, bounded by the same tableau in
-    plain ints; ``slot`` holds that with a bit to spare (``_slot_bytes``).
-    That integer pass reads only the shape: the level sums at 1, ``n_max``
-    and ``cut``.  It is cached by shape (``_slot_for_shape``), so the two
-    q-Motzkin families at one n, or the joint presets at one order, share
-    one pass.  ``multipoly`` reads the slots into a ``MultiPoly`` and skips
-    the zero ones as it goes.
+    plain ints; ``slot`` holds that with a bit to spare (``_slot_bytes``),
+    from a pass cached by shape (``_slot_for_shape``).  The levels come
+    split by ``MultiPoly._along``, and ``multipoly`` reads an entry back
+    with ``MultiPoly._from_slots``: the engine never reads a layout.
     """
 
     def __init__(self, variables: tuple, alpha: Callable, beta: Callable,
@@ -176,26 +168,22 @@ class _PackedTableau:
             [_level_terms(level, name, k, variables) for k in range(1, top + 1)]
             for level, name, top in zip((alpha, beta), ("alpha", "beta"), tops)
         )
-        keys = [key for terms in alpha + beta for key, _ in terms]
-        spread = [len({key >> _EXP_BITS * j & _EXP_MASK for key in keys})
+        spread = [len({e for splits in alpha + beta for _, e, _ in splits[j]})
                   for j in range(len(variables))]
-        var = max(reversed(range(len(spread))), key=spread.__getitem__, default=0)
-        pbit = self.pbit = _EXP_BITS * var
-        low = [min((key >> pbit & _EXP_MASK for key, _ in terms), default=0)
-               for terms in beta]
+        var = self.var = max(reversed(range(len(spread))),
+                             key=spread.__getitem__, default=0)
+        alpha, beta = ([splits[var] for splits in side] for side in (alpha, beta))
+        low = [min((e for _, e, _ in terms), default=0) for terms in beta]
         self.zeros = list(accumulate(low, initial=0))
 
-        sums = (tuple(sum(c for _, c in terms) for terms in side)
+        sums = (tuple(sum(c for *_, c in terms) for terms in side)
                 for side in (alpha, beta))
         self.slot = _slot_for_shape(*sums, n_max, cut)
-        bits = self.bits = 8 * self.slot
-
-        others = ~(_EXP_MASK << pbit)
-        ints = not any(key & others for key in keys)
+        bits = 8 * self.slot
+        ints = not any(key for terms in alpha + beta for key, _, _ in terms)
 
         def shifts(terms: list, m: int = 0) -> list[tuple[int, int, int]]:
-            return [(key & others, ((key >> pbit & _EXP_MASK) - m) * bits, c)
-                    for key, c in terms]
+            return [(key, (e - m) * bits, c) for key, e, c in terms]
 
         alpha = [shifts(terms) for terms in alpha]
         step = _step(alpha, list(map(shifts, beta, low)), [m * bits for m in low], ints)
@@ -205,33 +193,49 @@ class _PackedTableau:
         """Rows 1..n_max, every entry packed and divided by its x^z_i."""
         return _rows(*self._packed, self.n_max, self.cut)
 
-    def unpack(self, packed: int) -> list[int]:
-        """The coefficients of one packed int, lowest power of x first."""
-        return _unpack_slots(packed, self.slot, -(-packed.bit_length() // self.bits))
-
     def multipoly(self, entry: "int | dict[int, int]", i: int) -> MultiPoly:
         """Entry (n, i) of a row as a ``MultiPoly``, its x^z_i put back."""
-        step, low = 1 << self.pbit, self.zeros[i] << self.pbit
-        terms: dict[int, int] = {}
-        for key, val in entry.items() if isinstance(entry, dict) else [(0, entry)]:
-            coeffs = self.unpack(val)
-            terms.update(compress(zip(count(key + low, step), coeffs), coeffs))
-        return MultiPoly._nonzero(self.variables, terms)
+        entries = entry.items() if isinstance(entry, dict) else [(0, entry)]
+        return MultiPoly._from_slots(self.variables, self.var, entries,
+                                     self.slot, self.zeros[i])
 
 
 _Q = ("q",)
 
+# The J-fractions with monomial levels, one row each: variables, then
+# alpha(k) and beta(k) as {variable: (base, slope)}, meaning
+# variable^(base + slope * (k - 1)) at level k.
+_FRACTIONS: dict[str, tuple[tuple[str, ...], dict, dict]] = {
+    "motzkin": (("q",), {}, {}),
+    "I-abcd": (("a", "b", "c", "d"),
+               {"a": (1, 0), "d": (0, 1)}, {"b": (1, 0), "c": (0, 1)}),
+    "I4321-joint": (("x", "y", "p", "q"),
+                    {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "p": (0, 2)}),
+    "I3412-joint": (("x", "y", "p", "q"),
+                    {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "q": (0, 2)}),
+    "S321-exc-crs": (("y", "q"), {"q": (0, 1)}, {"y": (1, 0), "q": (0, 1)}),
+    "A": (_Q, {"q": (0, 1)}, {"q": (0, 2)}),
+    "main12-rhs": (_Q, {"q": (0, 1)}, {"q": (0, 1)}),
+}
 
-def _q_levels(slope: int) -> Callable[[int], MultiPoly]:
-    """The levels k -> q^(slope*(k-1)), as ``MultiPoly``s in q."""
-    return lambda k: MultiPoly.monomial(_Q, {"q": slope * (k - 1)})
+
+def _fraction(name: str) -> tuple[tuple[str, ...], Callable, Callable]:
+    """Row ``name`` of ``_FRACTIONS`` as (variables, alpha, beta)."""
+    variables, *sides = _FRACTIONS[name]
+
+    def level(exps: dict) -> Callable[[int], MultiPoly]:
+        return lambda k: MultiPoly.monomial(
+            variables, {v: base + slope * (k - 1) for v, (base, slope) in exps.items()}
+        )
+
+    return variables, *map(level, sides)
 
 
 def _unipoly_rows(table: _PackedTableau) -> list[list[UniPoly]]:
     """Rows 0..n_max of a full tableau in q, each entry a ``UniPoly``."""
     zeros = [[0] * z for z in table.zeros]
     return [[UNI_ONE]] + [
-        [UniPoly(zeros[i] + table.unpack(e)) for i, e in enumerate(row)]
+        [UniPoly(zeros[i] + _slot_coeffs(e, table.slot)) for i, e in enumerate(row)]
         for row in table.rows()
     ]
 
@@ -254,10 +258,13 @@ def stieltjes_tableau(
     """
     _check_size(n_max, "n_max")
 
-    def level(seq: LevelSeq) -> Callable[[int], MultiPoly]:
-        return lambda k: MultiPoly.from_unipoly(UNI_ZERO + seq(k), _Q)
+    def level(name: str, seq: LevelSeq, k: int) -> MultiPoly:
+        if not isinstance(value := seq(k), (UniPoly, int)):
+            raise ValueError(f"{name}({k}) is not a UniPoly or an int")
+        return MultiPoly.from_unipoly(UNI_ONE * value, _Q)
 
-    return _unipoly_rows(_PackedTableau(_Q, level(alpha), level(beta), n_max))
+    levels = (partial(level, "alpha", alpha), partial(level, "beta", beta))
+    return _unipoly_rows(_PackedTableau(_Q, *levels, n_max))
 
 
 def h_tableau(n_max: int) -> list[list[UniPoly]]:
@@ -265,33 +272,30 @@ def h_tableau(n_max: int) -> list[list[UniPoly]]:
 
     Rows are cached; each call returns fresh lists, and a call past the
     cache builds the tableau again from row 0, as the full rows of
-    ``_PackedTableau``.  Its first column is ``q_motzkin_tilde``, which
-    comes from the cut rows of the same tableau; the oracle's
-    ``tableau-first-column`` and ``tableau-row-pair`` check columns 0 and
-    1 against the product recurrence, and ``tableau-recursion`` every
-    entry against ``h_recursion_rhs``:
+    ``_PackedTableau``, which divides entry (n, i) by q^(i(i-1)/2), the
+    weight of its up steps.  Its first column is ``q_motzkin_tilde``, from
+    the cut rows of the same tableau; the oracle's ``tableau-first-column``
+    and ``tableau-row-pair`` check columns 0 and 1 against the product
+    recurrence, and ``tableau-recursion`` every entry against
+    ``h_recursion_rhs``:
 
     >>> str(h_tableau(4)[4][0])
     '5 + 3*q + q^2'
-
-    Entry (n, i) is a multiple of q^(i(i-1)/2), the weight of the up steps
-    through levels 1..i, which ``_PackedTableau`` divides out.
     """
     _check_size(n_max, "n_max")
     if len(_h_rows) <= n_max:
-        table = _PackedTableau(_Q, _q_levels(1), _q_levels(1), n_max)
-        _h_rows[:] = _unipoly_rows(table)
+        _h_rows[:] = _unipoly_rows(_PackedTableau(*_fraction("main12-rhs"), n_max))
     return [list(row) for row in _h_rows[: n_max + 1]]
 
 
-def _first_column(cache: list[UniPoly], n: int, beta_slope: int) -> UniPoly:
-    """Entry n of column 0 of the tableau with alpha(k) = q^(k-1) and
-    beta(k) = q^(beta_slope*(k-1)).  A call past ``cache`` runs the cut rows
-    of ``_PackedTableau`` from row 0 to n and caches every entry 0..n."""
+def _first_column(cache: list[UniPoly], n: int, name: str) -> UniPoly:
+    """Entry n of column 0 of the tableau of row ``name``, in q.  A call past
+    ``cache`` runs its cut rows from row 0 to n and caches entries 0..n."""
     _check_size(n)
     if len(cache) <= n:
-        table = _PackedTableau(_Q, _q_levels(1), _q_levels(beta_slope), n, cut=True)
-        cache[:] = [UNI_ONE, *(UniPoly(table.unpack(row[0])) for row in table.rows())]
+        table = _PackedTableau(*_fraction(name), n, cut=True)
+        cache[:] = [UNI_ONE, *(UniPoly(_slot_coeffs(row[0], table.slot))
+                               for row in table.rows())]
     return cache[n]
 
 
@@ -305,7 +309,7 @@ def q_motzkin(n: int) -> UniPoly:
     >>> str(q_motzkin(4))
     '5 + 2*q + 2*q^2'
     """
-    return _first_column(_q_motzkin_cache, n, 2)
+    return _first_column(_q_motzkin_cache, n, "A")
 
 
 def q_motzkin_tilde(n: int) -> UniPoly:
@@ -319,7 +323,7 @@ def q_motzkin_tilde(n: int) -> UniPoly:
     >>> str(q_motzkin_tilde(4))
     '5 + 3*q + q^2'
     """
-    return _first_column(_q_tilde_cache, n, 1)
+    return _first_column(_q_tilde_cache, n, "main12-rhs")
 
 
 def h_recursion_rhs(n: int, i: int, table: Sequence[Sequence[UniPoly]]) -> UniPoly:

@@ -9,33 +9,29 @@ value with no series arithmetic.  A ``FractionSpec`` is a J-fraction
 with level coefficients a_k, b_k for k >= 1.  ``jfraction_series`` expands
 it to a given order: the t^n coefficient is the weighted count of Motzkin
 paths of length n (Flajolet, 1980), which is column 0 of the Stieltjes
-tableau with alpha = a and beta = b.  The levels are ``MultiPoly``s with
-nonnegative coefficients.  The tableau runs on the package's one packed
-engine, ``qmotzkin._PackedTableau``, with row n cut to the heights
-<= N - n that can still return to 0 by t^N: one variable of each entry is
-packed into a big int (Kronecker substitution; Harvey, 2009), so a level
-term is a key offset and a shift, not a product.
+tableau with alpha = a and beta = b, its rows cut to the order.  The
+levels are ``MultiPoly``s with nonnegative coefficients.  The tableau runs
+on the package's one packed engine, ``qmotzkin._PackedTableau``: one
+variable of each entry is packed into a big int (Kronecker substitution;
+Harvey, 2009), so a level term is a key offset and a shift, not a product.
+The J-fraction presets are the rows of one level table,
+``qmotzkin._FRACTIONS``.
 
-The one nested fraction, the left side of main12, is an S-fraction: its
-t^m coefficient sums Dyck paths whose down step from height k weighs
-c_k = L_k t + q^(k-1) t^2.  Every weight is a monomial in q, so one loop
-over path prefixes expands it on packed ints, one slot per power of q, by
-shifts and additions, without the tableau and without a product.  A first
-run of the same loop in plain ints at q = 1 sizes the slot from every
-entry it holds; see ``_preset_main12_lhs``.
+The one nested fraction, the left side of main12, is an S-fraction over
+Dyck paths that ``_preset_main12_lhs`` expands on packed ints, without the
+tableau and without a product.  Both read their slots back with
+``MultiPoly._from_slots``: only ``polynomials`` reads the layouts.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import compress
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import _check_size
-from .polynomials import MultiPoly, UniPoly, _slot_bytes, _unpack_slots
-from .qmotzkin import _Q, _PackedTableau, q_motzkin, q_motzkin_tilde
-
-Level = Callable[[int], MultiPoly]
+from .polynomials import MultiPoly, UniPoly, _slot_bytes
+from .qmotzkin import (_FRACTIONS, _Q, _fraction, _PackedTableau, q_motzkin,
+                       q_motzkin_tilde)
 
 
 class PowerSeries:
@@ -48,6 +44,8 @@ class PowerSeries:
             raise ValueError("a series needs at least the t^0 coefficient")
         variables = tuple(variables)
         for c in coeffs:
+            if not isinstance(c, MultiPoly):
+                raise ValueError(f"coefficient {c!r} is not a MultiPoly")
             if c.variables != variables:
                 raise ValueError("coefficient variables do not match series")
         object.__setattr__(self, "variables", variables)
@@ -92,8 +90,8 @@ class FractionSpec(NamedTuple):
     """The J-fraction with level coefficients alpha(k), beta(k), k >= 1."""
 
     variables: tuple[str, ...]
-    alpha: Level
-    beta: Level
+    alpha: Callable[[int], MultiPoly]
+    beta: Callable[[int], MultiPoly]
 
 
 def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
@@ -112,30 +110,6 @@ def jfraction_series(spec: FractionSpec, order: int) -> PowerSeries:
     table = _PackedTableau(spec.variables, spec.alpha, spec.beta, order, cut=True)
     column = [table.multipoly(row[0], 0) for row in table.rows()]
     return PowerSeries(spec.variables, [MultiPoly.one(spec.variables), *column])
-
-
-# The j-fraction presets, one row each: variables, then the exponents of
-# alpha(k) and of beta(k) as {variable: (base, slope)}, meaning
-# variable^(base + slope * (k - 1)) at level k.
-_J_PRESETS: dict[str, tuple[tuple[str, ...], dict, dict]] = {
-    "motzkin": (("q",), {}, {}),
-    "I-abcd": (("a", "b", "c", "d"),
-               {"a": (1, 0), "d": (0, 1)}, {"b": (1, 0), "c": (0, 1)}),
-    "I4321-joint": (("x", "y", "p", "q"),
-                    {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "p": (0, 2)}),
-    "I3412-joint": (("x", "y", "p", "q"),
-                    {"x": (1, 0), "q": (0, 1)}, {"y": (1, 0), "q": (0, 2)}),
-    "S321-exc-crs": (("y", "q"), {"q": (0, 1)}, {"y": (1, 0), "q": (0, 1)}),
-}
-
-
-def _j_spec(variables: tuple[str, ...], alpha: dict, beta: dict) -> FractionSpec:
-    def level(exps: dict) -> Level:
-        return lambda k: MultiPoly.monomial(
-            variables, {v: base + slope * (k - 1) for v, (base, slope) in exps.items()}
-        )
-
-    return FractionSpec(variables, level(alpha), level(beta))
 
 
 def _dyck_rows(order: int, bits: int) -> Iterator[list[int]]:
@@ -178,14 +152,10 @@ def _preset_main12_lhs(order: int) -> PowerSeries:
     smallest entry of a row.  The loop never touches the tableau, so the
     two sides of main12 stay independent computations.
     """
-    top = max((max(row) for row in _dyck_rows(order, 0)), default=1)
-    slot = _slot_bytes(top)
-    bits = 8 * slot
-    coeffs = [MultiPoly.one(_Q)]
-    for row in _dyck_rows(order, bits):
-        slots = _unpack_slots(row[0], slot, -(-row[0].bit_length() // bits))
-        coeffs.append(MultiPoly._nonzero(_Q, dict(compress(enumerate(slots), slots))))
-    return PowerSeries(_Q, coeffs)
+    slot = _slot_bytes(max((max(row) for row in _dyck_rows(order, 0)), default=1))
+    return PowerSeries(_Q, [MultiPoly.one(_Q), *(
+        MultiPoly._from_slots(_Q, 0, [(0, row[0])], slot, 0)
+        for row in _dyck_rows(order, 8 * slot))])
 
 
 def _preset_family(family: Callable[[int], UniPoly], order: int) -> PowerSeries:
@@ -195,7 +165,8 @@ def _preset_family(family: Callable[[int], UniPoly], order: int) -> PowerSeries:
 
 
 # Builders for series with a fixed combinatorial meaning; the verification
-# suite checks each against brute-force enumeration.
+# suite checks each against brute-force enumeration.  The cached families
+# override the table's rows A and main12-rhs.
 #   motzkin       plain Motzkin numbers (all fraction coefficients 1)
 #   I-abcd        joint (hor, up, sh_u, sh_h) over Motzkin paths:
 #                 a^hor b^up c^sh_u d^sh_h summed over paths of each length
@@ -209,8 +180,8 @@ def _preset_family(family: Callable[[int], UniPoly], order: int) -> PowerSeries:
 #   main12-lhs    nested-fraction form of the Mtilde generating series
 #   main12-rhs    j-fraction form of the same series: the Mtilde family
 PRESETS: dict[str, Callable[[int], PowerSeries]] = {
-    **{name: partial(jfraction_series, _j_spec(*row))
-       for name, row in _J_PRESETS.items()},
+    **{name: partial(jfraction_series, FractionSpec(*_fraction(name)))
+       for name in _FRACTIONS},
     "M": partial(_preset_family, q_motzkin),
     "A": partial(_preset_family, q_motzkin),
     "Mtilde": partial(_preset_family, q_motzkin_tilde),

@@ -487,9 +487,10 @@ class TestClasses:
             list(enumerate_class(-1, PermClass.ALL))
 
     def test_bool_sizes_rejected_like_negative_ones(self):
-        # True is an int to Python, but not a size, and nor is 2.0.  Every
-        # size, order and bound goes through one guard, which names the
-        # argument it refuses.
+        # True is an int to Python, but not a size, and nor is 2.0, 13.0 or
+        # None.  Every size, order and bound goes through one guard, which
+        # names the argument it refuses, before any other check (13.0 is past
+        # the enumeration guard of distribution).
         one = lambda k: 1
         spec = FractionSpec(("q",), one, one)
         table = h_tableau(2)
@@ -515,7 +516,7 @@ class TestClasses:
             ("distribution", "n",
              lambda n: distribution(PermClass.I4321, n, StatSpec.CRS)),
         ]
-        for n in (-1, True, False, 2.0):
+        for n in (-1, True, False, 2.0, 13.0, None):
             for label, name, call in guarded:
                 with pytest.raises(ValueError, match=f"^{name} must be nonnegative$"):
                     call(n)

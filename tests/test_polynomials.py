@@ -12,6 +12,7 @@ from crossnest.polynomials import (
     UniPoly,
     _convolve,
     _pack_slots,
+    _slot_bytes,
     _unpack_slots,
 )
 
@@ -327,3 +328,42 @@ class TestMultiPoly:
         ):
             with pytest.raises(ValueError, match=message):
                 pack()
+
+    @pytest.mark.parametrize(
+        "k, expected",
+        [(0, 5), (2, 1), (-1, 0), (3, 0), (2**21, 0), (True, None), (False, None),
+         (1.0, None), (2.5, None), ("1", None), (None, None)],
+    )
+    def test_unipoly_coefficient_of_an_int_only(self, k, expected):
+        # An int out of range reads 0; a bool is not read as 0 or 1, and a
+        # float is refused as a value, not with a TypeError from indexing.
+        p = UniPoly((5, 3, 1))
+        if expected is not None:
+            assert p.coefficient(k) == expected
+        else:
+            message = rf"^exponent {re.escape(str(k))} out of range$"
+            with pytest.raises(ValueError, match=message):
+                p.coefficient(k)
+
+    @settings(max_examples=100)
+    @given(
+        st.dictionaries(st.tuples(*[st.integers(0, 12)] * 3), st.integers(0, 10**30)),
+        st.integers(0, 2),
+    )
+    def test_split_along_a_variable_reads_back_from_slots(self, terms, i):
+        # Split by _along, packed per key of the other variables with
+        # _pack_slots, read back by _from_slots: the same polynomial, with
+        # no zero slot stored.
+        v = ("x", "y", "q")
+        poly = MultiPoly.from_terms(v, terms)
+        split = poly._along(i)
+        low = min((e for _, e, _ in split), default=0)
+        rows: dict[int, dict[int, int]] = {}
+        for key, e, c in split:
+            rows.setdefault(key, {})[e - low] = c
+        slot = _slot_bytes(max((c for *_, c in split), default=0))
+        entries = [
+            (key, _pack_slots([row.get(j, 0) for j in range(max(row) + 1)], slot))
+            for key, row in rows.items()
+        ]
+        assert MultiPoly._from_slots(v, i, entries, slot, low) == poly

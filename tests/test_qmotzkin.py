@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from tableau_reference import tableau_rows
 
-from crossnest import qmotzkin
+from crossnest import polynomials, qmotzkin
 from crossnest.oracle import run_suite
 from crossnest.polynomials import UNI_ONE, MultiPoly, UniPoly, _unpack_slots
 from crossnest.qmotzkin import (
@@ -157,7 +157,7 @@ class TestPackedRecurrence:
             widths.append(slot)
             return _unpack_slots(packed, slot, count)
 
-        monkeypatch.setattr(qmotzkin, "_unpack_slots", recording)
+        monkeypatch.setattr(polynomials, "_unpack_slots", recording)
         for name, kind in self.KINDS:
             widths.clear()
             assert kind(n) == self.REFERENCE[name][n]
@@ -264,7 +264,7 @@ class TestTableau:
             return _unpack_slots(packed, slot, count)
 
         monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
-        monkeypatch.setattr(qmotzkin, "_unpack_slots", recording)
+        monkeypatch.setattr(polynomials, "_unpack_slots", recording)
         h_tableau(40)
         assert set(widths) == {8}
         widths.clear()
@@ -327,6 +327,16 @@ class TestTableau:
         negative = r"^alpha\(2\) has a negative coefficient$"
         with pytest.raises(ValueError, match=negative):
             stieltjes_tableau(lambda i: 1 - i, lambda i: 1, 5)
+
+    @pytest.mark.parametrize("value", [1.5, "1", None, MultiPoly.one(("q",))])
+    def test_level_that_is_not_a_unipoly_or_an_int_refused(self, value):
+        # Refused as a value, not with a TypeError from the sum that turns an
+        # int level into a UniPoly.
+        refused = r"\) is not a UniPoly or an int$"
+        with pytest.raises(ValueError, match=r"^alpha\(1" + refused):
+            stieltjes_tableau(lambda i: value, lambda i: 1, 3)
+        with pytest.raises(ValueError, match=r"^beta\(2" + refused):
+            stieltjes_tableau(lambda i: 1, lambda i: value if i == 2 else 1, 5)
 
     def test_matches_reference_on_mixed_levels(self):
         # Int and UniPoly levels, a zero level, and low powers of q that

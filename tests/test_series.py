@@ -5,6 +5,7 @@ from typing import Iterator
 import pytest
 from tableau_reference import tableau_rows
 
+import crossnest.polynomials as polynomials_module
 import crossnest.qmotzkin as qmotzkin_module
 import crossnest.series as series_module
 from crossnest.paths import enumerate_paths, path_statistics
@@ -17,13 +18,17 @@ from crossnest.polynomials import (
     _slot_bytes,
     _unpack_slots,
 )
-from crossnest.qmotzkin import motzkin_number, q_motzkin, q_motzkin_tilde
+from crossnest.qmotzkin import (
+    _FRACTIONS,
+    _fraction,
+    motzkin_number,
+    q_motzkin,
+    q_motzkin_tilde,
+)
 from crossnest.series import (
-    _J_PRESETS,
     PRESETS,
     FractionSpec,
     PowerSeries,
-    _j_spec,
     jfraction_series,
     named_series,
 )
@@ -32,11 +37,7 @@ from crossnest.series import (
 # The J-fraction levels of every preset the engine expands from a spec, and
 # of A and main12-rhs, which are the cached q_motzkin and q_motzkin_tilde
 # families: both routes must give the same series.
-LEVEL_SPECS = {
-    **_J_PRESETS,
-    "A": (("q",), {"q": (0, 1)}, {"q": (0, 2)}),
-    "main12-rhs": (("q",), {"q": (0, 1)}, {"q": (0, 1)}),
-}
+LEVEL_SPECS = _FRACTIONS
 
 
 def uni_coeffs(series: PowerSeries) -> list[UniPoly]:
@@ -178,6 +179,11 @@ class TestPowerSeries:
         with pytest.raises(ValueError, match="coefficient variables"):
             PowerSeries(("q",), [MultiPoly.one(("q",)), MultiPoly.one(("y", "q"))])
 
+    @pytest.mark.parametrize("coeff", [1, UNI_ONE, None])
+    def test_coefficient_must_be_a_multipoly(self, coeff):
+        with pytest.raises(ValueError, match=r"^coefficient .* is not a MultiPoly$"):
+            PowerSeries(("q",), [MultiPoly.one(("q",)), coeff])
+
     def test_coefficient_bounds(self):
         s = named_series("Mtilde", 2)
         assert str(s.coefficient(2)) == "2"
@@ -233,7 +239,7 @@ class TestJFraction:
     def test_presets_match_generic_tableau(self, name):
         # The packed engine against one MultiPoly product per entry, at
         # every order: a low order cuts the tableau differently.
-        spec = _j_spec(*LEVEL_SPECS[name])
+        spec = FractionSpec(*_fraction(name))
         cap = 30 if len(spec.variables) == 1 else 16
         reference = tableau_column(spec, cap).coeffs
         for order in range(cap + 1):
@@ -307,7 +313,7 @@ class TestJFraction:
 
     @pytest.mark.parametrize("name", sorted(LEVEL_SPECS))
     def test_presets_match_level_by_level_expansion(self, name):
-        spec = _j_spec(*LEVEL_SPECS[name])
+        spec = FractionSpec(*_fraction(name))
         for order in range(13):
             assert named_series(name, order) == level_by_level(spec, order), order
 
@@ -439,7 +445,7 @@ class TestPresets:
             widths.append(slot)
             return _unpack_slots(packed, slot, count)
 
-        monkeypatch.setattr(series_module, "_unpack_slots", recording)
+        monkeypatch.setattr(polynomials_module, "_unpack_slots", recording)
         expected = {7: 1, 8: 2, 12: 2, 13: 4, 23: 4, 24: 8, 44: 8, 45: 16, 60: 16}
         for order in sorted({*range(31), *expected}):
             widths.clear()
