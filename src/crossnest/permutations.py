@@ -40,12 +40,12 @@ holds one frame per cycle, which gives fp and exc.  The 321/barred tree
 carries fp, exc and inv; its members avoid 321, so nes = 0 and
 ``inv = exc + crs`` gives crs.  ``_fp_exc_crs_nes_inv`` is the one
 statistics kernel that ``perm_statistics`` and the oracle checks run: one
-scan over the letters with sets of positions as bitmasks, O(n) big-int
-operations on n-bit masks.  The O(n^2) loop over all pairs that restates
-the definitions above is its test reference.
-Head/tail pairs are read off the inversion table by the same letter scan
-and rebuilt by insertion; the public pair and rebuild functions validate
-their input and then call the trusted kernels ``_head_tail_pairs`` and
+left-to-right pass with sets of letters and positions as bitmasks, O(n)
+big-int operations on n-bit masks.  The O(n^2) loop over all pairs that
+restates the definitions above is its test reference.  Head/tail pairs are
+read off the inversion table by the same kind of pass and rebuilt by
+insertion; the public pair and rebuild functions validate their input and
+then call the trusted kernels ``_head_tail_pairs`` and
 ``_permutation_from_head_tail``.
 
 ``distribution`` sums a monomial over an enumerated family, the ground
@@ -184,47 +184,40 @@ def _fp_exc_crs_nes_inv(w: tuple[int, ...]) -> tuple[int, int, int, int, int]:
     The statistics kernel behind ``perm_statistics``, ``distribution`` and the
     oracle checks; it trusts ``w`` to be a valid permutation word.
 
-    Sets of positions are bitmasks, position p as bit p (Knuth, TAOCP 4A,
-    7.1.3), so no pair of positions is visited: each letter costs a few
-    big-int operations and popcounts on masks of n bits.  One pass over the
-    word gives fp, exc, the excedance positions ``exc_mask`` and pos[v], the
-    position of letter v.  Then the letters v = 1..n are scanned upwards,
-    with ``lower`` the positions of the letters below v and i = pos[v].
-    ``later``, the positions of ``lower`` after i (shifted down by i + 1),
-    are the inversions (i, j) whose larger letter is v.  Each crossing and
-    nesting is counted at one end:
+    Sets of letters and positions are bitmasks, v as bit v (Knuth, TAOCP 4A,
+    7.1.3), so no pair of positions is visited: one pass over the word, a
+    few big-int operations and popcounts on n-bit masks per letter.  At
+    position i with letter s, ``placed`` holds the earlier letters and
+    ``above`` counts those above s, the inversions that end at i.  Each
+    crossing and nesting is counted at its right end i, and pairs i with an
+    earlier arc of its own kind, excedance or weak deficiency:
 
-    * a nesting at its end with the larger letter v: when v > i, the
-      excedances j in ``later`` (i < j < w[j] < v); when v <= i, every j in
-      ``later`` (w[j] < v <= i < j);
-    * a crossing with v > i at its left end: the positions j strictly
-      between i and v that are not in ``lower`` (i < j < v < w[j]);
-    * a crossing with v <= i at its right end: the positions a in ``lower``
-      with v <= a < i (w[a] < v <= a < i).
+    * when s > i, the earlier letters above i, all at excedances, are the
+      crossings and nestings at i: those above s nest (a < i < s < w[a]),
+      the rest cross (a < i < w[a] < s);
+    * when s <= i, ``wd`` and ``wdpos`` hold the letters and positions of
+      the earlier weak deficiencies, and those at positions a >= s are the
+      crossings and nestings at i: the letters above s nest
+      (s < w[a] <= a < i), the rest cross (w[a] < s <= a < i).
     """
-    n = len(w)
-    pos = [0] * (n + 1)
-    fp = exc = exc_mask = 0
+    fp = exc = crs = nes = inv = placed = wd = wdpos = 0
     for i, s in enumerate(w, 1):
-        pos[s] = i
+        bit = 1 << s
+        above = (placed >> s).bit_count()
+        inv += above
         if s > i:
             exc += 1
-            exc_mask |= 1 << i
-        elif s == i:
-            fp += 1
-    crs = nes = inv = lower = 0
-    for v in range(1, n + 1):
-        i = pos[v]
-        later = lower >> (i + 1)
-        k = later.bit_count()
-        inv += k
-        if v > i:
-            nes += (later & (exc_mask >> (i + 1))).bit_count()
-            crs += v - i - 1 - (lower & ((1 << v) - (2 << i))).bit_count()
+            nes += above
+            crs += (placed >> (i + 1)).bit_count() - above
         else:
+            if s == i:
+                fp += 1
+            k = (wd >> s).bit_count()
             nes += k
-            crs += (lower & ((1 << i) - (1 << v))).bit_count()
-        lower |= 1 << i
+            crs += (wdpos >> s).bit_count() - k
+            wd |= bit
+            wdpos |= 1 << i
+        placed |= bit
     return fp, exc, crs, nes, inv
 
 
@@ -716,20 +709,17 @@ def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
 def _head_tail_pairs(w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     """``head_tail_pairs`` of a word known to be a permutation.
 
-    L_v is a popcount: the letters v = 1..n are scanned upwards, as in the
-    statistics kernel, with the positions of the letters below v as a bitmask.
+    One pass over the word, with the earlier letters as a bitmask: of the
+    i - 1 letters before position i, a popcount counts those above its
+    letter s, and the rest are the L_s below it.  ``tails[s - 1]`` is
+    1 + L_s, and head s - 1 gets a pair when that is at most s - 1.
     """
-    pos = [0] * (len(w) + 1)
-    for i, v in enumerate(w):
-        pos[v] = i
-    lower = 0  # bit i for each position i of a letter below v
-    pairs = []
-    for v in range(1, len(w) + 1):
-        tail = 1 + (lower & ((1 << pos[v]) - 1)).bit_count()
-        if tail < v:
-            pairs.append((v - 1, tail))
-        lower |= 1 << pos[v]
-    return tuple(pairs)
+    tails = [0] * len(w)
+    placed = 0  # bit v for each letter v so far
+    for i, s in enumerate(w, 1):
+        tails[s - 1] = i - (placed >> s).bit_count()
+        placed |= 1 << s
+    return tuple([(h, t) for h, t in enumerate(tails) if t <= h])
 
 
 def _check_head_tail(pairs: Sequence[tuple[int, int]], n: int) -> None:
@@ -774,8 +764,10 @@ def _permutation_from_head_tail(
     far at index t - 1 when v - 1 heads a pair (v - 1, t), and at the end
     otherwise.
     """
-    tails = dict(pairs)
+    at = list(range(n))  # at[v - 1]: where letter v is inserted
+    for h, t in pairs:
+        at[h] = t - 1
     w: list[int] = []
-    for v in range(1, n + 1):
-        w.insert(tails.get(v - 1, v) - 1, v)
+    for v, i in enumerate(at, 1):
+        w.insert(i, v)
     return tuple(w)

@@ -71,6 +71,51 @@ def pair_loop_statistics(w):
     return fp, exc, crs, nes, inv
 
 
+def value_scan_statistics(w):
+    # Reference for words too long for the pair loop: a two-pass kernel
+    # that scans the letters upwards.  One pass by position gives fp, exc,
+    # the excedance positions and pos[v]; then, with ``lower`` the positions
+    # of the letters below v and i = pos[v], the positions of ``lower``
+    # after i are the inversions whose larger letter is v, and each crossing
+    # and nesting is counted at its end with the larger letter v.
+    n = len(w)
+    pos = [0] * (n + 1)
+    fp = exc = exc_mask = 0
+    for i, s in enumerate(w, 1):
+        pos[s] = i
+        if s > i:
+            exc += 1
+            exc_mask |= 1 << i
+        elif s == i:
+            fp += 1
+    crs = nes = inv = lower = 0
+    for v in range(1, n + 1):
+        i = pos[v]
+        later = lower >> (i + 1)
+        k = later.bit_count()
+        inv += k
+        if v > i:
+            nes += (later & (exc_mask >> (i + 1))).bit_count()
+            crs += v - i - 1 - (lower & ((1 << v) - (2 << i))).bit_count()
+        else:
+            nes += k
+            crs += (lower & ((1 << i) - (1 << v))).bit_count()
+        lower |= 1 << i
+    return fp, exc, crs, nes, inv
+
+
+def extreme_words(n):
+    # The identity, the reversal, i -> i + 1 mod n and its inverse, and
+    # (2, 1, 4, 3, ...) for even n: all fixed points, nestings only, all
+    # excedances but one, all deficiencies but one, and 2-cycles side by
+    # side, the ends of each branch of the one-pass kernel.
+    yield tuple(range(1, n + 1))
+    yield tuple(range(n, 0, -1))
+    yield tuple(range(2, n + 1)) + (1,)
+    yield (n,) + tuple(range(1, n))
+    yield tuple(v for a in range(1, n, 2) for v in (a + 1, a))
+
+
 def brute(w):
     # Reference for the barred pattern, restated directly: every 231
     # occurrence must have an interior letter below its "1".
@@ -256,6 +301,18 @@ class TestStatistics:
         # no nestings (phi3), shapes that uniform words seldom take.
         w = phi(random_path(rng, n))
         assert _fp_exc_crs_nes_inv(w) == pair_loop_statistics(w), w
+
+    def test_kernel_matches_value_scan_on_very_long_words(self):
+        rng = random.Random(29)
+        for _ in range(8):
+            n = rng.randint(1000, 3000)
+            w = tuple(rng.sample(range(1, n + 1), n))
+            assert _fp_exc_crs_nes_inv(w) == value_scan_statistics(w)
+
+    @pytest.mark.parametrize("n", (2, 2000))
+    def test_kernel_matches_value_scan_on_extreme_words(self, n):
+        for w in extreme_words(n):
+            assert _fp_exc_crs_nes_inv(w) == value_scan_statistics(w), w[:4]
 
     @given(perm_strategy)
     def test_exc_des_consistency(self, w):
@@ -597,6 +654,15 @@ class TestHeadTail:
             rebuilt = _permutation_from_head_tail(pairs, len(w))
             assert rebuilt == swapping_permutation_from_head_tail(pairs, len(w)) == w
             assert permutation_from_head_tail(pairs, len(w)) == w
+
+    def test_tails_count_inversions_like_the_statistics_kernel(self):
+        # Double counting: the statistics kernel sums the larger letters on
+        # each letter's left, and a pair (h, t) counts the h - t + 1 smaller
+        # letters on the right of letter h + 1.
+        for n in range(9):
+            for w in itertools.permutations(range(1, n + 1)):
+                inv = _fp_exc_crs_nes_inv(w)[4]
+                assert sum(h - t + 1 for h, t in _head_tail_pairs(w)) == inv, w
 
     def test_phi3_inverse_matches_head_tail_route_on_long_paths(self):
         rng = random.Random(11)
