@@ -21,7 +21,6 @@ from .paths import parse_path, path_statistics
 from .permutations import (
     PermClass,
     StatSpec,
-    _check_size,
     cycle_string,
     distribution,
     in_class,
@@ -29,6 +28,7 @@ from .permutations import (
     parse_permutation,
     perm_statistics,
 )
+from .polynomials import _check_size
 from .qmotzkin import h_tableau, motzkin_number, q_motzkin, q_motzkin_tilde
 from .series import PRESETS, named_series
 

@@ -63,7 +63,6 @@ from .permutations import (
     PermClass,
     SizeLimitError,
     StatSpec,
-    _check_size,
     _fp_exc_crs_nes_inv,
     _head_tail_pairs,
     _permutation_from_head_tail,
@@ -73,7 +72,7 @@ from .permutations import (
     one_line,
     perm_statistics,
 )
-from .polynomials import UNI_ONE, MultiPoly, UniPoly
+from .polynomials import UNI_ONE, MultiPoly, UniPoly, _check_size
 from .qmotzkin import (
     h_recursion_rhs,
     h_tableau,

@@ -22,7 +22,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from .permutations import _check_head_tail, _check_size
+from .permutations import _check_head_tail
+from .polynomials import _check_size
 
 _STEPS = frozenset("uhd")
 

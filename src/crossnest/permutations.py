@@ -67,7 +67,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, _check_size
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
@@ -348,17 +348,6 @@ def _member_named(kind: type[enum.Enum], name: str, noun: str):
             return member
     known = ", ".join(m.value for m in kind)
     raise ValueError(f"unknown {noun} {name!r} (known: {known})")
-
-
-def _check_size(n: int, name: str = "n") -> None:
-    """Raise ValueError("<name> must be nonnegative") unless n is a size.
-
-    The package's one test of sizes, orders and bounds: a size is a
-    nonnegative plain int, never a bool or a float.  ``name`` only words
-    the message.
-    """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"{name} must be nonnegative")
 
 
 def _involutions(

@@ -14,6 +14,11 @@ with ``_convolve``, which packs nonnegative operands into big integers, and
 ``MultiPoly`` multiplies term by term for any number of variables, one
 included.
 
+Both share one value protocol, the private base ``_Poly``: a value is
+immutable, false exactly when zero, and is subtracted from or subtracts only
+an int or its own type.  This leaf module also holds ``_check_size``, the
+package's one guard on sizes, orders and bounds, which every layer imports.
+
 Both render to a canonical text form: terms ascending by total exponent
 (ties broken by the exponent tuple), a coefficient of 1 and an exponent of
 1 are suppressed, and the zero polynomial renders as ``"0"``.  Each type
@@ -42,6 +47,17 @@ _EXP_MASK = (1 << _EXP_BITS) - 1
 # Products of dense coefficient lists switch to single-bigint packing above
 # this size*size threshold; below it schoolbook wins on constant factors.
 _PACK_CUTOFF = 256
+
+
+def _check_size(n: int, name: str = "n") -> None:
+    """Raise ValueError("<name> must be nonnegative") unless n is a size.
+
+    The package's one test of sizes, orders and bounds: a size is a
+    nonnegative plain int, never a bool or a float.  ``name`` only words
+    the message.
+    """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{name} must be nonnegative")
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -153,7 +169,30 @@ def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
     return "".join(pieces)
 
 
-class UniPoly:
+class _Poly:
+    """The value protocol of both polynomial types: immutable, a difference
+    only with an int or the same type, and false exactly when zero."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __sub__(self, other: object) -> "_Poly":
+        if not isinstance(other, (int, type(self))):
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: object) -> "_Poly":
+        if not isinstance(other, int):
+            return NotImplemented
+        return -self + other
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+
+class UniPoly(_Poly):
     """Dense integer polynomial in ``q``.
 
     >>> p = UniPoly((1, 2)) * UniPoly((0, 1))
@@ -172,13 +211,9 @@ class UniPoly:
             end -= 1
         object.__setattr__(self, "coeffs", cs[:end])
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UniPoly is immutable")
-
     @classmethod
     def q_power(cls, k: int) -> "UniPoly":
-        if type(k) is not int or k < 0:
-            raise ValueError("exponent must be nonnegative")
+        _check_size(k, "exponent")
         return cls((0,) * k + (1,))
 
     @property
@@ -195,8 +230,7 @@ class UniPoly:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def times_q_power(self, k: int) -> "UniPoly":
-        if type(k) is not int or k < 0:
-            raise ValueError("exponent must be nonnegative")
+        _check_size(k, "exponent")
         if not self.coeffs:
             return self
         return UniPoly((0,) * k + self.coeffs)
@@ -225,16 +259,6 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: int) -> "UniPoly":
-        return UniPoly((other,)) + (-self)
-
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
             return UniPoly(tuple(other * c for c in self.coeffs))
@@ -249,9 +273,6 @@ class UniPoly:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __str__(self) -> str:
         return _join_terms((c, f"q^{e}" if e > 1 else "q" if e else "")
@@ -282,7 +303,7 @@ def _unpack(keys: Collection[int], nvars: int) -> list[tuple[int, ...]]:
     return list(zip(*columns)) or [()] * len(keys)
 
 
-class MultiPoly:
+class MultiPoly(_Poly):
     """Sparse integer polynomial in a fixed ordered tuple of variables.
 
     >>> x = MultiPoly.variable(("x", "y"), "x")
@@ -298,9 +319,6 @@ class MultiPoly:
         object.__setattr__(
             self, "_terms", {k: c for k, c in (terms or {}).items() if c}
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiPoly is immutable")
 
     @classmethod
     def _nonzero(
@@ -430,15 +448,6 @@ class MultiPoly:
     def __neg__(self) -> "MultiPoly":
         return MultiPoly(self.variables, {k: -c for k, c in self._terms.items()})
 
-    def __sub__(self, other: "MultiPoly | int") -> "MultiPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: int) -> "MultiPoly":
-        return MultiPoly.constant(self.variables, other) + (-self)
-
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
             return MultiPoly(
@@ -489,9 +498,6 @@ class MultiPoly:
 
     def __hash__(self) -> int:
         return hash((self.variables, tuple(sorted(self._terms.items()))))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __str__(self) -> str:
         return _join_terms(

@@ -36,8 +36,8 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Any, Callable, Iterator, Sequence
 
-from .permutations import _check_size
-from .polynomials import UNI_ONE, MultiPoly, UniPoly, _slot_bytes, _slot_coeffs
+from .polynomials import (UNI_ONE, MultiPoly, UniPoly, _check_size, _slot_bytes,
+                          _slot_coeffs)
 
 _motzkin_cache: list[int] = [1, 1]
 _q_motzkin_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]

@@ -28,8 +28,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .permutations import _check_size
-from .polynomials import MultiPoly, UniPoly, _slot_bytes
+from .polynomials import MultiPoly, UniPoly, _check_size, _slot_bytes
 from .qmotzkin import (_FRACTIONS, _Q, _fraction, _PackedTableau, q_motzkin,
                        q_motzkin_tilde)
 

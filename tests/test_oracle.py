@@ -409,6 +409,26 @@ class TestFailurePath:
         for p in itertools.takewhile(lambda p: p != path, paths):
             phi3_inverse(phi1(p))
 
+    def test_a_raise_between_cases_names_the_last_case(self, monkeypatch):
+        # The path enumeration raises at n = 2, after the three cases of
+        # n = 0 and of n = 1 and before any case of n = 2.
+        real = oracle_module.enumerate_paths
+
+        def planted(n):
+            if n == 2:
+                raise RuntimeError("planted")
+            return real(n)
+
+        monkeypatch.setattr(oracle_module, "enumerate_paths", planted)
+        monkeypatch.setattr(oracle_module, "_CHECKS", tuple(
+            c for c in _CHECKS if c.name == "dist-path-transport"))
+        (check,) = run_suite("all", 5).checks
+        assert check.status == "FAIL"
+        assert check.counterexample == (
+            "after n=1 strip: raised RuntimeError: planted"
+        )
+        assert check.objects == 6
+
     def test_head_tail_pairs_broken(self, monkeypatch):
         # The round trip reads the trusted kernel, not the public wrapper.
         monkeypatch.setattr("crossnest.oracle._head_tail_pairs", lambda w: ())

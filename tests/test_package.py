@@ -1,5 +1,6 @@
 """Package-level contracts: what ``import crossnest`` loads, and the records."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -64,6 +65,45 @@ class TestImportDiet:
         for name in ("distribution", "StatSpec", "SizeLimitError",
                      "DEFAULT_ENUM_LIMIT", "ENUM_LIMIT_ENV"):
             assert getattr(oracle, name) is getattr(permutations, name), name
+
+
+def sibling_imports() -> dict[str, dict[str, set[str]]]:
+    """For each module of the package, the names it takes from each
+    sibling, read from its ``from .x import`` and ``from . import x``."""
+    modules = {}
+    for path in sorted(Path(crossnest.__file__).parent.glob("*.py")):
+        imports: dict[str, set[str]] = {}
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        imports.setdefault(alias.name, set())
+                    else:
+                        imports.setdefault(node.module, set()).add(alias.name)
+        modules[path.stem] = imports
+    return modules
+
+
+class TestLayering:
+    """``polynomials`` is the leaf that holds the shared rules; the q-series
+    layer stands on it alone, never on the permutation or path layers."""
+
+    def test_polynomials_imports_no_sibling(self):
+        assert sibling_imports()["polynomials"] == {}
+
+    def test_q_series_layer_stands_apart_from_objects(self):
+        modules = sibling_imports()
+        for module in ("qmotzkin", "series"):
+            assert not {"permutations", "paths", "bijections"} & set(modules[module])
+
+    def test_one_home_for_the_size_guard(self):
+        homes = {
+            sibling
+            for imports in sibling_imports().values()
+            for sibling, names in imports.items()
+            if "_check_size" in names
+        }
+        assert homes == {"polynomials"}
 
 
 def _records():

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,8 +256,9 @@ class TestMultiPoly:
     def test_variable_mismatch_rejected(self):
         x = MultiPoly.variable(VARS, "x")
         q = MultiPoly.variable(("q",), "q")
-        with pytest.raises(ValueError):
-            _ = x + q
+        for op in (lambda: x + q, lambda: x - q, lambda: q - x, lambda: x * q):
+            with pytest.raises(ValueError, match=r"^variable mismatch: "):
+                op()
 
     def test_rendering(self):
         m = MultiPoly.monomial(VARS, {"x": 1, "y": 2, "q": 3}, 2)
@@ -266,6 +268,7 @@ class TestMultiPoly:
         x = MultiPoly.variable(VARS, "x")
         y = MultiPoly.variable(VARS, "y")
         assert str(x * x + 2 * y) == "2*y + x^2"
+        assert repr(x - 2 * y) == "MultiPoly(('x', 'y', 'p', 'q'), '-2*y + x')"
 
     def test_term_order_is_total_degree_then_exponents(self):
         x = MultiPoly.variable(("x", "y"), "x")
@@ -289,6 +292,11 @@ class TestMultiPoly:
     def test_from_terms_merges(self):
         m = MultiPoly.from_terms(("y", "q"), {(1, 0): 2, (0, 1): 1})
         assert str(m) == "q + 2*y"
+        for exps in ((1,), (1, 0, 0)):
+            with pytest.raises(
+                ValueError, match=r"^exponent tuple length does not match variables$"
+            ):
+                MultiPoly.from_terms(("y", "q"), {exps: 1})
 
     def test_single_variable_product(self):
         a = MultiPoly.from_unipoly(UniPoly(tuple(range(1, 50))), ("q",), "q")
@@ -367,3 +375,61 @@ class TestMultiPoly:
             for key, row in rows.items()
         ]
         assert MultiPoly._from_slots(v, i, entries, slot, low) == poly
+
+
+U = UniPoly((1, 2))
+M = MultiPoly.variable(("q",), "q")
+
+
+class TestValueProtocol:
+    """The rules both polynomial types share: immutable, hashed by value,
+    false only at zero, and arithmetic only with an int or the same type."""
+
+    @pytest.mark.parametrize("poly", [U, M])
+    def test_immutable(self, poly):
+        name = type(poly).__name__
+        for attr in ("coeffs", "variables", "_terms", "other"):
+            with pytest.raises(AttributeError, match=rf"^{name} is immutable$"):
+                setattr(poly, attr, ())
+
+    def test_equal_values_hash_equal(self):
+        assert UniPoly([1, 2, 0]) == U and hash(UniPoly([1, 2, 0])) == hash(U)
+        # The same terms gathered in another order.
+        a = MultiPoly.from_terms(("x", "q"), {(1, 0): 2, (0, 3): -1, (0, 0): 5})
+        b = MultiPoly.from_terms(("x", "q"), {(0, 0): 5, (0, 3): -1, (1, 0): 2})
+        assert a == b and hash(a) == hash(b)
+        assert hash(M - M) == hash(MultiPoly.zero(("q",)))
+
+    def test_bool_is_nonzero(self):
+        assert U and M and UniPoly((0, 0, 3)) and MultiPoly.constant(("q",), -1)
+        for zero in (UNI_ZERO, U - U, MultiPoly.zero(("q",)), M - M,
+                     MultiPoly.zero(())):
+            assert not zero
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda: U + M,
+            lambda: M * U,
+            lambda: U - 1.5,
+            lambda: 1.5 - U,
+            lambda: Fraction(1, 2) - U,
+            lambda: 1.5 - M,
+            lambda: M - 1.5,
+            lambda: M - U,
+            lambda: U - M,
+        ],
+        ids=["u+m", "m*u", "u-1.5", "1.5-u", "half-u", "1.5-m", "m-1.5", "m-u", "u-m"],
+    )
+    def test_other_operands_are_refused(self, op):
+        with pytest.raises(TypeError, match=r"^unsupported operand type\(s\)"):
+            op()
+
+    def test_differences_with_ints(self):
+        assert (1 - U).coeffs == (0, -2)
+        assert (U - 1).coeffs == (0, 2)
+        assert (True - U).coeffs == (0, -2)
+        assert str(1 - M) == "1 - q"
+        assert str(M - 1) == "-1 + q"
+        assert 3 - UNI_ZERO == UniPoly((3,))
+        assert (M - M) - 2 == MultiPoly.constant(("q",), -2)

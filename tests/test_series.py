@@ -175,6 +175,21 @@ def main12_lhs_dyck_unipoly(order: int) -> Iterator[list[UniPoly]]:
 
 
 class TestPowerSeries:
+    def test_needs_the_constant_term(self):
+        with pytest.raises(ValueError, match=r"^a series needs at least the t\^0 "):
+            PowerSeries(("q",), [])
+
+    def test_value(self):
+        s = named_series("Mtilde", 5)
+        t = PowerSeries(("q",), list(s.coeffs))
+        assert s == t and hash(s) == hash(t)
+        assert s != named_series("Mtilde", 4)
+        assert repr(s) == "PowerSeries(order=5, [1, 1, 2, 3 + q, ...])"
+        assert repr(named_series("Mtilde", 1)) == "PowerSeries(order=1, [1, 1])"
+        for attr in ("coeffs", "variables", "other"):
+            with pytest.raises(AttributeError, match=r"^PowerSeries is immutable$"):
+                setattr(s, attr, ())
+
     def test_variable_mismatch(self):
         with pytest.raises(ValueError, match="coefficient variables"):
             PowerSeries(("q",), [MultiPoly.one(("q",)), MultiPoly.one(("y", "q"))])
