@@ -2,11 +2,11 @@
 
 ``distribution``, ``StatSpec``, ``SizeLimitError`` and the enumeration
 guard (``DEFAULT_ENUM_LIMIT``, ``ENUM_LIMIT_ENV``) live in
-``crossnest.permutations``, beside the family enumerators they consume;
-this module imports them back, so ``from crossnest.oracle import
-distribution`` still works.  Nothing in the package imports this module
-at load time: ``crossnest.run_suite`` loads it on first use, and the CLI
-only in ``verify``.
+``crossnest.permutations``, beside the family enumerators and the passes
+over their trees' states; this module imports them back, so ``from
+crossnest.oracle import distribution`` still works.  Nothing in the
+package imports this module at load time: ``crossnest.run_suite`` loads
+it on first use, and the CLI only in ``verify``.
 
 The named checks are the rows of one table, ``_CHECKS``: a name, a suite,
 a size bound, labels for the two sides, and ``cases(cap)``, a generator of

@@ -27,33 +27,35 @@ pattern 23-1 (Claesson 2001), tested in one pass, and the 321/barred
 avoiders have a generating tree without dead ends too.  Like
 ``contains_classical``, the fast tests raise ValueError on a word that is
 not a permutation.  Each family is one ``_CLASS_RULES`` row, its word
-test (for ``in_class``, which validates the word once) and its enumerator;
-filtering every involution or permutation through the word tests is the
-test reference.
+test (for ``in_class``, which validates the word once), its enumerator and
+its statistics tally; filtering every involution or permutation through the
+word tests is the enumerators' test reference.
 
-The enumerators of every family but ``ALL`` yield each member with its
-fixed points, excedances, crossings and nestings (``_members``);
-``enumerate_class`` keeps only the words.  They carry down their trees only
-what no identity gives, with O(1) bitmask updates per node.  The involution
-tree carries crossings, nestings and the open arcs; at a leaf its stack
-holds one frame per cycle, which gives fp and exc.  The 321/barred tree
-carries fp, exc and inv; its members avoid 321, so nes = 0 and
-``inv = exc + crs`` gives crs.  ``_fp_exc_crs_nes_inv`` is the one
-statistics kernel that ``perm_statistics`` and the oracle checks run: one
-left-to-right pass with sets of letters and positions as bitmasks, O(n)
-big-int operations on n-bit masks.  The O(n^2) loop over all pairs that
-restates the definitions above is its test reference.  Head/tail pairs are
-read off the inversion table by the same kind of pass and rebuilt by
-insertion; the public pair and rebuild functions validate their input and
-then call the trusted kernels ``_head_tail_pairs`` and
+The trees yield words alone.  The statistics of every family but ``ALL``
+come from one forward pass over its tree's states (``_state_pass``), not
+from its members: the future of a node depends only on a small state, so
+nodes with equal states merge, each with a tally {packed (fp, exc, crs,
+nes): count}, and the work grows with the distinct states, not with the
+members.  The involution state is the next free position and the set of
+open-arc ends past it; the 321/barred state is the set of placed letters
+and whether the last one lies below the smallest unplaced letter.  Each
+statistic rule lives only in these passes.  ``_fp_exc_crs_nes_inv`` is the
+one statistics kernel that ``perm_statistics``, ``ALL``'s distribution
+and the oracle checks run: one left-to-right pass with sets of letters
+and positions as bitmasks, O(n) big-int operations on n-bit masks.  The
+O(n^2) loop over all pairs that restates the definitions above is its test
+reference, and that loop or the kernel over every member of
+``enumerate_class`` is the test reference of the state passes.  Head/tail
+pairs are read off the inversion table by the same kind of pass and rebuilt
+by insertion; the public pair and rebuild functions validate their input
+and then call the trusted kernels ``_head_tail_pairs`` and
 ``_permutation_from_head_tail``.
 
-``distribution`` sums a monomial over an enumerated family, the ground
-truth the rest of the package is tested against; it lives here, beside
-``_members``, with ``StatSpec`` and the size guard, and ``crossnest.oracle``
-re-exports them.  It counts distinct (fp, exc, crs, nes) tuples and never
-runs the statistics kernel, except over ``ALL``.  Family sizes grow fast,
-so sizes above a guard (default 12, override with the CROSSNEST_ENUM_LIMIT
+``distribution`` sums a monomial over a family, the ground truth the rest
+of the package is tested against; it lives here, beside the trees and
+their state passes, with ``StatSpec`` and the size guard, and
+``crossnest.oracle`` re-exports them.  Family sizes grow fast, so sizes
+above a guard (default 12, override with the CROSSNEST_ENUM_LIMIT
 environment variable or allow_large=True) are refused with
 ``SizeLimitError`` rather than silently churning.
 """
@@ -64,7 +66,6 @@ import enum
 import itertools
 import os
 from collections import Counter
-from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .polynomials import MultiPoly, _check_size
@@ -352,7 +353,7 @@ def _member_named(kind: type[enum.Enum], name: str, noun: str):
 
 def _involutions(
     n: int, partners: Callable[[int, int, int], tuple[int, int]]
-) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
+) -> Iterator[tuple[int, ...]]:
     # Pair the first free (zero) position i with itself, a fixed point, and
     # then with each free j in range(lo, hi), the family's partner range
     # lo, hi = partners(i, arcs, n); this order is lexicographic.  arcs has
@@ -376,44 +377,66 @@ def _involutions(
     # past every open arc and I3412 before the first open arc closes; every
     # position there is free.  Every pairing offered completes to a member
     # (fixed points at the free positions left), so no subtree is dead.
-    # Each member comes with its (fp, exc, crs, nes), but the tree carries
-    # only crs, nes and arcs.  A fixed point under an open arc makes one
-    # nesting with it, and a new 2-cycle (i j) makes two crossings with each
-    # open arc that closes before j and two nestings with each one that
-    # closes after it (Flajolet 1980: the open arcs are the height of the
-    # path).  A leaf's stack holds one frame per cycle, fixed point or
-    # 2-cycle, so its c cycles give fp = 2c - n and exc = n - c.
+    # The tree carries no statistics: what follows a node depends only on
+    # (i, arcs), and ``_involution_tally`` counts them over those states.
     word = [0] * n
     stack: list[tuple] = []
-    i = j = crs = nes = arcs = 0
+    i = j = arcs = 0
     lo, hi = partners(0, 0, n) if n else (0, 0)
     while True:
         if j < hi:
             word[i], word[j] = j + 1, i + 1
-            stack.append((i, j, lo, hi, crs, nes, arcs))
-            if j == i:
-                nes += arcs.bit_count()
-            else:
-                crs += 2 * (arcs & ((1 << j) - 1)).bit_count()
-                nes += 2 * (arcs >> j).bit_count()
+            stack.append((i, j, lo, hi, arcs))
+            if j > i:
                 arcs |= 1 << j
-            i += 1
-            while i < n and word[i]:
-                i += 1
-            arcs &= -1 << i  # the arcs that closed before i are done
+            i, arcs = _next_free(i, arcs)
             lo, hi = partners(i, arcs, n) if i < n else (0, 0)
             j = i
             continue
         if i == n:
-            c = len(stack)
-            yield tuple(word), (2 * c - n, n - c, crs, nes)
+            yield tuple(word)
         if not stack:
             return
-        i, j, lo, hi, crs, nes, arcs = stack.pop()
+        i, j, lo, hi, arcs = stack.pop()
         word[i] = word[j] = 0
         j = lo if j == i else j + 1
         while j < hi and word[j]:
             j += 1
+
+
+def _next_free(i: int, arcs: int) -> tuple[int, int]:
+    # The first free position past i, where arcs has a bit for each filled
+    # position past i, and the arcs still open over it.
+    past = arcs >> (i + 1)
+    k = i + (~past & (past + 1)).bit_length()
+    return k, arcs & (-1 << k)
+
+
+def _involution_tally(
+    n: int, partners: Callable[[int, int, int], tuple[int, int]]
+) -> dict[tuple[int, int, int, int], int]:
+    # The (fp, exc, crs, nes) tally of _involutions(n, partners), over its
+    # states (i, arcs) in ascending i.  A fixed point under an open arc makes
+    # one nesting with it, and a new 2-cycle (i j) makes two crossings with
+    # each open arc that closes before j and two nestings with each one that
+    # closes after it (Flajolet 1980: the open arcs are the height of the
+    # path).  The state keeps where each arc closes, not just how many are
+    # open, since that fixes which later pairings cross or nest them.
+    w = _stat_width(n)
+    exc, crs, nes = 1 << w, 1 << 2 * w, 1 << 3 * w  # packed units; fp's is 1
+
+    def moves(i: int, arcs: int) -> Iterator[tuple[int, int, int]]:
+        yield (*_next_free(i, arcs), 1 + nes * arcs.bit_count())
+        lo, hi = partners(i, arcs, n)
+        for j in range(lo, hi):
+            bit = 1 << j
+            if not arcs & bit:
+                outer = (arcs >> j).bit_count()
+                crossed = arcs.bit_count() - outer
+                d = exc + 2 * (crs * crossed + nes * outer)
+                yield (*_next_free(i, arcs | bit), d)
+
+    return _state_pass(n, 0, moves, w, 4)
 
 
 def _free_partners(i: int, arcs: int, n: int) -> tuple[int, int]:
@@ -473,79 +496,161 @@ def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | No
     return seen, low, banned
 
 
-def _avoiders_321_barred_3142(
-    n: int,
-) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int]]]:
+def _avoiders_321_barred_3142(n: int) -> Iterator[tuple[int, ...]]:
     # Every letter not yet placed comes later.  A word holds 321 or 23-1
     # exactly when some letter v has a later letter x < v and (a) a larger
     # letter before it, or (b) just before it a letter between x and v.  So
     # with s the smallest unplaced letter, v may follow a prefix when v = s,
-    # or when v is above every placed letter and the last one is below s.
-    # s is always a child, so no branch dies; in order the children are s
-    # and then, when the last letter is below s, every letter above the
-    # largest.
-    # Each member comes with its (fp, exc, crs, nes), but the tree carries
-    # only fp, exc and inv: letter v makes an inversion with each placed
-    # letter above it.  A member avoids 321, so it has no nesting, and
-    # inv = exc + crs + 2 nes gives crs (the oracle rows class-nonnesting
-    # and inv-identity check both against the kernel).
+    # or when v is above every placed letter and the last one is below s
+    # (_next_letters).  s is always a child, so no branch dies.  The tree
+    # carries no statistics: what follows a node depends only on (placed,
+    # last < s), and ``_avoider_tally`` counts them over those states.
     if n == 0:
-        yield (), (0, 0, 0, 0)
+        yield ()
         return
     word = [0] * n
     # Frame i chooses the letter at position i: (bits of the placed letters
-    # and of 0, fp, exc, inv, untried letters with the next one last).
-    stack = [(1, 0, 0, 0, list(range(n, 0, -1)))]
+    # and of 0, untried letters with the next one last).
+    stack = [(1, _next_letters(1, True, n)[::-1])]
     while stack:
-        placed, fp, exc, inv, untried = stack[-1]
+        placed, untried = stack[-1]
         if not untried:
             stack.pop()
             continue
         i = len(stack)
         v = word[i - 1] = untried.pop()
-        if v > i:
-            exc += 1
-        elif v == i:
-            fp += 1
-        placed |= 1 << v
-        inv += (placed >> (v + 1)).bit_count()
         if i == n:
-            yield tuple(word), (fp, exc, inv - exc, 0)
+            yield tuple(word)
             continue
-        s = (~placed & (placed + 1)).bit_length() - 1
-        top = placed.bit_length() - 1
-        children = list(range(n, max(top, s), -1)) if v < s else []
-        children.append(s)
-        stack.append((placed, fp, exc, inv, children))
+        placed |= 1 << v
+        low = v < _lowest_gap(placed)
+        stack.append((placed, _next_letters(placed, low, n)[::-1]))
 
 
-# Each family: (drawn from the involutions?, word test for in_class or None,
-# enumerator of its members of size n in lexicographic order, each with its
-# (fp, exc, crs, nes), or None for the statistics kernel to compute).  The
-# word tests trust in_class to have validated the word.
+def _lowest_gap(placed: int) -> int:
+    # The smallest letter not in placed, which has bit 0 set.
+    return (~placed & (placed + 1)).bit_length() - 1
+
+
+def _next_letters(placed: int, low: bool, n: int) -> list[int]:
+    # The letters that may follow a 321/barred prefix, in increasing order:
+    # the smallest unplaced letter s, and when the last letter is below s
+    # (low), every letter above the largest placed one.
+    s = _lowest_gap(placed)
+    return [s, *range(max(placed.bit_length(), s + 1), n + 1)] if low else [s]
+
+
+def _avoider_tally(n: int) -> dict[tuple[int, int, int, int], int]:
+    # The (fp, exc, crs, nes) tally of _avoiders_321_barred_3142(n), over its
+    # states (placed, low) in ascending length.  The pass carries fp, exc
+    # and inv: letter v makes an inversion with each placed letter above it.
+    # A member avoids 321, so it has no nesting, and inv = exc + crs + 2 nes
+    # gives crs (the oracle rows class-nonnesting and inv-identity check
+    # both against the kernel).
+    w = _stat_width(n)
+    exc, inv = 1 << w, 1 << 2 * w  # packed units; fp's is 1
+
+    def moves(i: int, state: tuple[int, bool]) -> Iterator[tuple]:
+        placed, low = state
+        for v in _next_letters(placed, low, n):
+            d = inv * (placed >> v).bit_count()
+            if v > i + 1:
+                d += exc
+            elif v == i + 1:
+                d += 1
+            now = placed | 1 << v
+            yield i + 1, (now, v < _lowest_gap(now)), d
+
+    tally = _state_pass(n, (1, True), moves, w, 3)
+    return {(fp, e, iv - e, 0): count for (fp, e, iv), count in tally.items()}
+
+
+def _stat_width(n: int) -> int:
+    # Bits per statistic in a packed tally key: every statistic of a
+    # permutation of size n, inv included, is below n * n.
+    return max(1, (n * n).bit_length())
+
+
+def _state_pass(
+    n: int, start: object, moves: Callable, w: int, fields: int
+) -> dict[tuple[int, ...], int]:
+    """The tally of a generating tree's leaves, by one pass over its states.
+
+    A state stands for all the nodes whose subtrees it determines; the
+    root has state ``start`` at level 0, and the leaves sit at level n.
+    ``moves(i, state)`` yields (level, state, delta) per child of a node at
+    level i, each at a higher level, with delta what the child adds to its
+    parent's packed statistics.  Levels run in ascending order, and each
+    state holds {packed statistics: number of nodes}, so nodes with equal
+    states are stepped together, not one member at a time.  No level is
+    kept once it has been read.  A packed key holds ``fields`` statistics of
+    w bits each, the first lowest; the leaves' keys come back as tuples.
+    """
+    levels: list = [{} for _ in range(n + 1)]
+    levels[0][start] = {0: 1}
+    for i in range(n):
+        level, levels[i] = levels[i], None
+        for state, tally in level.items():
+            for k, new, d in moves(i, state):
+                target = levels[k].get(new)
+                if target is None:
+                    levels[k][new] = {key + d: c for key, c in tally.items()}
+                else:
+                    for key, c in tally.items():
+                        key += d
+                        target[key] = target.get(key, 0) + c
+    total: Counter = Counter()
+    for tally in levels[n].values():
+        total.update(tally)
+    mask = (1 << w) - 1
+    return {
+        tuple(key >> (w * f) & mask for f in range(fields)): count
+        for key, count in total.items()
+    }
+
+
+def _kernel_tally(n: int) -> Counter:
+    # ALL: the statistics kernel over every word of S_n.
+    words = enumerate_class(n, PermClass.ALL)
+    return Counter(_fp_exc_crs_nes_inv(w)[:4] for w in words)
+
+
+class _ClassRule(NamedTuple):
+    involutive: bool  # drawn from the involutions
+    avoids: Callable | None  # word test for in_class, trusting it to validate
+    members: Callable  # size n -> the members in lexicographic order
+    tally: Callable  # size n -> {(fp, exc, crs, nes): number of members}
+
+
 _CLASS_RULES = {
-    PermClass.ALL: (
-        False, None,
-        lambda n: zip(itertools.permutations(range(1, n + 1)), itertools.repeat(None)),
+    PermClass.ALL: _ClassRule(
+        False, None, lambda n: itertools.permutations(range(1, n + 1)), _kernel_tally
     ),
-    PermClass.INVOLUTIONS: (True, None, lambda n: _involutions(n, _free_partners)),
-    PermClass.I4321: (
+    PermClass.INVOLUTIONS: _ClassRule(
+        True, None,
+        lambda n: _involutions(n, _free_partners),
+        lambda n: _involution_tally(n, _free_partners),
+    ),
+    PermClass.I4321: _ClassRule(
         True, lambda w: _grow_4321((0, 0, 0), w) is not None,
         lambda n: _involutions(n, _nonnesting_partners),
+        lambda n: _involution_tally(n, _nonnesting_partners),
     ),
-    PermClass.I3412: (
+    PermClass.I3412: _ClassRule(
         True, lambda w: _grow_3412((0, 0, 0), w) is not None,
         lambda n: _involutions(n, _noncrossing_partners),
+        lambda n: _involution_tally(n, _noncrossing_partners),
     ),
-    PermClass.S321_B3142: (
+    PermClass.S321_B3142: _ClassRule(
         False,
         lambda w: _grow_4321((len(w) + 1, 0, 0), w) is not None and _avoids_23_1(w),
         _avoiders_321_barred_3142,
+        _avoider_tally,
     ),
 }
 
 
-def _class_rule(cls: PermClass) -> tuple[bool, Callable | None, Callable]:
+def _class_rule(cls: PermClass) -> _ClassRule:
     if not isinstance(cls, PermClass):
         raise ValueError(f"unknown class {cls!r}")
     return _CLASS_RULES[cls]
@@ -560,33 +665,25 @@ def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
     free position only past the end of every open 2-cycle (no two nest),
     and ``I3412`` only before the first one ends (no two cross).
     Filtering every involution or permutation through ``in_class``, which
-    runs the pattern scans, is the test reference.
+    runs the pattern scans, is the test reference.  The trees yield words
+    alone; ``distribution`` reads their statistics off a pass over the
+    trees' states instead, and counting over these words is its test
+    reference.
 
     >>> list(enumerate_class(3, PermClass.S321_B3142))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]
     """
-    return map(itemgetter(0), _members(n, cls))
-
-
-def _members(
-    n: int, cls: PermClass
-) -> Iterator[tuple[tuple[int, ...], tuple[int, int, int, int] | None]]:
-    """``enumerate_class`` with each member's (fp, exc, crs, nes), or None.
-
-    The enumerators carry or derive the four statistics down their trees;
-    only ``ALL`` yields None, and leaves them to ``_fp_exc_crs_nes_inv``.
-    """
     _check_size(n)
-    return _class_rule(cls)[2](n)
+    return _class_rule(cls).members(n)
 
 
 def in_class(word: Sequence[int], cls: PermClass) -> bool:
     """Membership test matching ``enumerate_class``, by the word tests."""
     w = check_permutation(word)
-    involutive, avoids, _ = _class_rule(cls)
-    if involutive and not _is_involution(w):
+    rule = _class_rule(cls)
+    if rule.involutive and not _is_involution(w):
         return False
-    return avoids is None or avoids(w)
+    return rule.avoids is None or rule.avoids(w)
 
 
 DEFAULT_ENUM_LIMIT = 12
@@ -647,20 +744,23 @@ def _enum_limit() -> int:
 def distribution(
     cls: PermClass, n: int, spec: StatSpec, *, allow_large: bool = False
 ) -> MultiPoly:
-    """Monomial sum of a statistic over one family, by full enumeration.
+    """Monomial sum of a statistic over one family of size n.
 
-    The family's enumerator yields each member with its (fp, exc, crs, nes),
-    carried down its generating tree or derived at the leaf from what the
-    tree carries; only ``ALL`` leaves them to the bitmask statistics kernel
-    ``_fp_exc_crs_nes_inv``.  The pair loop of the tests, over every pair of
-    positions, defines them.  Members are counted per distinct statistics
-    tuple, and the spec's exponents are taken once per tuple.
+    Every family but ``ALL`` is counted by one forward pass over its
+    generating tree's states, never member by member: each state carries
+    the number of nodes per (fp, exc, crs, nes), and equal states merge.
+    ``ALL`` runs the bitmask statistics kernel ``_fp_exc_crs_nes_inv`` on
+    every word.  The tests take the kernel, or the pair loop over every pair
+    of positions that defines the statistics, over every member of
+    ``enumerate_class`` as the reference.  The spec's exponents are taken
+    once per distinct statistics tuple.
 
     >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
     '3 + q'
     """
     if not isinstance(spec, StatSpec):
         raise ValueError(f"unknown statistic {spec!r}")
+    rule = _class_rule(cls)
     _check_size(n)
     limit = _enum_limit()
     if n > limit and not allow_large:
@@ -668,12 +768,8 @@ def distribution(
             f"n={n} exceeds the enumeration guard ({limit}); raise "
             f"{ENUM_LIMIT_ENV} or pass allow_large=True"
         )
-    tally = Counter(
-        _fp_exc_crs_nes_inv(w)[:4] if stats is None else stats
-        for w, stats in _members(n, cls)
-    )
     keys: Counter = Counter()
-    for stats, count in tally.items():
+    for stats, count in rule.tally(n).items():
         keys[spec.exponents(*stats)] += count
     return MultiPoly.from_terms(spec.variables, keys)
 

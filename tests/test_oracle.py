@@ -91,10 +91,12 @@ class TestDistribution:
         ],
     )
     def test_joint_matches_fraction_past_the_oracle_bounds(self, cls, spec, preset):
-        # The dist-* rows stop at n <= 9-10; the pruned enumerators, which
-        # carry the statistics, reach 13.
-        got = distribution(cls, 13, spec, allow_large=True)
-        assert got == named_series(preset, 13).coefficient(13)
+        # The dist-* rows stop at n <= 9-10; the passes over the trees'
+        # states reach 18 in well under a second each.
+        series = named_series(preset, 18)
+        for n in range(13, 19):
+            got = distribution(cls, n, spec, allow_large=True)
+            assert got == series.coefficient(n), n
 
     def test_matches_kernel_reference(self):
         # Reference: every member through the pair loop, one monomial each
@@ -133,8 +135,10 @@ class TestDistribution:
         # A spec must be a StatSpec, as a class must be a PermClass.
         with pytest.raises(ValueError, match=r"^unknown statistic 'crs'$"):
             distribution(PermClass.I4321, 3, "crs")
-        with pytest.raises(ValueError, match=r"^unknown class 'I4321'$"):
-            distribution("I4321", 3, StatSpec.CRS)
+        # Past the enumeration guard too: the class is checked before it.
+        for n in (3, 13):
+            with pytest.raises(ValueError, match=r"^unknown class 'I4321'$"):
+                distribution("I4321", n, StatSpec.CRS)
 
     def test_total_count_at_one(self):
         poly = distribution(PermClass.ALL, 5, StatSpec.CRS_PLUS_NES)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from crossnest.permutations import (
     PermClass,
     _fp_exc_crs_nes_inv,
     _head_tail_pairs,
-    _members,
     _permutation_from_head_tail,
     avoids_barred_3142,
     check_permutation,
@@ -31,6 +31,7 @@ from crossnest.permutations import (
     perm_statistics,
     permutation_from_head_tail,
 )
+from crossnest.polynomials import MultiPoly
 from crossnest.oracle import StatSpec, distribution, run_suite
 from crossnest.qmotzkin import (
     h_recursion_rhs,
@@ -508,20 +509,40 @@ class TestClasses:
                 assert contains_classical(w, (4, 3, 2, 1)) == nested, w
                 assert contains_classical(w, (3, 4, 1, 2)) == crossing, w
 
-    def test_carried_statistics_match_the_kernel(self):
-        # The enumerators carry what no identity gives and derive the rest;
-        # the pair loop defines the statistics, and past n = 10, where it
-        # gets slow, the kernel stands in for it.  The words are
-        # enumerate_class's, in order.
+    def test_state_pass_matches_the_members(self):
+        # distribution counts the tree families by a pass over their trees'
+        # states; the reference counts every member of enumerate_class, the
+        # pair loop defining its statistics, and past n = 10, where the pair
+        # loop gets slow, the kernel stands in for it.
         for cls in PermClass:
             if cls is PermClass.ALL:
                 continue
             for n in range(13):
                 reference = pair_loop_statistics if n <= 10 else _fp_exc_crs_nes_inv
-                members = list(_members(n, cls))
-                assert [w for w, _ in members] == list(enumerate_class(n, cls))
-                for w, stats in members:
-                    assert stats == reference(w)[:4], (cls, w)
+                members = Counter(reference(w)[:4] for w in enumerate_class(n, cls))
+                for spec in StatSpec:
+                    expected = Counter()
+                    for stats, count in members.items():
+                        expected[spec.exponents(*stats)] += count
+                    got = distribution(cls, n, spec)
+                    assert got == MultiPoly.from_terms(spec.variables, expected), (
+                        cls, n, spec)
+
+    def test_state_pass_enumerates_no_member(self, monkeypatch):
+        # The tree families' distributions come from their states alone;
+        # the member counts come from the filtered reference.
+        def unused(n):
+            raise AssertionError("distribution enumerated the members")
+
+        rules = permutations_module._CLASS_RULES
+        trees = [cls for cls in PermClass if cls is not PermClass.ALL]
+        for cls in trees:
+            monkeypatch.setitem(rules, cls, rules[cls]._replace(members=unused))
+        for cls in trees:
+            for n in range(8):
+                poly = distribution(cls, n, StatSpec.JOINT_FP_EXC_CRS_NES)
+                ones = dict.fromkeys(poly.variables, 1)
+                assert poly.evaluate(ones) == sum(1 for _ in filtered_class(n, cls))
 
     def test_in_class_validates_once(self, monkeypatch):
         calls = []
