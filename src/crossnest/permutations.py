@@ -57,7 +57,11 @@ their state passes, with ``StatSpec`` and the size guard, and
 ``crossnest.oracle`` re-exports them.  Family sizes grow fast, so sizes
 above a guard (default 12, override with the CROSSNEST_ENUM_LIMIT
 environment variable or allow_large=True) are refused with
-``SizeLimitError`` rather than silently churning.
+``SizeLimitError`` rather than silently churning.  Every statistic is a
+projection of one (fp, exc, crs, nes) tally, so each family and size is
+tallied once per process: ``_family_tally`` keeps the last 64 as immutable
+tuples, and ``distribution`` reads it only after the guard.  The uncached
+rule tally, ``_CLASS_RULES[cls].tally(n)``, is its test reference.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ import enum
 import itertools
 import os
 from collections import Counter
+from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .polynomials import MultiPoly, _check_size
@@ -650,6 +655,16 @@ _CLASS_RULES = {
 }
 
 
+@lru_cache(maxsize=64)
+def _family_tally(cls: PermClass, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # The rule's tally of family cls at size n as ((fp, exc, crs, nes),
+    # count) pairs, shared by every StatSpec.  A tuple, so no caller can
+    # change what the next one reads.  64 entries, as for
+    # qmotzkin._slot_for_shape, hold the oracle's distributions suite (32 at
+    # its full bounds).  Callers validate cls and n and apply the guard first.
+    return tuple(_CLASS_RULES[cls].tally(n).items())
+
+
 def _class_rule(cls: PermClass) -> _ClassRule:
     if not isinstance(cls, PermClass):
         raise ValueError(f"unknown class {cls!r}")
@@ -755,12 +770,18 @@ def distribution(
     ``enumerate_class`` as the reference.  The spec's exponents are taken
     once per distinct statistics tuple.
 
+    The tally does not depend on ``spec``, so one tally per family and size
+    serves every statistic: it is cached (the last 64 families and sizes),
+    immutable, and read only once ``spec``, ``cls``, ``n`` and the guard
+    have passed, so a size cached under ``allow_large=True`` is still
+    refused without it.
+
     >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
     '3 + q'
     """
     if not isinstance(spec, StatSpec):
         raise ValueError(f"unknown statistic {spec!r}")
-    rule = _class_rule(cls)
+    _class_rule(cls)
     _check_size(n)
     limit = _enum_limit()
     if n > limit and not allow_large:
@@ -769,7 +790,7 @@ def distribution(
             f"{ENUM_LIMIT_ENV} or pass allow_large=True"
         )
     keys: Counter = Counter()
-    for stats, count in rule.tally(n).items():
+    for stats, count in _family_tally(cls, n):
         keys[spec.exponents(*stats)] += count
     return MultiPoly.from_terms(spec.variables, keys)
 

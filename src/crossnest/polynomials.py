@@ -19,6 +19,14 @@ immutable, false exactly when zero, and is subtracted from or subtracts only
 an int or its own type.  This leaf module also holds ``_check_size``, the
 package's one guard on sizes, orders and bounds, which every layer imports.
 
+The public constructors (``UniPoly(...)``, ``MultiPoly(...)``,
+``MultiPoly.constant``, ``.monomial`` and ``.from_terms``) refuse a
+coefficient that is not a plain int, a bool or a float included, with
+``ValueError``.  Results the package builds from ints it already holds,
+the arithmetic and the packed tableaux read back, go through the trusted
+constructors ``UniPoly._trusted``, ``MultiPoly._trusted`` and
+``MultiPoly._nonzero``, which check nothing.
+
 Both render to a canonical text form: terms ascending by total exponent
 (ties broken by the exponent tuple), a coefficient of 1 and an exponent of
 1 are suppressed, and the zero polynomial renders as ``"0"``.  Each type
@@ -58,6 +66,14 @@ def _check_size(n: int, name: str = "n") -> None:
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"{name} must be nonnegative")
+
+
+def _check_coeffs(coeffs: Iterable[object]) -> None:
+    """Raise ValueError unless every coefficient is a plain int, never a
+    bool or a float."""
+    for c in coeffs:
+        if type(c) is not int:
+            raise ValueError(f"coefficient {c!r} is not an int")
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -192,6 +208,13 @@ class _Poly:
         return not self.is_zero()
 
 
+def _trim_zeros(cs: tuple[int, ...]) -> tuple[int, ...]:
+    end = len(cs)
+    while end and cs[end - 1] == 0:
+        end -= 1
+    return cs[:end]
+
+
 class UniPoly(_Poly):
     """Dense integer polynomial in ``q``.
 
@@ -206,10 +229,16 @@ class UniPoly(_Poly):
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = tuple(coeffs)
-        end = len(cs)
-        while end and cs[end - 1] == 0:
-            end -= 1
-        object.__setattr__(self, "coeffs", cs[:end])
+        _check_coeffs(cs)
+        object.__setattr__(self, "coeffs", _trim_zeros(cs))
+
+    @classmethod
+    def _trusted(cls, coeffs: Iterable[int]) -> "UniPoly":
+        """The polynomial of ``coeffs``, which the caller knows to be ints:
+        trailing zeros dropped, no check."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trim_zeros(tuple(coeffs)))
+        return poly
 
     @classmethod
     def q_power(cls, k: int) -> "UniPoly":
@@ -233,7 +262,7 @@ class UniPoly(_Poly):
         _check_size(k, "exponent")
         if not self.coeffs:
             return self
-        return UniPoly((0,) * k + self.coeffs)
+        return UniPoly._trusted((0,) * k + self.coeffs)
 
     def evaluate(self, x: int) -> int:
         acc = 0
@@ -243,7 +272,7 @@ class UniPoly(_Poly):
 
     def __add__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
-            other = UniPoly((other,))
+            other = UniPoly._trusted((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -252,19 +281,19 @@ class UniPoly(_Poly):
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return UniPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._trusted(-c for c in self.coeffs)
 
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
         if isinstance(other, int):
-            return UniPoly(tuple(other * c for c in self.coeffs))
+            return UniPoly._trusted(other * c for c in self.coeffs)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return UniPoly(_convolve(self.coeffs, other.coeffs))
+        return UniPoly._trusted(_convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -303,6 +332,15 @@ def _unpack(keys: Collection[int], nvars: int) -> list[tuple[int, ...]]:
     return list(zip(*columns)) or [()] * len(keys)
 
 
+def _exponent_spread(polys: Iterable["MultiPoly"], nvars: int) -> list[int]:
+    """The number of distinct exponents of each of the first ``nvars``
+    variables over the terms of ``polys``: their keys are gathered once,
+    and each distinct key is read once per variable."""
+    keys = set().union(*(p._terms for p in polys))
+    return [len({k >> s & _EXP_MASK for k in keys})
+            for s in range(0, _EXP_BITS * nvars, _EXP_BITS)]
+
+
 class MultiPoly(_Poly):
     """Sparse integer polynomial in a fixed ordered tuple of variables.
 
@@ -315,10 +353,18 @@ class MultiPoly(_Poly):
     __slots__ = ("variables", "_terms")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[int, int] | None = None):
+        terms = terms or {}
+        _check_coeffs(terms.values())
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(
-            self, "_terms", {k: c for k, c in (terms or {}).items() if c}
-        )
+        object.__setattr__(self, "_terms", {k: c for k, c in terms.items() if c})
+
+    @classmethod
+    def _trusted(
+        cls, variables: tuple[str, ...], terms: Mapping[int, int]
+    ) -> "MultiPoly":
+        """The polynomial of ``terms``, whose coefficients the caller knows
+        to be ints: zeros dropped, no check."""
+        return cls._nonzero(variables, {k: c for k, c in terms.items() if c})
 
     @classmethod
     def _nonzero(
@@ -368,13 +414,14 @@ class MultiPoly(_Poly):
         terms: Mapping[tuple[int, ...], int],
     ) -> "MultiPoly":
         variables = tuple(variables)
+        _check_coeffs(terms.values())
         data: dict[int, int] = {}
         for exps, c in terms.items():
             if len(exps) != len(variables):
                 raise ValueError("exponent tuple length does not match variables")
             key = _pack(exps)
             data[key] = data.get(key, 0) + c
-        return cls(variables, data)
+        return cls._trusted(variables, data)
 
     @classmethod
     def from_unipoly(
@@ -417,6 +464,9 @@ class MultiPoly(_Poly):
         return [(e, c) for _, e, c in rows]
 
     def coefficient(self, exps: Mapping[str, int]) -> int:
+        unknown = set(exps) - set(self.variables)
+        if unknown:
+            raise ValueError(f"unknown variables: {sorted(unknown)}")
         vec = [exps.get(v, 0) for v in self.variables]
         return self._terms.get(_pack(vec), 0)
 
@@ -428,7 +478,7 @@ class MultiPoly(_Poly):
 
     def _coerce(self, other: "MultiPoly | int") -> "MultiPoly | None":
         if isinstance(other, int):
-            return MultiPoly.constant(self.variables, other)
+            return MultiPoly._trusted(self.variables, {0: other})
         if isinstance(other, MultiPoly):
             self._check_same(other)
             return other
@@ -441,16 +491,18 @@ class MultiPoly(_Poly):
         data = dict(self._terms)
         for k, c in rhs._terms.items():
             data[k] = data.get(k, 0) + c
-        return MultiPoly(self.variables, data)
+        return MultiPoly._trusted(self.variables, data)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, {k: -c for k, c in self._terms.items()})
+        return MultiPoly._nonzero(
+            self.variables, {k: -c for k, c in self._terms.items()}
+        )
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
         if isinstance(other, int):
-            return MultiPoly(
+            return MultiPoly._trusted(
                 self.variables, {k: other * c for k, c in self._terms.items()}
             )
         rhs = self._coerce(other)
@@ -461,7 +513,7 @@ class MultiPoly(_Poly):
             for kb, cb in rhs._terms.items():
                 k = ka + kb
                 data[k] = data.get(k, 0) + ca * cb
-        return MultiPoly(self.variables, data)
+        return MultiPoly._trusted(self.variables, data)
 
     __rmul__ = __mul__
 
@@ -487,7 +539,7 @@ class MultiPoly(_Poly):
         out = [0] * (max((e for _, e, _ in terms), default=-1) + 1)
         for _, e, c in terms:
             out[e] = c
-        return UniPoly(out)
+        return UniPoly._trusted(out)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -27,7 +27,10 @@ shifts and adds with no product, and each entry divided by the power of
 the packed variable that its up steps carry.  Levels must be nonnegative.
 The built-in tableaux read their monomial levels from one table,
 ``_FRACTIONS``, through ``_fraction``; only ``polynomials`` reads the key
-and slot layouts (``MultiPoly._along``, ``._from_slots``, ``_slot_coeffs``).
+and slot layouts (``_exponent_spread``, ``MultiPoly._along``,
+``._from_slots``, ``_slot_coeffs``), and the rows come back through the
+trusted ``UniPoly._trusted`` and ``MultiPoly._nonzero``, with no check per
+coefficient.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Any, Callable, Iterator, Sequence
 
-from .polynomials import (UNI_ONE, MultiPoly, UniPoly, _check_size, _slot_bytes,
-                          _slot_coeffs)
+from .polynomials import (UNI_ONE, MultiPoly, UniPoly, _check_size,
+                          _exponent_spread, _slot_bytes, _slot_coeffs)
 
 _motzkin_cache: list[int] = [1, 1]
 _q_motzkin_cache: list[UniPoly] = [UNI_ONE, UNI_ONE]
@@ -64,16 +67,21 @@ def motzkin_number(n: int) -> int:
 LevelSeq = Callable[[int], "UniPoly | int"]
 
 
-def _level_terms(level: Callable, name: str, k: int, variables: tuple) -> list:
-    """Level ``name``(k) split by ``MultiPoly._along`` at each variable."""
+def _level(level: Callable, name: str, k: int, variables: tuple) -> MultiPoly:
+    """Level ``name``(k), which must be a ``MultiPoly`` over ``variables``."""
     value = level(k)
     if not isinstance(value, MultiPoly) or value.variables != variables:
         raise ValueError(f"{name}({k}) is not a MultiPoly over {variables}")
-    splits = [value._along(j) for j in range(len(variables) or 1)]
-    for _, _, c in splits[0]:
-        if c < 0:
-            raise ValueError(f"{name}({k}) has a negative coefficient")
-    return splits
+    return value
+
+
+def _split(value: MultiPoly, name: str, k: int, var: int) -> list:
+    """Level ``name``(k) split along variable ``var`` by ``MultiPoly._along``;
+    its coefficients must be nonnegative."""
+    terms = value._along(var)
+    if any(c < 0 for *_, c in terms):
+        raise ValueError(f"{name}({k}) has a negative coefficient")
+    return terms
 
 
 def _step(alpha: list, beta: list, down: list, ints: bool) -> Callable:
@@ -155,24 +163,27 @@ class _PackedTableau:
     nonnegative coefficient of an entry, and of its partial sums, is at
     most its value with every variable at 1, bounded by the same tableau in
     plain ints; ``slot`` holds that with a bit to spare (``_slot_bytes``),
-    from a pass cached by shape (``_slot_for_shape``).  The levels come
-    split by ``MultiPoly._along``, and ``multipoly`` reads an entry back
-    with ``MultiPoly._from_slots``: the engine never reads a layout.
+    from a pass cached by shape (``_slot_for_shape``).  The levels' keys are
+    read once, by ``_exponent_spread``, to choose x, and each level is split
+    along x alone, by ``MultiPoly._along``, which is where a negative
+    coefficient is refused; ``multipoly`` reads an entry back with
+    ``MultiPoly._from_slots``: the engine never reads a layout.
     """
 
     def __init__(self, variables: tuple, alpha: Callable, beta: Callable,
                  n_max: int, cut: bool = False):
         self.variables, self.n_max, self.cut = variables, n_max, cut
         tops = ((n_max + 1) // 2, n_max // 2) if cut else (n_max, n_max)
+        names = ("alpha", "beta")
         alpha, beta = (
-            [_level_terms(level, name, k, variables) for k in range(1, top + 1)]
-            for level, name, top in zip((alpha, beta), ("alpha", "beta"), tops)
+            [_level(level, name, k, variables) for k in range(1, top + 1)]
+            for level, name, top in zip((alpha, beta), names, tops)
         )
-        spread = [len({e for splits in alpha + beta for _, e, _ in splits[j]})
-                  for j in range(len(variables))]
+        spread = _exponent_spread(alpha + beta, len(variables))
         var = self.var = max(reversed(range(len(spread))),
                              key=spread.__getitem__, default=0)
-        alpha, beta = ([splits[var] for splits in side] for side in (alpha, beta))
+        alpha, beta = ([_split(value, name, k, var) for k, value in enumerate(side, 1)]
+                       for side, name in zip((alpha, beta), names))
         low = [min((e for _, e, _ in terms), default=0) for terms in beta]
         self.zeros = list(accumulate(low, initial=0))
 
@@ -235,7 +246,8 @@ def _unipoly_rows(table: _PackedTableau) -> list[list[UniPoly]]:
     """Rows 0..n_max of a full tableau in q, each entry a ``UniPoly``."""
     zeros = [[0] * z for z in table.zeros]
     return [[UNI_ONE]] + [
-        [UniPoly(zeros[i] + _slot_coeffs(e, table.slot)) for i, e in enumerate(row)]
+        [UniPoly._trusted(zeros[i] + _slot_coeffs(e, table.slot))
+         for i, e in enumerate(row)]
         for row in table.rows()
     ]
 
@@ -294,7 +306,7 @@ def _first_column(cache: list[UniPoly], n: int, name: str) -> UniPoly:
     _check_size(n)
     if len(cache) <= n:
         table = _PackedTableau(*_fraction(name), n, cut=True)
-        cache[:] = [UNI_ONE, *(UniPoly(_slot_coeffs(row[0], table.slot))
+        cache[:] = [UNI_ONE, *(UniPoly._trusted(_slot_coeffs(row[0], table.slot))
                                for row in table.rows())]
     return cache[n]
 

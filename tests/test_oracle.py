@@ -123,6 +123,8 @@ class TestDistribution:
 
         monkeypatch.setattr(oracle_module, "_fp_exc_crs_nes_inv", counted)
         monkeypatch.setattr(permutations_module, "_fp_exc_crs_nes_inv", counted)
+        # A tally cached by an earlier test would run no kernel at all.
+        permutations_module._family_tally.cache_clear()
         for cls in PermClass:
             calls.clear()
             distribution(cls, 6, StatSpec.JOINT_FP_EXC_CRS_NES)
@@ -135,10 +137,14 @@ class TestDistribution:
         # A spec must be a StatSpec, as a class must be a PermClass.
         with pytest.raises(ValueError, match=r"^unknown statistic 'crs'$"):
             distribution(PermClass.I4321, 3, "crs")
-        # Past the enumeration guard too: the class is checked before it.
+        # Past the enumeration guard too: the class is checked before it,
+        # and before the cache keyed by class, so an unhashable class is
+        # refused as a value too.
         for n in (3, 13):
             with pytest.raises(ValueError, match=r"^unknown class 'I4321'$"):
                 distribution("I4321", n, StatSpec.CRS)
+            with pytest.raises(ValueError, match=r"^unknown class \[\]$"):
+                distribution([], n, StatSpec.CRS)
 
     def test_total_count_at_one(self):
         poly = distribution(PermClass.ALL, 5, StatSpec.CRS_PLUS_NES)
@@ -147,6 +153,41 @@ class TestDistribution:
     def test_guard_blocks_large_sizes(self):
         with pytest.raises(SizeLimitError, match=ENUM_LIMIT_ENV):
             distribution(PermClass.ALL, DEFAULT_ENUM_LIMIT + 1, StatSpec.CRS)
+
+    def test_guard_holds_for_a_cached_size(self, monkeypatch):
+        # The tally is read after the guard: a size cached under
+        # allow_large=True is still refused without it, for every spec.
+        monkeypatch.delenv(ENUM_LIMIT_ENV, raising=False)
+        distribution(PermClass.I4321, 13, StatSpec.CRS, allow_large=True)
+        for spec in StatSpec:
+            with pytest.raises(SizeLimitError, match=ENUM_LIMIT_ENV):
+                distribution(PermClass.I4321, 13, spec)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(PermClass), st.sampled_from([c.value for c in PermClass]),
+                  st.none(), st.lists(st.integers(), max_size=1),
+                  st.dictionaries(st.text(max_size=1), st.integers(), max_size=1)),
+        st.one_of(st.integers(-5, 7), st.integers(13, 10**6), st.booleans(), st.floats(),
+                  st.none(), st.text(max_size=2), st.lists(st.integers(), max_size=1)),
+        st.one_of(st.sampled_from(StatSpec), st.sampled_from([s.value for s in StatSpec]),
+                  st.none(), st.lists(st.integers(), max_size=1)),
+    )
+    def test_fuzzed_entry_point_counts_or_refuses(self, cls, n, spec):
+        # Valid and invalid values of each argument, unhashable ones
+        # included: the family's size in the spec's variables, or ValueError
+        # (SizeLimitError past the guard); no other exception escapes.
+        valid = (isinstance(cls, PermClass) and isinstance(spec, StatSpec)
+                 and type(n) is int and 0 <= n <= DEFAULT_ENUM_LIMIT)
+        try:
+            poly = distribution(cls, n, spec)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        assert poly.variables == spec.variables
+        ones = dict.fromkeys(spec.variables, 1)
+        assert poly.evaluate(ones) == sum(1 for _ in enumerate_class(n, cls))
 
     def test_guard_override_flag(self):
         # Keep it cheap: a class whose members are Motzkin-few.
@@ -174,12 +215,13 @@ class TestRunSuite:
     @settings(max_examples=80, deadline=None)
     @given(
         st.one_of(st.sampled_from(SUITES), st.text()),
-        st.one_of(st.integers(-3, 3), st.booleans(), st.floats(), st.none()),
+        st.one_of(st.integers(-5, 3), st.booleans(), st.floats(), st.none(), st.text()),
     )
     def test_fuzzed_entry_point_reports_or_refuses(self, suite, max_n):
-        # Any suite text and any max_n up to 3: a report with no FAIL row,
-        # or ValueError for an unknown suite or a max_n that is not a
-        # nonnegative int; no other exception escapes.
+        # Any suite text and any max_n up to 3: a passing report (at max_n=0
+        # a row with no object is empty, never passed), or ValueError for an
+        # unknown suite or a max_n that is not a nonnegative int; no other
+        # exception escapes.
         valid = suite in SUITES and type(max_n) is int and max_n >= 0
         try:
             report = run_suite(suite, max_n)
@@ -188,7 +230,8 @@ class TestRunSuite:
             return
         assert valid
         assert report.suite == suite
-        assert [c.name for c in report.checks if c.status == "FAIL"] == []
+        assert {c.status for c in report.checks} <= {"pass", "empty"}
+        assert report.passed or max_n == 0
 
     def test_vacuous_suite_passes(self):
         report = run_suite("paths", 0)

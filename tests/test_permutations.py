@@ -538,11 +538,50 @@ class TestClasses:
         trees = [cls for cls in PermClass if cls is not PermClass.ALL]
         for cls in trees:
             monkeypatch.setitem(rules, cls, rules[cls]._replace(members=unused))
+        # A tally cached by an earlier test would run no pass at all.
+        permutations_module._family_tally.cache_clear()
         for cls in trees:
             for n in range(8):
                 poly = distribution(cls, n, StatSpec.JOINT_FP_EXC_CRS_NES)
                 ones = dict.fromkeys(poly.variables, 1)
                 assert poly.evaluate(ones) == sum(1 for _ in filtered_class(n, cls))
+
+    def test_cached_tally_is_the_rule_tally(self):
+        # One tally per family and size serves every spec: on a warm cache
+        # each spec reads the projection of the uncached rule tally, which
+        # the cache holds as a tuple of pairs, so no caller can change it.
+        rules = permutations_module._CLASS_RULES
+        for cls in PermClass:
+            for n in range(8 if cls is PermClass.ALL else 11):
+                reference = rules[cls].tally(n)
+                distribution(cls, n, StatSpec.CRS)
+                cached = permutations_module._family_tally(cls, n)
+                assert type(cached) is tuple and {type(p) for p in cached} == {tuple}
+                assert dict(cached) == reference, (cls, n)
+                for spec in StatSpec:
+                    expected = Counter()
+                    for stats, count in reference.items():
+                        expected[spec.exponents(*stats)] += count
+                    got = distribution(cls, n, spec)
+                    assert got == MultiPoly.from_terms(spec.variables, expected), (
+                        cls, n, spec)
+
+    def test_one_tally_per_family_and_size(self, monkeypatch):
+        # A second spec for the same family and size runs no tally.
+        rules = permutations_module._CLASS_RULES
+        calls = []
+        for cls in PermClass:
+            def counted(n, cls=cls, tally=rules[cls].tally):
+                calls.append((cls, n))
+                return tally(n)
+
+            monkeypatch.setitem(rules, cls, rules[cls]._replace(tally=counted))
+        permutations_module._family_tally.cache_clear()
+        for cls in PermClass:
+            for n in (4, 5):
+                for spec in StatSpec:
+                    distribution(cls, n, spec)
+        assert calls == [(cls, n) for cls in PermClass for n in (4, 5)]
 
     def test_in_class_validates_once(self, monkeypatch):
         calls = []

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crossnest import polynomials
+from crossnest import polynomials, qmotzkin
 from crossnest.polynomials import (
     MultiPoly,
     UNI_ONE,
@@ -16,6 +16,7 @@ from crossnest.polynomials import (
     _slot_bytes,
     _unpack_slots,
 )
+from crossnest.series import named_series
 
 
 def naive_convolve(a, b):
@@ -243,6 +244,11 @@ class TestMultiPoly:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError):
             MultiPoly.monomial(VARS, {"z": 1})
+        # Not read as the constant term.
+        m = 5 + 3 * MultiPoly.monomial(("x", "q"), {"x": 1, "q": 2})
+        assert m.coefficient({"x": 1, "q": 2}) == 3
+        with pytest.raises(ValueError, match=r"^unknown variables: \['z'\]$"):
+            m.coefficient({"z": 3})
 
     def test_arithmetic_and_equality(self):
         x = MultiPoly.variable(VARS, "x")
@@ -336,6 +342,53 @@ class TestMultiPoly:
         ):
             with pytest.raises(ValueError, match=message):
                 pack()
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, True, False, "1", None, Fraction(1)])
+    def test_coefficient_must_be_an_int(self, c):
+        # Every public constructor refuses a coefficient that is not a plain
+        # int, a bool or a zero float included, as a value.
+        v = ("p", "q")
+        message = rf"^coefficient {re.escape(repr(c))} is not an int$"
+        for build in (
+            lambda: UniPoly((c, 2)),
+            lambda: UniPoly((1, c)),
+            lambda: MultiPoly(v, {0: c}),
+            lambda: MultiPoly.constant(v, c),
+            lambda: MultiPoly.monomial(v, {"q": 1}, c),
+            lambda: MultiPoly.from_terms(v, {(0, 1): c}),
+            lambda: MultiPoly.from_terms(v, {(0, 1): 1, (1, 0): c}),
+        ):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_results_are_built_unchecked(self, monkeypatch):
+        # Arithmetic, shifts, projections and the packed tableaux build
+        # their results from ints the package already holds, through the
+        # trusted constructors; the check runs only on what a caller passes
+        # in, here each level monomial's one coefficient.
+        real, checked = polynomials._check_coeffs, []
+
+        def recording(coeffs):
+            coeffs = list(coeffs)
+            checked.append(len(coeffs))
+            real(coeffs)
+
+        p = UniPoly((1, 2, 3))
+        m = MultiPoly.from_terms(("y", "q"), {(1, 0): 2, (0, 1): 3})
+        monkeypatch.setattr(polynomials, "_check_coeffs", recording)
+        for name in ("_q_motzkin_cache", "_q_tilde_cache"):
+            monkeypatch.setattr(qmotzkin, name, [UNI_ONE, UNI_ONE])
+        monkeypatch.setattr(qmotzkin, "_h_rows", [[UNI_ONE]])
+        for value in (p + p, p + 1, p - 1, 1 - p, -p, 3 * p, p * p,
+                      p.times_q_power(2),
+                      m + m, m + 1, m - 1, -m, 2 * m, m * m,
+                      MultiPoly.from_unipoly(p, ("y", "q")).as_unipoly("q")):
+            assert value
+        assert checked == []
+        assert qmotzkin.q_motzkin(20) and qmotzkin.q_motzkin_tilde(20)
+        assert qmotzkin.h_tableau(20)[20][0] == qmotzkin.q_motzkin_tilde(20)
+        assert named_series("I4321-joint", 12).coefficient(12)
+        assert checked and set(checked) == {1}
 
     @pytest.mark.parametrize(
         "k, expected",

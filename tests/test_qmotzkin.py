@@ -393,6 +393,21 @@ class TestPackedTableau:
     def test_matches_product_reference(self, inputs):
         check_engine_against_reference(*inputs)
 
+    @pytest.mark.parametrize("name", sorted(qmotzkin._FRACTIONS))
+    def test_levels_split_along_the_packed_variable_alone(self, name, monkeypatch):
+        # The packed variable has the most distinct exponents over the
+        # levels, ties to the last; each level is split along it alone.
+        variables, alpha, beta = qmotzkin._fraction(name)
+        real, axes = MultiPoly._along, []
+        monkeypatch.setattr(MultiPoly, "_along",
+                            lambda poly, i: axes.append(i) or real(poly, i))
+        table = _PackedTableau(variables, alpha, beta, 12)
+        exps = [e for f in (alpha, beta) for k in range(1, 13)
+                for e, _ in f(k).terms_sorted()]
+        spread = [len({e[j] for e in exps}) for j in range(len(variables))]
+        assert table.var == max(reversed(range(len(variables))), key=spread.__getitem__)
+        assert axes == [table.var] * 24
+
     @pytest.mark.parametrize("cut", [False, True])
     def test_wide_slots_in_both_modes(self, cut):
         # Coefficients past 64 bits, two variables, low powers of x that
