@@ -19,6 +19,13 @@ pairs (p, r), with head r - 1 and tail p + height(p).
 
 ``involution_shape_path`` inverts both phi1 and phi2 (they share it),
 ``phi3_inverse`` inverts phi3.
+
+Each map validates its argument once, through the first callee that takes
+it, and the validators remember the objects of 16 or more letters they
+passed, by identity, so a path or an image handed from one map to the next
+is not walked again.  The head/tail pairs that ``phi3`` and
+``phi3_inverse`` build by construction go straight to the trusted kernels
+``_permutation_from_head_tail`` and ``_path_from_head_tail``, unchecked.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .paths import (
-    path_from_head_tail,
+    _path_from_head_tail,
     sequential_matching,
     strip_decomposition,
     tunnel_matching,
@@ -34,9 +41,9 @@ from .paths import (
 from .permutations import (
     PermClass,
     _is_involution,
+    _permutation_from_head_tail,
     check_permutation,
     in_class,
-    permutation_from_head_tail,
 )
 
 
@@ -99,7 +106,7 @@ def phi3(word: str, *, check: bool = False) -> tuple[int, ...]:
     >>> phi3("ud")
     (2, 1)
     """
-    result = permutation_from_head_tail(strip_decomposition(word), len(word))
+    result = _permutation_from_head_tail(strip_decomposition(word), len(word))
     if check and not in_class(result, PermClass.S321_B3142):
         raise AssertionError(f"phi3 image left its class: {result}")
     return result
@@ -111,6 +118,8 @@ def phi3_inverse(word: Sequence[int]) -> str:
     The permutation must avoid 321 and the barred pattern.  The pairs are then
     the excedances (w[t] - 1, t): with no 321, an excedance letter has only
     smaller letters on its left, and any other letter has all of them there.
+    They are the strips of the path that phi3 sends to the permutation, so
+    they pass ``path_from_head_tail``'s checks and go to its kernel.
 
     >>> phi3_inverse((2, 1))
     'ud'
@@ -119,4 +128,4 @@ def phi3_inverse(word: Sequence[int]) -> str:
     if not in_class(w, PermClass.S321_B3142):  # validates the word
         raise ValueError(f"permutation is outside the 321/barred class: {w}")
     excedances = [(v - 1, t) for t, v in enumerate(w, start=1) if v > t]
-    return path_from_head_tail(excedances, len(w))
+    return _path_from_head_tail(excedances, len(w))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from .permutations import _check_head_tail
+from .permutations import _CACHED_FROM, _check_head_tail, _passed, _remember
 from .polynomials import _check_size
 
 _STEPS = frozenset("uhd")
@@ -43,7 +43,27 @@ def parse_path(text: str) -> str:
 
 
 def check_path(word: str) -> str:
-    """Validate a path word, reporting the first offending index (1-based)."""
+    """Validate a path word, reporting the first offending index (1-based).
+
+    An exact ``str`` of 16 or more steps that passed is remembered, by a
+    strong reference in the cache that ``permutations.check_permutation``
+    also fills, and is not walked again until eight more words or paths
+    have passed.  The cache matches the very object, never an equal one,
+    as it must for the tuples it shares; a str cannot change, so it stays
+    valid.  Any other sequence of steps, a str subclass included, is
+    walked at every call and never stored.
+    """
+    cached = type(word) is str and len(word) >= _CACHED_FROM
+    if cached and _passed(word):
+        return word
+    _walk_path(word)
+    if cached:
+        _remember(word)
+    return word
+
+
+def _walk_path(word: str) -> None:
+    # check_path's walk: raise ValueError at the first offending step.
     height = 0
     for i, ch in enumerate(word, start=1):
         if ch not in _STEPS:
@@ -58,7 +78,6 @@ def check_path(word: str) -> str:
         raise ValueError(
             f"path ends at height {height}, not 0 (length {len(word)})"
         )
-    return word
 
 
 def _start_heights(word: str) -> list[int]:
@@ -244,7 +263,9 @@ def path_from_head_tail(
     exists and the up steps are distinct.  The result is always a Motzkin
     path: the heads before h are exactly the k earlier pairs, so t <= h
     leaves at least t - k positions before h + 1 that are not down steps,
-    and the k-th up step comes before the k-th down step.
+    and the k-th up step comes before the k-th down step.  The pairs are
+    validated here; ``_path_from_head_tail`` is the trusted kernel, for
+    pairs made by construction.
 
     >>> path_from_head_tail(((1, 1),), 2)
     'ud'
@@ -257,6 +278,11 @@ def path_from_head_tail(
             raise ValueError(
                 f"tail {t} must exceed the previous tail {prev_tail} by at least 2"
             )
+    return _path_from_head_tail(pairs, n)
+
+
+def _path_from_head_tail(pairs: Sequence[tuple[int, int]], n: int) -> str:
+    """``path_from_head_tail`` of pairs known to pass its checks."""
     w = ["h"] * n
     for h, _ in pairs:
         w[h] = "d"

@@ -51,6 +51,15 @@ by insertion; the public pair and rebuild functions validate their input
 and then call the trusted kernels ``_head_tail_pairs`` and
 ``_permutation_from_head_tail``.
 
+Every public function that takes a word validates it through
+``check_permutation``, and each kernel behind them trusts its word.  The
+same word often reaches several entry points in a row, so
+``check_permutation`` here and ``paths.check_path`` share one cache of the
+last eight exact tuples and exact strings of 16 or more letters they
+passed, looked up by identity, and walk such an object only once.  It
+never stores a list or a subclass, whose contents could change, and never
+matches by equality, under which ``(True, 2)`` would pass for ``(1, 2)``.
+
 ``distribution`` sums a monomial over a family, the ground truth the rest
 of the package is tested against; it lives here, beside the trees and
 their state passes, with ``StatSpec`` and the size guard, and
@@ -98,11 +107,62 @@ def is_permutation_word(word: Sequence[int]) -> bool:
     return True
 
 
+# The exact tuples and strs that check_permutation and paths.check_path
+# passed last, looked up by identity: id -> the object itself.  A hit needs
+# the stored object to be the argument, never an equal one, since
+# (True, 2) == (1, 2) and a bool is not a letter.  The dict's strong
+# reference keeps each object alive, so its id is not reused while stored.
+# _remember stores in turn along a ring of eight ids, which holds what one
+# object's round of calls validates (a path, its three images and a word)
+# with room to spare.
+_VALIDATED: dict[int, object] = {}
+_VALIDATED_IDS = [0] * 8
+_VALIDATED_TURN = itertools.count()
+# A word or path shorter than this is walked in about the time the cache's
+# bookkeeping takes, so it is walked at every call and never stored.
+_CACHED_FROM = 16
+
+
+def _passed(obj: object) -> bool:
+    """True when ``obj`` itself is in the cache of passed words and paths."""
+    return _VALIDATED.get(id(obj)) is obj
+
+
+def _remember(obj: object) -> None:
+    """Store ``obj``, which a validator has just passed and which cannot
+    change, evicting the object stored eight calls before.
+
+    Each step is one dict, list or counter operation and a lookup checks
+    identity, so a race between threads can only cost a miss: it never
+    raises and never admits an object that no validator passed.
+    """
+    k = next(_VALIDATED_TURN) % len(_VALIDATED_IDS)
+    _VALIDATED.pop(_VALIDATED_IDS[k], None)
+    _VALIDATED_IDS[k] = key = id(obj)
+    _VALIDATED[key] = obj
+    if len(_VALIDATED) > len(_VALIDATED_IDS):  # only after racing stores
+        _VALIDATED.clear()
+
+
 def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
-    """Validate and return the word as a tuple; raise ValueError otherwise."""
+    """Validate and return the word as a tuple; raise ValueError otherwise.
+
+    ``tuple(word)`` is the word itself when it is an exact tuple.  Such a
+    tuple of 16 or more letters that passed is remembered, by a strong
+    reference, until eight more words or paths have passed, and is not
+    walked again meanwhile.  The lookup is by identity, never by equality,
+    under which ``(True, 2)`` would pass for ``(1, 2)``; a tuple of plain
+    ints cannot change, so it stays valid.  Any other argument, a list
+    say, makes a new tuple at every call and is walked every time.
+    """
     w = tuple(word)
+    cached = len(w) >= _CACHED_FROM
+    if cached and _passed(w):
+        return w
     if not is_permutation_word(w):
         raise ValueError(f"not a permutation of 1..{len(w)}: {w}")
+    if cached:
+        _remember(w)
     return w
 
 

@@ -15,9 +15,12 @@ with ``_convolve``, which packs nonnegative operands into big integers, and
 included.
 
 Both share one value protocol, the private base ``_Poly``: a value is
-immutable, false exactly when zero, and is subtracted from or subtracts only
-an int or its own type.  This leaf module also holds ``_check_size``, the
-package's one guard on sizes, orders and bounds, which every layer imports.
+immutable, false exactly when zero, and adds, subtracts and multiplies, on
+either side, only a plain int or its own type; any other operand, a bool
+included, raises ``TypeError``, so arithmetic cannot store the bool
+coefficient that the constructors refuse.  This leaf module also holds
+``_check_size``, the package's one guard on sizes, orders and bounds, which
+every layer imports.
 
 The public constructors (``UniPoly(...)``, ``MultiPoly(...)``,
 ``MultiPoly.constant``, ``.monomial`` and ``.from_terms``) refuse a
@@ -186,8 +189,8 @@ def _join_terms(terms: Iterable[tuple[int, str]]) -> str:
 
 
 class _Poly:
-    """The value protocol of both polynomial types: immutable, a difference
-    only with an int or the same type, and false exactly when zero."""
+    """The value protocol of both polynomial types: immutable, arithmetic
+    only with a plain int or the same type, and false exactly when zero."""
 
     __slots__ = ()
 
@@ -195,12 +198,12 @@ class _Poly:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __sub__(self, other: object) -> "_Poly":
-        if not isinstance(other, (int, type(self))):
+        if type(other) is not int and not isinstance(other, type(self)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: object) -> "_Poly":
-        if not isinstance(other, int):
+        if type(other) is not int:
             return NotImplemented
         return -self + other
 
@@ -271,7 +274,7 @@ class UniPoly(_Poly):
         return acc
 
     def __add__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             other = UniPoly._trusted((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -289,7 +292,7 @@ class UniPoly(_Poly):
         return UniPoly._trusted(-c for c in self.coeffs)
 
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             return UniPoly._trusted(other * c for c in self.coeffs)
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -477,7 +480,7 @@ class MultiPoly(_Poly):
             )
 
     def _coerce(self, other: "MultiPoly | int") -> "MultiPoly | None":
-        if isinstance(other, int):
+        if type(other) is int:
             return MultiPoly._trusted(self.variables, {0: other})
         if isinstance(other, MultiPoly):
             self._check_same(other)
@@ -501,7 +504,7 @@ class MultiPoly(_Poly):
         )
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
-        if isinstance(other, int):
+        if type(other) is int:
             return MultiPoly._trusted(
                 self.variables, {k: other * c for k, c in self._terms.items()}
             )

@@ -271,7 +271,7 @@ def stieltjes_tableau(
     _check_size(n_max, "n_max")
 
     def level(name: str, seq: LevelSeq, k: int) -> MultiPoly:
-        if not isinstance(value := seq(k), (UniPoly, int)):
+        if type(value := seq(k)) is not int and not isinstance(value, UniPoly):
             raise ValueError(f"{name}({k}) is not a UniPoly or an int")
         return MultiPoly.from_unipoly(UNI_ONE * value, _Q)
 

@@ -81,33 +81,43 @@ class TestSmallCases:
 
     def test_inputs_are_validated_once(self, monkeypatch):
         # Each map leaves the check of its input to the first callee that
-        # makes it, so a path or a word is walked for validation once.
-        path_checks, word_checks = [], []
+        # makes it, so a path or a word is walked for validation once.  Each
+        # call gets a fresh object, equal to the showcase but not the object
+        # an earlier call left in the validators' identity cache.
+        path_walks, word_walks, pair_checks = [], [], []
 
         def counting(check, calls):
-            def counted(word):
-                calls.append(word)
-                return check(word)
+            def counted(*args):
+                calls.append(args[0])
+                return check(*args)
             return counted
 
-        monkeypatch.setattr(paths_module, "check_path", counting(check_path, path_checks))
+        monkeypatch.setattr(paths_module, "_walk_path",
+                            counting(paths_module._walk_path, path_walks))
         monkeypatch.setattr(permutations_module, "is_permutation_word",
-                            counting(is_permutation_word, word_checks))
+                            counting(is_permutation_word, word_walks))
+        for module in (paths_module, permutations_module):
+            monkeypatch.setattr(module, "_check_head_tail",
+                                counting(permutations_module._check_head_tail, pair_checks))
         for f in (phi1, phi2, phi3, strip_decomposition):
-            path_checks.clear()
-            f(SHOWCASE_PATH)
-            assert path_checks == [SHOWCASE_PATH], f.__name__
+            path_walks.clear()
+            path = "".join(list(SHOWCASE_PATH))
+            assert path is not SHOWCASE_PATH
+            f(path)
+            assert path_walks == [SHOWCASE_PATH], f.__name__
             with pytest.raises(ValueError, match="^height drops below zero at index 3$"):
                 f("udd")
-        path_checks.clear()
+        path_walks.clear()
         for f, w in ((involution_shape_path, SHOWCASE_PHI1), (phi3_inverse, SHOWCASE_PHI3)):
-            word_checks.clear()
-            f(w)
-            assert word_checks == [w], f.__name__
+            word_walks.clear()
+            f(tuple(list(w)))
+            assert word_walks == [w], f.__name__
             with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.2: \(1, 1\)$"):
                 f((1, 1))
-        # The inverse maps build valid paths by construction and walk none.
-        assert path_checks == []
+        # The inverse maps build valid paths by construction and walk none,
+        # and phi3 and phi3_inverse check no head/tail pairs they built.
+        assert path_walks == []
+        assert pair_checks == []
 
     def test_check_flag(self):
         assert phi1("uhd", check=True) == (3, 2, 1)

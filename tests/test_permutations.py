@@ -1,14 +1,17 @@
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_paths import random_path
 
+import crossnest.paths as paths_module
 import crossnest.permutations as permutations_module
 from crossnest.bijections import phi1, phi2, phi3, phi3_inverse
-from crossnest.paths import enumerate_paths, path_from_head_tail
+from crossnest.paths import check_path, enumerate_paths, path_from_head_tail
 from crossnest.permutations import (
     PermClass,
     _fp_exc_crs_nes_inv,
@@ -250,6 +253,242 @@ class TestBasics:
         assert is_involution((1,))
         assert is_involution((2, 1, 3))
         assert not is_involution((2, 3, 1))
+
+
+def _outcome(check, obj):
+    try:
+        return "ok", check(obj)
+    except ValueError as e:
+        return "error", str(e)
+
+
+def _with_bools(word):
+    # An equal word with each 0 and 1 swapped with False and True, and back.
+    swap = {(int, 0): False, (int, 1): True, (bool, 0): 0, (bool, 1): 1}
+    return tuple(swap.get((type(v), v), v) for v in word)
+
+
+def _spoiled(word, k, v):
+    # The word with its k-th letter replaced by v (a bool, 0, n + 1 or a
+    # duplicate); the word itself when it is empty.
+    return word[:k] + (v,) + word[k + 1:] if word else word
+
+
+def _stored(obj):
+    return permutations_module._VALIDATED.get(id(obj)) is obj
+
+
+class _Steps(str):
+    pass
+
+
+# Words and paths long enough for the validators to cache (16 letters).
+LONG_WORD = tuple(random.Random(3).sample(range(1, 21), 20))
+LONG_PATH = "uuhuudddudduuhdd"
+
+word_cases = st.integers(0, 24).flatmap(lambda n: st.one_of(
+    st.permutations(range(1, n + 1)).map(tuple),
+    st.builds(_spoiled, st.permutations(range(1, n + 1)).map(tuple),
+              st.integers(0, max(n - 1, 0)),
+              st.sampled_from([True, False, 0, n + 1, 1, n])),
+    st.lists(st.one_of(st.integers(0, n + 1), st.booleans()),
+             min_size=n, max_size=n).map(tuple),
+))
+path_cases = st.one_of(
+    st.text("uhdx", max_size=24),
+    st.builds(lambda seed, n: random_path(random.Random(seed), n),
+              st.integers(0, 2**32), st.integers(0, 30)),
+    st.builds(lambda seed, n, k, ch: (lambda p: p[:k] + ch + p[k + 1:])(
+                  random_path(random.Random(seed), n)),
+              st.integers(0, 2**32), st.integers(16, 30), st.integers(0, 15),
+              st.sampled_from("uhdx")),
+)
+
+
+class TestValidatedCache:
+    """check_permutation and paths.check_path remember the exact tuples and
+    strs of 16 or more letters they passed, by identity, in one bounded
+    cache."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        counts = {"word": 0, "path": 0}
+
+        def counting(kind, walk):
+            def counted(word):
+                counts[kind] += 1
+                return walk(word)
+            return counted
+
+        monkeypatch.setattr(permutations_module, "is_permutation_word",
+                            counting("word", is_permutation_word))
+        monkeypatch.setattr(paths_module, "_walk_path",
+                            counting("path", paths_module._walk_path))
+        return counts
+
+    def test_same_object_walks_once_equal_object_once_more(self, walks):
+        w = tuple(list(LONG_WORD))
+        assert check_permutation(w) is w
+        assert perm_statistics(w) == perm_statistics(list(w))
+        assert in_class(w, PermClass.ALL) and head_tail_pairs(w)
+        assert walks["word"] == 2  # the list was walked, the tuple once
+        twin = tuple(list(w))
+        assert twin == w and twin is not w
+        assert check_permutation(twin) is twin
+        assert walks["word"] == 3
+        path = "".join(list(LONG_PATH))
+        for _ in range(3):
+            assert check_path(path) is path
+        assert walks["path"] == 1
+        check_path("".join(list(path)))
+        assert walks["path"] == 2
+
+    def test_equal_bool_word_refused_after_int_word_passed(self):
+        for w in ((1, 2), tuple(range(1, 21))):
+            check_permutation(w)
+            bad = (True,) + w[1:]
+            assert bad == w
+            n = len(w)
+            with pytest.raises(ValueError, match=rf"^not a permutation of 1\.\.{n}: \(True, 2, "
+                                                 if n > 2 else r"^not a permutation of 1\.\.2: \(True, 2\)$"):
+                check_permutation(bad)
+            with pytest.raises(ValueError, match="not a permutation"):
+                perm_statistics(bad)
+        assert _stored(w) and not _stored(bad)
+
+    def test_lists_and_other_sequences_are_walked_every_time(self, walks):
+        word = list(LONG_WORD)
+        for f in (check_permutation, perm_statistics, contains_321, head_tail_pairs):
+            f(word)
+        assert walks["word"] == 4
+        others = (_Steps(LONG_PATH), list(LONG_PATH), tuple(LONG_PATH))
+        for path in others:
+            for _ in range(3):
+                assert check_path(path) is path
+        assert walks["path"] == 9
+        assert not any(_stored(x) for x in (word, *others))
+
+    def test_short_words_and_paths_are_walked_every_time(self, walks):
+        # Below 16 letters a walk costs about what the cache's bookkeeping
+        # does, so nothing is stored.
+        w, path = tuple(range(15, 0, -1)), "uhd" * 5
+        for _ in range(3):
+            assert check_permutation(w) is w
+            assert check_path(path) is path
+        assert walks == {"word": 3, "path": 3}
+        assert not _stored(w) and not _stored(path)
+
+    def test_kinds_do_not_mix(self):
+        # A tuple that passed as a word is still walked, and refused, as a
+        # path, and a path is never a word.
+        w = tuple(list(LONG_WORD))
+        check_permutation(w)
+        with pytest.raises(ValueError, match=f"illegal character {w[0]} at index 1"):
+            check_path(w)
+        path = "".join(list(LONG_PATH))
+        check_path(path)
+        with pytest.raises(ValueError, match="not a permutation"):
+            check_permutation(path)
+
+    def test_bound_holds(self, walks):
+        cache, ring = permutations_module._VALIDATED, permutations_module._VALIDATED_IDS
+        size = len(ring)
+        assert size == 8
+        words = [tuple(random.Random(k).sample(range(1, 31), 30)) for k in range(3 * size)]
+        for w in words:
+            check_permutation(w)
+            assert len(cache) <= size
+        assert walks["word"] == 3 * size
+        assert [_stored(w) for w in words] == [False] * (2 * size) + [True] * size
+        for w in words[-size:]:
+            check_permutation(w)
+        assert walks["word"] == 3 * size
+        check_permutation(words[0])
+        assert walks["word"] == 3 * size + 1
+        assert len(cache) <= size and len(ring) == size
+
+    def test_an_orphan_left_by_a_race_is_dropped(self):
+        # Two stores that read the same slot of the ring before either wrote
+        # it leave an entry that no slot names.  It is a passed object, so it
+        # admits nothing wrong; once the dict outgrows the ring it is emptied.
+        cache = permutations_module._VALIDATED
+        orphan = tuple(list(LONG_WORD))
+        check_permutation(orphan)
+        cache[id(orphan)] = orphan
+        permutations_module._VALIDATED_IDS[:] = [0] * 8
+        for k in range(9):
+            check_permutation(tuple(random.Random(k).sample(range(1, 21), 20)))
+            assert len(cache) <= 8
+        assert not _stored(orphan)
+
+    @settings(max_examples=300, deadline=None)
+    @given(word_cases)
+    def test_word_outcomes_do_not_depend_on_the_cache(self, word):
+        cold = _outcome(check_permutation, tuple(list(word)))
+        assert _outcome(check_permutation, word) == cold
+        assert _outcome(check_permutation, word) == cold
+        assert _stored(word) == (cold[0] == "ok" and len(word) >= 16)
+        for twin in (tuple(list(word)), _with_bools(word)):
+            assert twin == word
+            assert _outcome(check_permutation, twin) == _outcome(
+                check_permutation, tuple(list(twin)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(path_cases)
+    def test_path_outcomes_do_not_depend_on_the_cache(self, path):
+        cold = _outcome(check_path, "".join(list(path)))
+        assert _outcome(check_path, path) == cold
+        assert _outcome(check_path, path) == cold
+        assert _stored(path) == (cold[0] == "ok" and len(path) >= 16)
+        for twin in ("".join(list(path)), _Steps(path)):
+            assert twin == path
+            assert _outcome(check_path, twin) == cold
+        assert not _stored(twin)
+
+    def test_threads_share_the_cache_safely(self):
+        # More threads than cores, switching often, validate a shared pool
+        # of words and paths, valid and not, which is larger than the cache.
+        # A race may only cost a walk: every outcome stays the one a cold
+        # cache gives, and the cache keeps only objects that passed.
+        rng = random.Random(7)
+        pool = [tuple(rng.sample(range(1, 41), 40)) for _ in range(6)]
+        pool += [(1, 1, 2), (2, True), (0, 1), (True,) + tuple(range(2, 21))]
+        pool += [random_path(rng, 30) for _ in range(6)]
+        pool += ["udd", "uhx", "uu", "u" * 16 + "d" * 15]
+        check = {tuple: check_permutation, str: check_path}
+        expected = [_outcome(check[type(x)], type(x)(list(x)) if type(x) is tuple
+                             else "".join(list(x))) for x in pool]
+        wrong: list = []
+
+        def work(seed):
+            order = random.Random(seed)
+            for _ in range(400):
+                k = order.randrange(len(pool))
+                got = _outcome(check[type(pool[k])], pool[k])
+                if got != expected[k]:
+                    wrong.append((pool[k], got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        cache = permutations_module._VALIDATED
+        assert len(cache) <= len(permutations_module._VALIDATED_IDS)
+        for key, x in cache.items():
+            assert key == id(x)
+            if type(x) is tuple:
+                assert is_permutation_word(x)
+            else:
+                assert type(x) is str
+                paths_module._walk_path(x)
 
 
 class TestStatistics:
@@ -594,7 +833,8 @@ class TestClasses:
         for cls in PermClass:
             for w in ((3, 2, 1), (2, 3, 1), (1, 3, 2, 4), (4, 3, 2, 1)):
                 calls.clear()
-                in_class(w, cls)
+                # A fresh tuple, which no earlier call left in the cache.
+                in_class(tuple(list(w)), cls)
                 assert len(calls) == 1, (cls, w)
         with pytest.raises(ValueError, match="not a permutation"):
             in_class((1, 1), PermClass.S321_B3142)

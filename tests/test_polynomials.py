@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction
@@ -436,7 +437,8 @@ M = MultiPoly.variable(("q",), "q")
 
 class TestValueProtocol:
     """The rules both polynomial types share: immutable, hashed by value,
-    false only at zero, and arithmetic only with an int or the same type."""
+    false only at zero, and arithmetic only with a plain int or the same
+    type."""
 
     @pytest.mark.parametrize("poly", [U, M])
     def test_immutable(self, poly):
@@ -478,10 +480,29 @@ class TestValueProtocol:
         with pytest.raises(TypeError, match=r"^unsupported operand type\(s\)"):
             op()
 
+    @pytest.mark.parametrize("poly", [UNI_ZERO, U, MultiPoly.zero(("q",)), M],
+                             ids=["uni-zero", "uni", "multi-zero", "multi"])
+    @pytest.mark.parametrize(
+        "sym, poly_first",
+        [(sym, first) for sym in "+-*" for first in (True, False)],
+        ids=["p+b", "b+p", "p-b", "b-p", "p*b", "b*p"],
+    )
+    @pytest.mark.parametrize("b", [True, False, type("Small", (int,), {})(3)],
+                             ids=["true", "false", "int-subclass"])
+    def test_bool_operands_are_refused(self, sym, poly_first, poly, b):
+        # As the constructors refuse a coefficient that is not a plain int,
+        # so does arithmetic: UNI_ZERO + True once stored the coefficient True.
+        # The message names the operator written, so each side refuses on
+        # its own rather than by way of another operator.
+        left, right = (poly, b) if poly_first else (b, poly)
+        message = (f"unsupported operand type(s) for {sym}: "
+                   f"'{type(left).__name__}' and '{type(right).__name__}'")
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            {"+": operator.add, "-": operator.sub, "*": operator.mul}[sym](left, right)
+
     def test_differences_with_ints(self):
         assert (1 - U).coeffs == (0, -2)
         assert (U - 1).coeffs == (0, 2)
-        assert (True - U).coeffs == (0, -2)
         assert str(1 - M) == "1 - q"
         assert str(M - 1) == "-1 + q"
         assert 3 - UNI_ZERO == UniPoly((3,))

@@ -328,7 +328,7 @@ class TestTableau:
         with pytest.raises(ValueError, match=negative):
             stieltjes_tableau(lambda i: 1 - i, lambda i: 1, 5)
 
-    @pytest.mark.parametrize("value", [1.5, "1", None, MultiPoly.one(("q",))])
+    @pytest.mark.parametrize("value", [1.5, "1", None, MultiPoly.one(("q",)), True])
     def test_level_that_is_not_a_unipoly_or_an_int_refused(self, value):
         # Refused as a value, not with a TypeError from the sum that turns an
         # int level into a UniPoly.
