@@ -23,7 +23,13 @@ pairs (p, r), with head r - 1 and tail p + height(p).
 Each map validates its argument once, through the first callee that takes
 it, and the validators remember the objects of 16 or more letters they
 passed, by identity, so a path or an image handed from one map to the next
-is not walked again.  The head/tail pairs that ``phi3`` and
+is not walked again.  With each such object they keep its facts, the
+results of computations on it: a path's matchings and strips, an image's
+involution test and class tests.  So ``phi1`` and ``strip_decomposition``
+share one sequential matching, ``phi3`` reads the strips a caller already
+asked for, and ``involution_shape_path`` and ``phi3_inverse`` reuse the
+tests ``in_class`` ran on the same image.  A fact is immutable, so every
+caller gets the same object back.  The head/tail pairs that ``phi3`` and
 ``phi3_inverse`` build by construction go straight to the trusted kernels
 ``_permutation_from_head_tail`` and ``_path_from_head_tail``, unchecked.
 """
@@ -40,6 +46,8 @@ from .paths import (
 )
 from .permutations import (
     PermClass,
+    _fact,
+    _in_class,
     _is_involution,
     _permutation_from_head_tail,
     check_permutation,
@@ -92,7 +100,7 @@ def involution_shape_path(word: Sequence[int]) -> str:
     'uhd'
     """
     w = check_permutation(word)
-    if not _is_involution(w):
+    if not _fact(w, _is_involution):
         raise ValueError(f"not an involution: {w}")
     letters = []
     for i, v in enumerate(w, start=1):
@@ -124,8 +132,8 @@ def phi3_inverse(word: Sequence[int]) -> str:
     >>> phi3_inverse((2, 1))
     'ud'
     """
-    w = tuple(word)
-    if not in_class(w, PermClass.S321_B3142):  # validates the word
+    w = check_permutation(word)
+    if not _in_class(w, PermClass.S321_B3142):
         raise ValueError(f"permutation is outside the 321/barred class: {w}")
     excedances = [(v - 1, t) for t, v in enumerate(w, start=1) if v > t]
     return _path_from_head_tail(excedances, len(w))

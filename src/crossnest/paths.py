@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from .permutations import _CACHED_FROM, _check_head_tail, _passed, _remember
+from .permutations import _CACHED_FROM, _check_head_tail, _fact, _passed, _remember
 from .polynomials import _check_size
 
 _STEPS = frozenset("uhd")
@@ -50,8 +50,10 @@ def check_path(word: str) -> str:
     also fills, and is not walked again until eight more words or paths
     have passed.  The cache matches the very object, never an equal one,
     as it must for the tuples it shares; a str cannot change, so it stays
-    valid.  Any other sequence of steps, a str subclass included, is
-    walked at every call and never stored.
+    valid.  Its sequential and tunnel matchings and its strips are facts
+    kept with it (``permutations._fact``), computed at the first call
+    that asks and dropped with the entry.  Any other sequence of steps, a
+    str subclass included, is walked at every call and never stored.
     """
     cached = type(word) is str and len(word) >= _CACHED_FROM
     if cached and _passed(word):
@@ -202,7 +204,10 @@ def sequential_matching(word: str) -> tuple[tuple[int, int], ...]:
     >>> sequential_matching("uudd")
     ((1, 3), (2, 4))
     """
-    w = check_path(word)
+    return _fact(check_path(word), _sequential_matching)
+
+
+def _sequential_matching(w: str) -> tuple[tuple[int, int], ...]:
     ups = [i for i, ch in enumerate(w, start=1) if ch == "u"]
     downs = [i for i, ch in enumerate(w, start=1) if ch == "d"]
     return tuple(zip(ups, downs))
@@ -217,7 +222,10 @@ def tunnel_matching(word: str) -> tuple[tuple[int, int], ...]:
     >>> tunnel_matching("uudd")
     ((1, 4), (2, 3))
     """
-    w = check_path(word)
+    return _fact(check_path(word), _tunnel_matching)
+
+
+def _tunnel_matching(w: str) -> tuple[tuple[int, int], ...]:
     stack: list[int] = []
     pairs = []
     for i, ch in enumerate(w, start=1):
@@ -245,8 +253,13 @@ def strip_decomposition(word: str) -> tuple[tuple[int, int], ...]:
     >>> strip_decomposition("hh")
     ()
     """
-    matching = sequential_matching(word)  # validates the word
-    heights = _start_heights(word)
+    return _fact(check_path(word), _strip_decomposition)
+
+
+def _strip_decomposition(w: str) -> tuple[tuple[int, int], ...]:
+    # The sequential matching is a fact too, shared with phi1.
+    matching = _fact(w, _sequential_matching)
+    heights = _start_heights(w)
     return tuple((r - 1, p + heights[p - 1]) for p, r in matching)
 
 

@@ -57,8 +57,14 @@ same word often reaches several entry points in a row, so
 ``check_permutation`` here and ``paths.check_path`` share one cache of the
 last eight exact tuples and exact strings of 16 or more letters they
 passed, looked up by identity, and walk such an object only once.  It
-never stores a list or a subclass, whose contents could change, and never
+never stores a list, a subclass or the copy made of one, and never
 matches by equality, under which ``(True, 2)`` would pass for ``(1, 2)``.
+Each entry also holds a table of facts: the results of computations on
+that exact object (its involution test, each class rule's word test, a
+path's matchings and strips), filled on first use through ``_fact`` and
+dropped with the entry.  Facts are immutable (bools, tuples of int pairs),
+so a caller gets back the same object as the call that computed it; an
+object not in the cache gets a fresh computation at every call.
 
 ``distribution`` sums a monomial over a family, the ground truth the rest
 of the package is tested against; it lives here, beside the trees and
@@ -108,14 +114,15 @@ def is_permutation_word(word: Sequence[int]) -> bool:
 
 
 # The exact tuples and strs that check_permutation and paths.check_path
-# passed last, looked up by identity: id -> the object itself.  A hit needs
-# the stored object to be the argument, never an equal one, since
-# (True, 2) == (1, 2) and a bool is not a letter.  The dict's strong
+# passed last, looked up by identity: id -> (the object itself, its facts).
+# A hit needs the stored object to be the argument, never an equal one,
+# since (True, 2) == (1, 2) and a bool is not a letter.  The entry's strong
 # reference keeps each object alive, so its id is not reused while stored.
 # _remember stores in turn along a ring of eight ids, which holds what one
 # object's round of calls validates (a path, its three images and a word)
-# with room to spare.
-_VALIDATED: dict[int, object] = {}
+# with room to spare.  The facts are what _fact computed on the object so
+# far, keyed by the computation; they leave with the entry.
+_VALIDATED: dict[int, tuple[object, dict]] = {}
 _VALIDATED_IDS = [0] * 8
 _VALIDATED_TURN = itertools.count()
 # A word or path shorter than this is walked in about the time the cache's
@@ -125,12 +132,14 @@ _CACHED_FROM = 16
 
 def _passed(obj: object) -> bool:
     """True when ``obj`` itself is in the cache of passed words and paths."""
-    return _VALIDATED.get(id(obj)) is obj
+    entry = _VALIDATED.get(id(obj))
+    return entry is not None and entry[0] is obj
 
 
 def _remember(obj: object) -> None:
     """Store ``obj``, which a validator has just passed and which cannot
-    change, evicting the object stored eight calls before.
+    change, with an empty fact table, evicting the object stored eight
+    calls before.
 
     Each step is one dict, list or counter operation and a lookup checks
     identity, so a race between threads can only cost a miss: it never
@@ -139,9 +148,35 @@ def _remember(obj: object) -> None:
     k = next(_VALIDATED_TURN) % len(_VALIDATED_IDS)
     _VALIDATED.pop(_VALIDATED_IDS[k], None)
     _VALIDATED_IDS[k] = key = id(obj)
-    _VALIDATED[key] = obj
+    _VALIDATED[key] = (obj, {})
     if len(_VALIDATED) > len(_VALIDATED_IDS):  # only after racing stores
         _VALIDATED.clear()
+
+
+def _fact(obj: object, compute: Callable):
+    """``compute(obj)`` for a word or path that a validator has passed,
+    remembered in ``obj``'s fact table while ``obj`` is in the cache.
+
+    ``compute`` is one of the package's computations on a trusted object
+    (``_is_involution``, a class rule's word test, a path's matchings or
+    strips) and names the fact; its values are immutable and never None,
+    so every caller gets the same object back.  An object too short to be
+    stored is computed at once, so the many short calls pay one length
+    test and no lookup; any other object not in the cache (a list, a
+    subclass, evicted) pays one failed lookup.  Either is computed at
+    every call.  A race can only compute a fact twice, never mix two
+    objects' facts.
+    """
+    if len(obj) < _CACHED_FROM:
+        return compute(obj)
+    entry = _VALIDATED.get(id(obj))
+    if entry is None or entry[0] is not obj:
+        return compute(obj)
+    facts = entry[1]
+    value = facts.get(compute)
+    if value is None:
+        value = facts[compute] = compute(obj)
+    return value
 
 
 def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
@@ -150,13 +185,16 @@ def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
     ``tuple(word)`` is the word itself when it is an exact tuple.  Such a
     tuple of 16 or more letters that passed is remembered, by a strong
     reference, until eight more words or paths have passed, and is not
-    walked again meanwhile.  The lookup is by identity, never by equality,
-    under which ``(True, 2)`` would pass for ``(1, 2)``; a tuple of plain
-    ints cannot change, so it stays valid.  Any other argument, a list
-    say, makes a new tuple at every call and is walked every time.
+    walked again meanwhile; the facts that ``_fact`` computes on it (its
+    involution test and class tests) are kept with it and leave with it.
+    The lookup is by identity, never by equality, under which ``(True, 2)``
+    would pass for ``(1, 2)``; a tuple of plain ints cannot change, so it
+    stays valid.  Any other argument, a list say, makes a new tuple at
+    every call, which is walked every time and never stored, since no
+    later call could hand the same copy back.
     """
     w = tuple(word)
-    cached = len(w) >= _CACHED_FROM
+    cached = w is word and len(w) >= _CACHED_FROM
     if cached and _passed(w):
         return w
     if not is_permutation_word(w):
@@ -223,7 +261,7 @@ def is_involution(word: Sequence[int]) -> bool:
     >>> is_involution((2, 3, 1))
     False
     """
-    return _is_involution(check_permutation(word))
+    return _fact(check_permutation(word), _is_involution)
 
 
 def _is_involution(w: tuple[int, ...]) -> bool:
@@ -309,7 +347,7 @@ def perm_statistics(word: Sequence[int]) -> StatRecord:
         inv=inv,
         exc_set=tuple(i for i in range(1, n + 1) if w[i - 1] > i),
         des_set=tuple(i for i in range(1, n) if w[i - 1] > w[i]),
-        is_involution=_is_involution(w),
+        is_involution=_fact(w, _is_involution),
     )
 
 
@@ -753,12 +791,21 @@ def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
 
 
 def in_class(word: Sequence[int], cls: PermClass) -> bool:
-    """Membership test matching ``enumerate_class``, by the word tests."""
-    w = check_permutation(word)
+    """Membership test matching ``enumerate_class``, by the word tests.
+
+    The involution test and the class rule's word test are facts of a
+    cached word: a second call on it reruns neither, and a call for
+    another involution family reuses the involution test.
+    """
+    return _in_class(check_permutation(word), cls)
+
+
+def _in_class(w: tuple[int, ...], cls: PermClass) -> bool:
+    # in_class on a word already known to be a permutation.
     rule = _class_rule(cls)
-    if rule.involutive and not _is_involution(w):
+    if rule.involutive and not _fact(w, _is_involution):
         return False
-    return rule.avoids is None or rule.avoids(w)
+    return rule.avoids is None or _fact(w, rule.avoids)
 
 
 DEFAULT_ENUM_LIMIT = 12

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -8,10 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_paths import random_path
 
+import crossnest.bijections as bijections_module
 import crossnest.paths as paths_module
 import crossnest.permutations as permutations_module
-from crossnest.bijections import phi1, phi2, phi3, phi3_inverse
-from crossnest.paths import check_path, enumerate_paths, path_from_head_tail
+from crossnest.bijections import involution_shape_path, phi1, phi2, phi3, phi3_inverse
+from crossnest.paths import (
+    check_path,
+    enumerate_paths,
+    path_from_head_tail,
+    path_statistics,
+    sequential_matching,
+    strip_decomposition,
+    tunnel_matching,
+)
 from crossnest.permutations import (
     PermClass,
     _fp_exc_crs_nes_inv,
@@ -275,7 +285,13 @@ def _spoiled(word, k, v):
 
 
 def _stored(obj):
-    return permutations_module._VALIDATED.get(id(obj)) is obj
+    return _facts(obj) is not None
+
+
+def _facts(obj):
+    # The fact table stored with obj itself, or None when obj is not stored.
+    entry = permutations_module._VALIDATED.get(id(obj))
+    return entry[1] if entry is not None and entry[0] is obj else None
 
 
 class _Steps(str):
@@ -303,6 +319,19 @@ path_cases = st.one_of(
               st.integers(0, 2**32), st.integers(16, 30), st.integers(0, 15),
               st.sampled_from("uhdx")),
 )
+# Every public function that reads a fact of a word, and of a path.
+WORD_FACTS = tuple(lambda w, cls=cls: in_class(w, cls) for cls in PermClass) + (
+    is_involution, perm_statistics, involution_shape_path, phi3_inverse)
+PATH_FACTS = (sequential_matching, tunnel_matching, strip_decomposition, phi1, phi2, phi3)
+
+
+def _copy(x):
+    # An equal tuple or str that is not x, so no cache holds it.
+    return tuple(list(x)) if type(x) is tuple else "".join(list(x))
+
+
+class _Word(tuple):
+    pass
 
 
 class TestValidatedCache:
@@ -368,7 +397,7 @@ class TestValidatedCache:
         assert walks["path"] == 9
         assert not any(_stored(x) for x in (word, *others))
 
-    def test_short_words_and_paths_are_walked_every_time(self, walks):
+    def test_short_words_and_paths_are_walked_every_time(self, walks, monkeypatch):
         # Below 16 letters a walk costs about what the cache's bookkeeping
         # does, so nothing is stored.
         w, path = tuple(range(15, 0, -1)), "uhd" * 5
@@ -377,6 +406,20 @@ class TestValidatedCache:
             assert check_path(path) is path
         assert walks == {"word": 3, "path": 3}
         assert not _stored(w) and not _stored(path)
+        # Nor is a fact of a short word or path looked up.
+        lookups = []
+
+        class Cache(dict):
+            def get(self, *args):
+                lookups.append(args)
+                return super().get(*args)
+
+        monkeypatch.setattr(permutations_module, "_VALIDATED", Cache())
+        for f in WORD_FACTS:
+            _outcome(f, w)
+        for f in PATH_FACTS:
+            f(path)
+        assert lookups == []
 
     def test_kinds_do_not_mix(self):
         # A tuple that passed as a word is still walked, and refused, as a
@@ -414,7 +457,7 @@ class TestValidatedCache:
         cache = permutations_module._VALIDATED
         orphan = tuple(list(LONG_WORD))
         check_permutation(orphan)
-        cache[id(orphan)] = orphan
+        cache[id(orphan)] = (orphan, {})
         permutations_module._VALIDATED_IDS[:] = [0] * 8
         for k in range(9):
             check_permutation(tuple(random.Random(k).sample(range(1, 21), 20)))
@@ -424,49 +467,62 @@ class TestValidatedCache:
     @settings(max_examples=300, deadline=None)
     @given(word_cases)
     def test_word_outcomes_do_not_depend_on_the_cache(self, word):
-        cold = _outcome(check_permutation, tuple(list(word)))
-        assert _outcome(check_permutation, word) == cold
-        assert _outcome(check_permutation, word) == cold
-        assert _stored(word) == (cold[0] == "ok" and len(word) >= 16)
-        for twin in (tuple(list(word)), _with_bools(word)):
+        # The validator and every function that reads a fact of the word.
+        def outcomes(w):
+            return [_outcome(f, w) for f in (check_permutation, *WORD_FACTS)]
+
+        cold = outcomes(_copy(word))
+        assert outcomes(word) == cold  # stores a word that passes, fills its facts
+        assert outcomes(word) == cold  # and reads them
+        assert _stored(word) == (cold[0][0] == "ok" and len(word) >= 16)
+        for twin in (_copy(word), _with_bools(word)):
             assert twin == word
-            assert _outcome(check_permutation, twin) == _outcome(
-                check_permutation, tuple(list(twin)))
+            assert outcomes(twin) == outcomes(_copy(twin))
+        if cold[0][0] == "ok" and word:
+            # The bool twin holds True where the word holds 1.
+            assert {kind for kind, _ in outcomes(_with_bools(word))} == {"error"}
 
     @settings(max_examples=300, deadline=None)
     @given(path_cases)
     def test_path_outcomes_do_not_depend_on_the_cache(self, path):
-        cold = _outcome(check_path, "".join(list(path)))
-        assert _outcome(check_path, path) == cold
-        assert _outcome(check_path, path) == cold
-        assert _stored(path) == (cold[0] == "ok" and len(path) >= 16)
-        for twin in ("".join(list(path)), _Steps(path)):
+        def outcomes(p):
+            return [_outcome(f, p) for f in (check_path, *PATH_FACTS)]
+
+        cold = outcomes(_copy(path))
+        assert outcomes(path) == cold
+        assert outcomes(path) == cold
+        assert _stored(path) == (cold[0][0] == "ok" and len(path) >= 16)
+        for twin in (_copy(path), _Steps(path)):
             assert twin == path
-            assert _outcome(check_path, twin) == cold
+            assert outcomes(twin) == cold
         assert not _stored(twin)
 
     def test_threads_share_the_cache_safely(self):
         # More threads than cores, switching often, validate a shared pool
-        # of words and paths, valid and not, which is larger than the cache.
-        # A race may only cost a walk: every outcome stays the one a cold
-        # cache gives, and the cache keeps only objects that passed.
+        # of words and paths, valid and not, which is larger than the cache,
+        # and read their facts.  A race may only cost a walk or a fact
+        # computed twice: every outcome stays the one a cold cache gives,
+        # the cache keeps only objects that passed, and every fact it keeps
+        # is the one a fresh computation gives.
         rng = random.Random(7)
         pool = [tuple(rng.sample(range(1, 41), 40)) for _ in range(6)]
+        pool += [phi1(random_path(rng, 40)), phi3(random_path(rng, 40))]
         pool += [(1, 1, 2), (2, True), (0, 1), (True,) + tuple(range(2, 21))]
         pool += [random_path(rng, 30) for _ in range(6)]
         pool += ["udd", "uhx", "uu", "u" * 16 + "d" * 15]
-        check = {tuple: check_permutation, str: check_path}
-        expected = [_outcome(check[type(x)], type(x)(list(x)) if type(x) is tuple
-                             else "".join(list(x))) for x in pool]
+        ops = {tuple: (check_permutation, *WORD_FACTS[:len(PermClass)]),
+               str: (check_path, strip_decomposition)}
+        expected = [[_outcome(f, _copy(x)) for f in ops[type(x)]] for x in pool]
         wrong: list = []
 
         def work(seed):
             order = random.Random(seed)
             for _ in range(400):
                 k = order.randrange(len(pool))
-                got = _outcome(check[type(pool[k])], pool[k])
-                if got != expected[k]:
-                    wrong.append((pool[k], got))
+                j = order.randrange(len(ops[type(pool[k])]))
+                got = _outcome(ops[type(pool[k])][j], pool[k])
+                if got != expected[k][j]:
+                    wrong.append((pool[k], j, got))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -482,13 +538,105 @@ class TestValidatedCache:
         assert wrong == []
         cache = permutations_module._VALIDATED
         assert len(cache) <= len(permutations_module._VALIDATED_IDS)
-        for key, x in cache.items():
+        for key, (x, facts) in cache.items():
             assert key == id(x)
             if type(x) is tuple:
                 assert is_permutation_word(x)
             else:
                 assert type(x) is str
                 paths_module._walk_path(x)
+            for compute, value in facts.items():
+                assert value == compute(_copy(x)), (x, compute)
+
+    @pytest.fixture
+    def computations(self, monkeypatch):
+        # The arguments of every computation behind a fact, by name: the
+        # involution test, each class rule's word test and the path's
+        # matchings and strips.
+        calls = collections.defaultdict(list)
+
+        def counting(name, compute):
+            def counted(obj):
+                calls[name].append(obj)
+                return compute(obj)
+            return counted
+
+        involution = counting("involution", permutations_module._is_involution)
+        for module in (permutations_module, bijections_module):
+            monkeypatch.setattr(module, "_is_involution", involution)
+        rules = permutations_module._CLASS_RULES
+        for cls, rule in rules.items():
+            if rule.avoids is not None:
+                monkeypatch.setitem(
+                    rules, cls, rule._replace(avoids=counting(cls.value, rule.avoids)))
+        for name in ("sequential_matching", "tunnel_matching", "strip_decomposition"):
+            monkeypatch.setattr(paths_module, "_" + name,
+                                counting(name, getattr(paths_module, "_" + name)))
+        return calls
+
+    def test_one_objects_round_computes_each_fact_once(self, computations):
+        # The calls the benchmark's objects pipeline makes on one path, its
+        # three images and one word.
+        rng = random.Random(34)
+        path, perm = random_path(rng, 30), tuple(rng.sample(range(1, 31), 30))
+        path_statistics(path)
+        sequential_matching(path)
+        tunnel_matching(path)
+        assert path_from_head_tail(strip_decomposition(path), len(path)) == path
+        img1, img2, img3 = phi1(path), phi2(path), phi3(path)
+        assert in_class(img1, PermClass.I4321) and in_class(img2, PermClass.I3412)
+        assert in_class(img3, PermClass.S321_B3142)
+        assert involution_shape_path(img1) == involution_shape_path(img2) == path
+        assert phi3_inverse(img3) == path
+        perm_statistics(perm)
+        head_tail_pairs(perm)
+        contains_321(perm), contains_4321(perm), contains_3412(perm)
+        assert computations == {
+            "involution": [img1, img2, perm],
+            "I4321": [img1],
+            "I3412": [img2],
+            "S321B3142": [img3],
+            "sequential_matching": [path],
+            "tunnel_matching": [path],
+            "strip_decomposition": [path],
+        }
+
+    def test_facts_leave_with_their_entry(self, computations, walks):
+        # Once eight more objects are stored, a word or path is walked again
+        # and each of its facts is computed again.
+        w, path = tuple(list(LONG_WORD)), "".join(list(LONG_PATH))
+        for _ in range(2):
+            assert not is_involution(w) and not in_class(w, PermClass.S321_B3142)
+            strip_decomposition(path)
+        assert (walks["word"], walks["path"]) == (1, 1)
+        assert computations == {"involution": [w], "S321B3142": [w],
+                                "strip_decomposition": [path],
+                                "sequential_matching": [path]}
+        for k in range(8):
+            check_permutation(tuple(random.Random(k).sample(range(1, 21), 20)))
+        assert not _stored(w) and not _stored(path)
+        is_involution(w), in_class(w, PermClass.S321_B3142), strip_decomposition(path)
+        assert (walks["word"], walks["path"]) == (10, 2)
+        assert all(len(args) == 2 for args in computations.values())
+
+    def test_copies_never_evict_a_stored_word(self):
+        # A list or a tuple subclass is copied into a new tuple at every
+        # call.  No later call can hand that copy back, so it is not stored,
+        # and calls on copies leave stored words and their facts in place.
+        w = tuple(list(LONG_WORD))
+        assert not perm_statistics(w).is_involution
+        assert not in_class(w, PermClass.S321_B3142)
+        facts = dict(_facts(w))
+        assert set(facts) == {permutations_module._is_involution,
+                              permutations_module._CLASS_RULES[PermClass.S321_B3142].avoids}
+        stored = set(permutations_module._VALIDATED)
+        for k in range(20):
+            copy = list(w) if k % 2 else _Word(w)
+            assert perm_statistics(copy) == perm_statistics(w)
+            assert _outcome(phi3_inverse, copy) == _outcome(phi3_inverse, w)
+            assert not _stored(copy)
+        assert _facts(w) == facts
+        assert set(permutations_module._VALIDATED) == stored
 
 
 class TestStatistics:
