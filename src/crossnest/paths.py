@@ -285,7 +285,7 @@ def path_from_head_tail(
     >>> path_from_head_tail((), 3)
     'hhh'
     """
-    _check_head_tail(pairs, n)
+    pairs = _check_head_tail(pairs, n)
     for (_, prev_tail), (_, t) in itertools.pairwise(pairs):
         if t < prev_tail + 2:
             raise ValueError(

@@ -34,18 +34,25 @@ word tests is the enumerators' test reference.
 The trees yield words alone.  The statistics of every family but ``ALL``
 come from one forward pass over its tree's states (``_state_pass``), not
 from its members: the future of a node depends only on a small state, so
-nodes with equal states merge, each with a tally {packed (fp, exc, crs,
-nes): count}, and the work grows with the distinct states, not with the
-members.  The involution state is the next free position and the set of
-open-arc ends past it; the 321/barred state is the set of placed letters
-and whether the last one lies below the smallest unplaced letter.  Each
-statistic rule lives only in these passes.  ``_fp_exc_crs_nes_inv`` is the
-one statistics kernel that ``perm_statistics``, ``ALL``'s distribution
-and the oracle checks run: one left-to-right pass with sets of letters
-and positions as bitmasks, O(n) big-int operations on n-bit masks.  The
-O(n^2) loop over all pairs that restates the definitions above is its test
-reference, and that loop or the kernel over every member of
-``enumerate_class`` is the test reference of the state passes.  Head/tail
+nodes with equal states merge, and the work grows with the distinct
+states, not with the members.  Each state carries its tally as {the
+other statistics, packed: the counts along the last one, packed}, one
+slot per value of the last statistic (nes, or inv for the 321/barred
+tree), as ``qmotzkin._PackedTableau`` packs its entries, so a step is one
+addition and one shift per entry.  A slot holds the size of the tree's
+base family (the involutions, or n!), and no count of nodes at one level
+exceeds the leaves below them, so no slot carries.  The involution state
+is the next free position and the set of open-arc ends past it; the
+321/barred state is the set of placed letters and whether the last one
+lies below the smallest unplaced letter.  Each statistic rule lives only
+in these passes.  ``_fp_exc_crs_nes_inv`` is the one statistics kernel
+that ``perm_statistics``, ``ALL``'s distribution and the oracle checks
+run: one left-to-right pass with sets of letters and positions as
+bitmasks, O(n) big-int operations on n-bit masks.  The O(n^2) loop over
+all pairs that restates the definitions above is its test reference, and
+that loop or the kernel over every member of ``enumerate_class`` is the
+test reference of the state passes; a pass with one dict entry per
+statistics tuple is the test reference of their packed tallies.  Head/tail
 pairs are read off the inversion table by the same kind of pass and rebuilt
 by insertion; the public pair and rebuild functions validate their input
 and then call the trusted kernels ``_head_tail_pairs`` and
@@ -83,12 +90,13 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import os
 from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .polynomials import MultiPoly, _check_size
+from .polynomials import MultiPoly, _check_size, _slot_bytes, _slot_coeffs
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
@@ -524,22 +532,33 @@ def _involution_tally(
     # each open arc that closes before j and two nestings with each one that
     # closes after it (Flajolet 1980: the open arcs are the height of the
     # path).  The state keeps where each arc closes, not just how many are
-    # open, since that fixes which later pairings cross or nest them.
+    # open, since that fixes which later pairings cross or nest them.  Each
+    # move adds to the key (fp, exc, crs) and shifts along nes; a count is
+    # at most I(n), the number of involutions, which sizes the slot.
     w = _stat_width(n)
-    exc, crs, nes = 1 << w, 1 << 2 * w, 1 << 3 * w  # packed units; fp's is 1
+    slot = _slot_bytes(_involution_count(n))
+    exc, crs, nes = 1 << w, 1 << 2 * w, 8 * slot  # key units; fp's is 1
 
-    def moves(i: int, arcs: int) -> Iterator[tuple[int, int, int]]:
-        yield (*_next_free(i, arcs), 1 + nes * arcs.bit_count())
+    def moves(i: int, arcs: int) -> Iterator[tuple[int, int, int, int]]:
+        yield (*_next_free(i, arcs), 1, nes * arcs.bit_count())
         lo, hi = partners(i, arcs, n)
         for j in range(lo, hi):
             bit = 1 << j
             if not arcs & bit:
                 outer = (arcs >> j).bit_count()
                 crossed = arcs.bit_count() - outer
-                d = exc + 2 * (crs * crossed + nes * outer)
-                yield (*_next_free(i, arcs | bit), d)
+                yield (*_next_free(i, arcs | bit), exc + 2 * crs * crossed,
+                       2 * nes * outer)
 
-    return _state_pass(n, 0, moves, w, 4)
+    return _state_pass(n, 0, moves, w, 3, slot)
+
+
+def _involution_count(n: int) -> int:
+    # I(n), the number of involutions of size n: I(n) = I(n-1) + (n-1) I(n-2).
+    before, count = 0, 1
+    for k in range(1, n + 1):
+        before, count = count, count + (k - 1) * before
+    return count
 
 
 def _free_partners(i: int, arcs: int, n: int) -> tuple[int, int]:
@@ -649,22 +668,27 @@ def _avoider_tally(n: int) -> dict[tuple[int, int, int, int], int]:
     # and inv: letter v makes an inversion with each placed letter above it.
     # A member avoids 321, so it has no nesting, and inv = exc + crs + 2 nes
     # gives crs (the oracle rows class-nonnesting and inv-identity check
-    # both against the kernel).
+    # both against the kernel).  Each move adds to the key (fp, exc) and
+    # shifts along inv; a count is at most n!, which sizes the slot.
     w = _stat_width(n)
-    exc, inv = 1 << w, 1 << 2 * w  # packed units; fp's is 1
+    slot = _slot_bytes(math.factorial(n))
+    exc, inv = 1 << w, 8 * slot  # key units; fp's is 1
 
     def moves(i: int, state: tuple[int, bool]) -> Iterator[tuple]:
+        # The children of _next_letters(placed, low, n).  The smallest
+        # unplaced letter s is at most i + 1, a fixed point when equal, and
+        # leaves the next smallest above it, so its child is low.  Every
+        # other letter lies above s and all i placed ones, so past i + 1: an
+        # excedance with no inversion, and the smallest unplaced is still s.
         placed, low = state
-        for v in _next_letters(placed, low, n):
-            d = inv * (placed >> v).bit_count()
-            if v > i + 1:
-                d += exc
-            elif v == i + 1:
-                d += 1
-            now = placed | 1 << v
-            yield i + 1, (now, v < _lowest_gap(now)), d
+        s = _lowest_gap(placed)
+        yield (i + 1, (placed | 1 << s, True), 1 if s == i + 1 else 0,
+               inv * (placed >> s).bit_count())
+        if low:
+            for v in range(max(placed.bit_length(), s + 1), n + 1):
+                yield i + 1, (placed | 1 << v, False), exc, 0
 
-    tally = _state_pass(n, (1, True), moves, w, 3)
+    tally = _state_pass(n, (1, True), moves, w, 2, slot)
     return {(fp, e, iv - e, 0): count for (fp, e, iv), count in tally.items()}
 
 
@@ -675,41 +699,54 @@ def _stat_width(n: int) -> int:
 
 
 def _state_pass(
-    n: int, start: object, moves: Callable, w: int, fields: int
+    n: int, start: object, moves: Callable, w: int, fields: int, slot: int
 ) -> dict[tuple[int, ...], int]:
     """The tally of a generating tree's leaves, by one pass over its states.
 
     A state stands for all the nodes whose subtrees it determines; the
     root has state ``start`` at level 0, and the leaves sit at level n.
-    ``moves(i, state)`` yields (level, state, delta) per child of a node at
-    level i, each at a higher level, with delta what the child adds to its
-    parent's packed statistics.  Levels run in ascending order, and each
-    state holds {packed statistics: number of nodes}, so nodes with equal
-    states are stepped together, not one member at a time.  No level is
-    kept once it has been read.  A packed key holds ``fields`` statistics of
-    w bits each, the first lowest; the leaves' keys come back as tuples.
+    ``moves(i, state)`` yields (level, state, key delta, shift) per child of
+    a node at level i, each at a higher level.  Levels run in ascending
+    order, so nodes with equal states are stepped together, not one member
+    at a time, and no level is kept once it has been read.
+
+    Each state holds {key: counts}: the key packs the first ``fields``
+    statistics, w bits each, the first lowest, and the counts are the
+    number of nodes at each value of the last statistic, one slot of
+    ``slot`` bytes per value, lowest first, as in ``qmotzkin._PackedTableau``.
+    So a child adds its key delta to each key and shifts the counts left by
+    its shift, 8 * ``slot`` bits per unit of the last statistic.  No slot
+    carries: every count, and every partial sum of a merge, counts distinct
+    nodes at one level; each has a leaf below it (no tree has a dead
+    subtree), and their leaf sets are disjoint, so no count exceeds the
+    number of leaves, nor the bound that sized the slot (``_slot_bytes``).  The
+    leaves come back as {statistics tuple, the last one last: count}.
     """
     levels: list = [{} for _ in range(n + 1)]
     levels[0][start] = {0: 1}
     for i in range(n):
         level, levels[i] = levels[i], None
         for state, tally in level.items():
-            for k, new, d in moves(i, state):
+            for k, new, dk, ds in moves(i, state):
                 target = levels[k].get(new)
                 if target is None:
-                    levels[k][new] = {key + d: c for key, c in tally.items()}
+                    levels[k][new] = {key + dk: c << ds for key, c in tally.items()}
                 else:
                     for key, c in tally.items():
-                        key += d
-                        target[key] = target.get(key, 0) + c
-    total: Counter = Counter()
+                        key += dk
+                        target[key] = target.get(key, 0) + (c << ds)
+    total: dict = {}
     for tally in levels[n].values():
-        total.update(tally)
+        for key, counts in tally.items():
+            total[key] = total.get(key, 0) + counts
     mask = (1 << w) - 1
-    return {
-        tuple(key >> (w * f) & mask for f in range(fields)): count
-        for key, count in total.items()
-    }
+    leaves = {}
+    for key, counts in total.items():
+        stats = tuple([key >> (w * f) & mask for f in range(fields)])
+        for last, c in enumerate(_slot_coeffs(counts, slot)):
+            if c:
+                leaves[(*stats, last)] = c
+    return leaves
 
 
 def _kernel_tally(n: int) -> Counter:
@@ -871,11 +908,15 @@ def distribution(
     Every family but ``ALL`` is counted by one forward pass over its
     generating tree's states, never member by member: each state carries
     the number of nodes per (fp, exc, crs, nes), and equal states merge.
-    ``ALL`` runs the bitmask statistics kernel ``_fp_exc_crs_nes_inv`` on
-    every word.  The tests take the kernel, or the pair loop over every pair
-    of positions that defines the statistics, over every member of
-    ``enumerate_class`` as the reference.  The spec's exponents are taken
-    once per distinct statistics tuple.
+    The counts are packed along the last statistic the pass carries, one
+    slot per value, sized for the size of the tree's base family (the
+    involutions, or n!); no count of nodes at one level exceeds the leaves
+    below them, so no slot carries (``_state_pass``).  ``ALL`` runs the
+    bitmask statistics kernel ``_fp_exc_crs_nes_inv`` on every word.  The
+    tests take the kernel, or the pair loop over every pair of positions
+    that defines the statistics, over every member of ``enumerate_class``
+    as the reference.  The spec's exponents are taken once per distinct
+    statistics tuple.
 
     The tally does not depend on ``spec``, so one tally per family and size
     serves every statistic: it is cached (the last 64 families and sizes),
@@ -935,16 +976,28 @@ def _head_tail_pairs(w: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
     return tuple([(h, t) for h, t in enumerate(tails) if t <= h])
 
 
-def _check_head_tail(pairs: Sequence[tuple[int, int]], n: int) -> None:
-    """Raise ValueError unless the pairs have the head/tail shape for size n."""
+def _check_head_tail(
+    pairs: Sequence[tuple[int, int]], n: int
+) -> tuple[tuple[int, int], ...]:
+    """The pairs as a tuple, read once, when they have the head/tail shape
+    for size n; raise ValueError otherwise."""
     _check_size(n)
+    try:
+        pairs = tuple(pairs)
+    except TypeError:
+        raise ValueError(f"not a sequence of (head, tail) pairs: {pairs!r}") from None
     prev_head = 0
-    for h, t in pairs:
+    for pair in pairs:
+        try:
+            h, t = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"{pair!r} is not a (head, tail) pair") from None
         if type(h) is not int or type(t) is not int or not 1 <= t <= h <= n - 1:
             raise ValueError(f"pair ({h}, {t}) needs 1 <= tail <= head <= {n - 1}")
         if h <= prev_head:
             raise ValueError("heads must be strictly increasing")
         prev_head = h
+    return pairs
 
 
 def permutation_from_head_tail(
@@ -962,8 +1015,7 @@ def permutation_from_head_tail(
     >>> permutation_from_head_tail((), 4)
     (1, 2, 3, 4)
     """
-    _check_head_tail(pairs, n)
-    return _permutation_from_head_tail(pairs, n)
+    return _permutation_from_head_tail(_check_head_tail(pairs, n), n)
 
 
 def _permutation_from_head_tail(

@@ -44,7 +44,7 @@ from crossnest.permutations import (
     perm_statistics,
     permutation_from_head_tail,
 )
-from crossnest.polynomials import MultiPoly
+from crossnest.polynomials import MultiPoly, _slot_bytes
 from crossnest.oracle import StatSpec, distribution, run_suite
 from crossnest.qmotzkin import (
     h_recursion_rhs,
@@ -194,6 +194,38 @@ def involutions_lex(n):
         i, j = stack.pop()
         word[i] = word[j] = 0
         j += 1
+
+
+def dict_state_pass(n, start, moves, w, fields, slot, peak=None):
+    # Reference for permutations._state_pass, with the same arguments and
+    # leaves: each state holds {packed statistics: number of nodes}, all
+    # fields + 1 statistics in one key of w bits each, the last one highest,
+    # merged entry by entry.  A move's shift is 8 * slot bits per unit of
+    # the last statistic, so shift // (8 * slot) is what it adds to it.
+    # peak[0], when given, ends as the largest count in any state.
+    levels = [{} for _ in range(n + 1)]
+    levels[0][start] = {0: 1}
+    for i in range(n):
+        for state, tally in levels[i].items():
+            for k, new, dk, ds in moves(i, state):
+                d = dk + (ds // (8 * slot) << w * fields)
+                target = levels[k].setdefault(new, {})
+                for key, c in tally.items():
+                    target[key + d] = target.get(key + d, 0) + c
+    if peak is not None:
+        peak[0] = max(c for level in levels for tally in level.values()
+                      for c in tally.values())
+    leaves = Counter()
+    for tally in levels[n].values():
+        leaves.update(tally)
+    mask = (1 << w) - 1
+    return {
+        tuple(key >> (w * f) & mask for f in range(fields + 1)): count
+        for key, count in leaves.items()
+    }
+
+
+TREES = [cls for cls in PermClass if cls is not PermClass.ALL]
 
 
 INVOLUTIVE = {PermClass.INVOLUTIONS, PermClass.I4321, PermClass.I3412}
@@ -915,6 +947,45 @@ class TestClasses:
                     assert got == MultiPoly.from_terms(spec.variables, expected), (
                         cls, n, spec)
 
+    def test_packed_pass_matches_the_dict_pass(self, monkeypatch):
+        # The tree families' tallies, with each state's counts packed along
+        # the last statistic, equal those of the reference pass that keeps
+        # one dict entry per full statistics tuple.
+        rules = permutations_module._CLASS_RULES
+        sizes = {cls: range(17) for cls in TREES}
+        sizes[PermClass.I4321] = sizes[PermClass.I3412] = [*range(17), 18]
+        packed = {(cls, n): rules[cls].tally(n) for cls in TREES for n in sizes[cls]}
+        monkeypatch.setattr(permutations_module, "_state_pass", dict_state_pass)
+        for (cls, n), tally in packed.items():
+            assert tally == rules[cls].tally(n), (cls, n)
+
+    def test_slot_bound_covers_every_count(self, monkeypatch):
+        # Each pass sizes its slot from a bound on its leaves; no count in
+        # any state at any level, read off the reference pass, exceeds it,
+        # so no slot carries.
+        tops, peak = [], [0]
+
+        def recording(top):
+            tops.append(top)
+            return _slot_bytes(top)
+
+        monkeypatch.setattr(permutations_module, "_slot_bytes", recording)
+        monkeypatch.setattr(permutations_module, "_state_pass",
+                            lambda *args: dict_state_pass(*args, peak=peak))
+        for cls in TREES:
+            for n in range(15):
+                tops.clear()
+                peak[0] = 0
+                permutations_module._CLASS_RULES[cls].tally(n)
+                assert len(tops) == 1 and peak[0] >= 1, (cls, n)
+                assert tops[0] >= peak[0], (cls, n, tops[0], peak[0])
+                if n <= 10:
+                    # The bound is the size of the tree's base family,
+                    # every involution or every permutation.
+                    base = (involutions_lex(n) if cls in INVOLUTIVE
+                            else itertools.permutations(range(n)))
+                    assert tops[0] == sum(1 for _ in base), (cls, n)
+
     def test_state_pass_enumerates_no_member(self, monkeypatch):
         # The tree families' distributions come from their states alone;
         # the member counts come from the filtered reference.
@@ -1133,10 +1204,25 @@ class TestHeadTail:
             (((2, 1), (2, 2)), 4, "heads must be strictly increasing"),
             (((2, 1), (1, 1)), 4, "heads must be strictly increasing"),
             ((), -1, "n must be nonnegative"),
+            # Anything but a two-item pair is refused before it is unpacked.
+            ([(1, 1, 1)], 2, r"\(1, 1, 1\) is not a \(head, tail\) pair"),
+            ([1], 2, r"1 is not a \(head, tail\) pair"),
+            (((1, 1), (2,)), 3, r"\(2,\) is not a \(head, tail\) pair"),
+            (((1, 1), None), 3, r"None is not a \(head, tail\) pair"),
+            (5, 3, r"not a sequence of \(head, tail\) pairs: 5"),
         ):
             for rebuild in (permutation_from_head_tail, path_from_head_tail):
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     rebuild(pairs, n)
+
+    def test_pairs_are_read_once(self):
+        # An iterator of pairs is checked and rebuilt from the same reading.
+        for w in ((3, 2, 1), (2, 1, 4, 3), SHOWCASE_321):
+            pairs = head_tail_pairs(w)
+            assert permutation_from_head_tail(iter(pairs), len(w)) == w
+        for path in ("ud", "uhdud", "uudduhd"):
+            pairs = strip_decomposition(path)
+            assert path_from_head_tail(iter(pairs), len(path)) == path
 
     def test_class_members_have_spread_tails_and_des_eq_exc(self):
         for n in range(8):
