@@ -32,6 +32,17 @@ tests ``in_class`` ran on the same image.  A fact is immutable, so every
 caller gets the same object back.  The head/tail pairs that ``phi3`` and
 ``phi3_inverse`` build by construction go straight to the trusted kernels
 ``_permutation_from_head_tail`` and ``_path_from_head_tail``, unchecked.
+
+The images are born valid, and the maps store them as they build them
+(``permutations._remember_built``): every image is a permutation, being
+built by swaps or insertions, and the images of ``phi1`` and ``phi2`` are
+involutions, since the 2-cycles of a matching are disjoint.  So ``phi1``
+and ``phi2`` store theirs with the involution test passed, ``phi3`` with
+no fact, and ``in_class``, ``involution_shape_path`` and ``phi3_inverse``
+neither walk an image nor run the involution test on those two.  No class
+test is stored with an image, since the class is what the paper proves:
+``check=True`` still scans each image for its class's patterns, and trusts
+only the involution test, by construction.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from .permutations import (
     _in_class,
     _is_involution,
     _permutation_from_head_tail,
+    _remember_built,
     check_permutation,
     in_class,
 )
@@ -58,14 +70,19 @@ from .permutations import (
 def _involution_from_pairs(
     pairs: Sequence[tuple[int, int]], n: int
 ) -> tuple[int, ...]:
+    """The involution with the given 2-cycles, stored as built with its
+    involution test passed: the pairs of a matching are disjoint."""
     word = list(range(1, n + 1))
     for a, b in pairs:
         word[a - 1], word[b - 1] = b, a
-    return tuple(word)
+    return _remember_built(tuple(word), {_is_involution: True})
 
 
 def phi1(word: str, *, check: bool = False) -> tuple[int, ...]:
     """Involution whose 2-cycles are the sequential matching of the path.
+
+    The image is stored as built, with its involution test passed; with
+    ``check=True`` it is still scanned for 4321.
 
     >>> phi1("uhd")
     (3, 2, 1)
@@ -78,6 +95,9 @@ def phi1(word: str, *, check: bool = False) -> tuple[int, ...]:
 
 def phi2(word: str, *, check: bool = False) -> tuple[int, ...]:
     """Involution whose 2-cycles are the tunnel matching of the path.
+
+    The image is stored as built, with its involution test passed; with
+    ``check=True`` it is still scanned for 3412.
 
     >>> phi2("uudd")
     (4, 3, 2, 1)
@@ -111,10 +131,15 @@ def involution_shape_path(word: Sequence[int]) -> str:
 def phi3(word: str, *, check: bool = False) -> tuple[int, ...]:
     """Permutation built from the path's strip decomposition.
 
+    The image is stored as built, with no fact; with ``check=True`` it is
+    still scanned for 321 and the barred pattern.
+
     >>> phi3("ud")
     (2, 1)
     """
-    result = _permutation_from_head_tail(strip_decomposition(word), len(word))
+    result = _remember_built(
+        _permutation_from_head_tail(strip_decomposition(word), len(word))
+    )
     if check and not in_class(result, PermClass.S321_B3142):
         raise AssertionError(f"phi3 image left its class: {result}")
     return result

@@ -71,7 +71,11 @@ that exact object (its involution test, each class rule's word test, a
 path's matchings and strips), filled on first use through ``_fact`` and
 dropped with the entry.  Facts are immutable (bools, tuples of int pairs),
 so a caller gets back the same object as the call that computed it; an
-object not in the cache gets a fresh computation at every call.
+object not in the cache gets a fresh computation at every call.  The maps
+of ``crossnest.bijections`` store the images they build through
+``_remember_built``, unwalked, since each is a permutation by
+construction; ``phi1`` and ``phi2`` seed their images' involution test,
+and no class test is ever seeded.
 
 ``distribution`` sums a monomial over a family, the ground truth the rest
 of the package is tested against; it lives here, beside the trees and
@@ -127,9 +131,10 @@ def is_permutation_word(word: Sequence[int]) -> bool:
 # since (True, 2) == (1, 2) and a bool is not a letter.  The entry's strong
 # reference keeps each object alive, so its id is not reused while stored.
 # _remember stores in turn along a ring of eight ids, which holds what one
-# object's round of calls validates (a path, its three images and a word)
-# with room to spare.  The facts are what _fact computed on the object so
-# far, keyed by the computation; they leave with the entry.
+# object's round of calls validates or builds (a path, its three images
+# and a word) with room to spare.  The facts are what _fact computed on the
+# object so far, or what it was built to be, keyed by the computation; they
+# leave with the entry.
 _VALIDATED: dict[int, tuple[object, dict]] = {}
 _VALIDATED_IDS = [0] * 8
 _VALIDATED_TURN = itertools.count()
@@ -144,26 +149,47 @@ def _passed(obj: object) -> bool:
     return entry is not None and entry[0] is obj
 
 
-def _remember(obj: object) -> None:
-    """Store ``obj``, which a validator has just passed and which cannot
-    change, with an empty fact table, evicting the object stored eight
-    calls before.
+def _remember(obj: object, facts: dict | None = None) -> None:
+    """Store ``obj``, which a validator has just passed or the package has
+    just built valid, and which cannot change, evicting the object stored
+    eight calls before.
+
+    Its fact table starts as ``facts``, a new dict the caller hands over
+    (what the object is known to be by construction), or empty.  The
+    table goes in with the entry in one assignment.
 
     Each step is one dict, list or counter operation and a lookup checks
     identity, so a race between threads can only cost a miss: it never
-    raises and never admits an object that no validator passed.
+    raises, never admits an object that was neither passed nor built
+    valid, and never shows an entry without its starting facts.
     """
     k = next(_VALIDATED_TURN) % len(_VALIDATED_IDS)
     _VALIDATED.pop(_VALIDATED_IDS[k], None)
     _VALIDATED_IDS[k] = key = id(obj)
-    _VALIDATED[key] = (obj, {})
+    _VALIDATED[key] = (obj, {} if facts is None else facts)
     if len(_VALIDATED) > len(_VALIDATED_IDS):  # only after racing stores
         _VALIDATED.clear()
 
 
+def _remember_built(
+    word: tuple[int, ...], facts: dict | None = None
+) -> tuple[int, ...]:
+    """``word``, a new exact tuple that the package built as a permutation,
+    stored with ``facts`` when it is long enough to be cached, so the next
+    entry point that takes it does not walk it.
+
+    Only facts that hold by construction belong in ``facts``: the maps
+    seed their images' involution test, never a class test.
+    """
+    if len(word) >= _CACHED_FROM:
+        _remember(word, facts)
+    return word
+
+
 def _fact(obj: object, compute: Callable):
-    """``compute(obj)`` for a word or path that a validator has passed,
-    remembered in ``obj``'s fact table while ``obj`` is in the cache.
+    """``compute(obj)`` for a word or path that a validator has passed or
+    the package has built, remembered in ``obj``'s fact table while
+    ``obj`` is in the cache.
 
     ``compute`` is one of the package's computations on a trusted object
     (``_is_involution``, a class rule's word test, a path's matchings or
@@ -192,14 +218,16 @@ def check_permutation(word: Sequence[int]) -> tuple[int, ...]:
 
     ``tuple(word)`` is the word itself when it is an exact tuple.  Such a
     tuple of 16 or more letters that passed is remembered, by a strong
-    reference, until eight more words or paths have passed, and is not
-    walked again meanwhile; the facts that ``_fact`` computes on it (its
+    reference, until eight more words or paths have been stored, and is
+    not walked again meanwhile; the facts that ``_fact`` computes on it (its
     involution test and class tests) are kept with it and leave with it.
     The lookup is by identity, never by equality, under which ``(True, 2)``
     would pass for ``(1, 2)``; a tuple of plain ints cannot change, so it
     stays valid.  Any other argument, a list say, makes a new tuple at
     every call, which is walked every time and never stored, since no
-    later call could hand the same copy back.
+    later call could hand the same copy back.  An image that a map of
+    ``crossnest.bijections`` built is stored already, by
+    ``_remember_built``, so its first check here is a hit.
     """
     w = tuple(word)
     cached = w is word and len(w) >= _CACHED_FROM
@@ -980,7 +1008,13 @@ def _check_head_tail(
     pairs: Sequence[tuple[int, int]], n: int
 ) -> tuple[tuple[int, int], ...]:
     """The pairs as a tuple, read once, when they have the head/tail shape
-    for size n; raise ValueError otherwise."""
+    for size n; raise ValueError otherwise.
+
+    Each pair is read once too: tuple pairs are checked and handed on as
+    they are, and when some pair is not a tuple (a list, an iterator),
+    every such pair is read into a new tuple by ``_read_pair`` and the
+    tuples are checked instead, so the rebuild unpacks what was checked.
+    """
     _check_size(n)
     try:
         pairs = tuple(pairs)
@@ -988,9 +1022,11 @@ def _check_head_tail(
         raise ValueError(f"not a sequence of (head, tail) pairs: {pairs!r}") from None
     prev_head = 0
     for pair in pairs:
+        if type(pair) is not tuple:
+            return _check_head_tail(tuple(map(_read_pair, pairs)), n)
         try:
             h, t = pair
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValueError(f"{pair!r} is not a (head, tail) pair") from None
         if type(h) is not int or type(t) is not int or not 1 <= t <= h <= n - 1:
             raise ValueError(f"pair ({h}, {t}) needs 1 <= tail <= head <= {n - 1}")
@@ -998,6 +1034,21 @@ def _check_head_tail(
             raise ValueError("heads must be strictly increasing")
         prev_head = h
     return pairs
+
+
+def _read_pair(pair: object) -> tuple:
+    """``pair`` if it is a tuple, else its items read once into a new one,
+    no deeper than it takes to refuse it; raise ValueError unless that
+    gives two items."""
+    if type(pair) is tuple:
+        return pair
+    try:
+        items = tuple(itertools.islice(pair, 3))
+    except TypeError:
+        items = ()
+    if len(items) != 2:
+        raise ValueError(f"{pair!r} is not a (head, tail) pair")
+    return items
 
 
 def permutation_from_head_tail(

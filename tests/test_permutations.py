@@ -1,13 +1,14 @@
 import collections
 import itertools
 import random
+import re
 import sys
 import threading
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_paths import random_path
+from test_paths import SHOWCASE_PATH, random_path
 
 import crossnest.bijections as bijections_module
 import crossnest.paths as paths_module
@@ -351,6 +352,10 @@ path_cases = st.one_of(
               st.integers(0, 2**32), st.integers(16, 30), st.integers(0, 15),
               st.sampled_from("uhdx")),
 )
+# Seeded random paths of 16-120 steps, long enough for the maps to store
+# their images.
+_rng = random.Random(36)
+LONG_BUILT_PATHS = [random_path(_rng, _rng.randint(16, 120)) for _ in range(200)]
 # Every public function that reads a fact of a word, and of a path.
 WORD_FACTS = tuple(lambda w, cls=cls: in_class(w, cls) for cls in PermClass) + (
     is_involution, perm_statistics, involution_shape_path, phi3_inverse)
@@ -606,9 +611,11 @@ class TestValidatedCache:
                                 counting(name, getattr(paths_module, "_" + name)))
         return calls
 
-    def test_one_objects_round_computes_each_fact_once(self, computations):
+    def test_one_objects_round_computes_each_fact_once(self, computations, walks):
         # The calls the benchmark's objects pipeline makes on one path, its
-        # three images and one word.
+        # three images and one word.  The maps store their images as they
+        # build them, phi1's and phi2's with the involution test passed, so
+        # no image is walked and only the word gets an involution test.
         rng = random.Random(34)
         path, perm = random_path(rng, 30), tuple(rng.sample(range(1, 31), 30))
         path_statistics(path)
@@ -623,8 +630,9 @@ class TestValidatedCache:
         perm_statistics(perm)
         head_tail_pairs(perm)
         contains_321(perm), contains_4321(perm), contains_3412(perm)
+        assert walks == {"word": 1, "path": 1}
         assert computations == {
-            "involution": [img1, img2, perm],
+            "involution": [perm],
             "I4321": [img1],
             "I3412": [img2],
             "S321B3142": [img3],
@@ -669,6 +677,43 @@ class TestValidatedCache:
             assert not _stored(copy)
         assert _facts(w) == facts
         assert set(permutations_module._VALIDATED) == stored
+
+    def test_built_images_hold_their_seeded_facts(self):
+        # phi1, phi2 and phi3 store their images unwalked, and phi1's and
+        # phi2's with the involution test passed.  Both rest on the
+        # construction alone, so each is checked here on a fresh copy of
+        # every image, never through the cache: for every path of length
+        # <= 12, which is not stored, and for long paths, which are.
+        involution = permutations_module._is_involution
+        for path in itertools.chain(*map(enumerate_paths, range(13)), LONG_BUILT_PATHS):
+            img1, img2, img3 = phi1(path), phi2(path), phi3(path)
+            for img in (img1, img2, img3):
+                assert is_permutation_word(tuple(list(img))), (path, img)
+            for img in (img1, img2):
+                assert involution(tuple(list(img))), (path, img)
+            if len(path) >= 16:
+                assert _facts(img1) == _facts(img2) == {involution: True}
+                assert _facts(img3) == {}
+            else:
+                assert not any(_stored(img) for img in (img1, img2, img3))
+
+    def test_fact_readers_agree_on_built_images(self):
+        # Every reader of a word's facts gives the same outcome on a stored
+        # image, seeded fact and all, as on an equal copy that no cache
+        # holds, and every fact left on an image is the one a fresh
+        # computation gives.  The copies are stored as they pass, so the
+        # images are read first.  Images under 16 letters are never stored,
+        # so only the long paths have anything to compare.
+        for path in LONG_BUILT_PATHS:
+            images = phi1(path, check=True), phi2(path, check=True), phi3(path, check=True)
+            on_images = [[_outcome(f, img) for f in WORD_FACTS] for img in images]
+            assert all(_stored(img) for img in images)
+            tables = [dict(_facts(img)) for img in images]
+            on_copies = [[_outcome(f, _copy(img)) for f in WORD_FACTS] for img in images]
+            assert on_images == on_copies, path
+            for img, table in zip(images, tables):
+                for compute, value in table.items():
+                    assert value == compute(_copy(img)), (path, img, compute)
 
 
 class TestStatistics:
@@ -1214,15 +1259,53 @@ class TestHeadTail:
             for rebuild in (permutation_from_head_tail, path_from_head_tail):
                 with pytest.raises(ValueError, match=f"^{message}$"):
                     rebuild(pairs, n)
+        # A pair that is an iterator is read once, so a malformed one gets
+        # the same messages, naming the iterator or the items it gave.
+        for items, n, message in (
+            ((1, 1, 1), 2, "{pair} is not a \\(head, tail\\) pair"),
+            ((1,), 2, "{pair} is not a \\(head, tail\\) pair"),
+            ((), 2, "{pair} is not a \\(head, tail\\) pair"),
+            ((0, 1), 3, r"pair \(0, 1\) needs 1 <= tail <= head <= 2"),
+            ((1, True), 3, r"pair \(1, True\) needs 1 <= tail <= head <= 2"),
+        ):
+            for rebuild in (permutation_from_head_tail, path_from_head_tail):
+                pair = iter(items)
+                with pytest.raises(ValueError, match="^" + message.format(
+                        pair=re.escape(repr(pair))) + "$"):
+                    rebuild([pair], n)
+        # A pair is read no deeper than it takes to refuse it, so an endless
+        # one is refused too.
+        for rebuild in (permutation_from_head_tail, path_from_head_tail):
+            pair = iter((1, 1, 1, 4))
+            with pytest.raises(ValueError, match=r"is not a \(head, tail\) pair$"):
+                rebuild([pair], 2)
+            assert list(pair) == [4]
 
     def test_pairs_are_read_once(self):
-        # An iterator of pairs is checked and rebuilt from the same reading.
+        # An iterator of pairs, and pairs that are iterators or lists, are
+        # checked and rebuilt from the same reading.
+        def readings(pairs):
+            yield iter(pairs)
+            yield [iter(p) for p in pairs]
+            yield iter([list(p) for p in pairs])
+            yield [iter(p) if k % 2 else p for k, p in enumerate(pairs)]
+
         for w in ((3, 2, 1), (2, 1, 4, 3), SHOWCASE_321):
-            pairs = head_tail_pairs(w)
-            assert permutation_from_head_tail(iter(pairs), len(w)) == w
-        for path in ("ud", "uhdud", "uudduhd"):
-            pairs = strip_decomposition(path)
-            assert path_from_head_tail(iter(pairs), len(path)) == path
+            for pairs in readings(head_tail_pairs(w)):
+                assert permutation_from_head_tail(pairs, len(w)) == w
+        for path in ("ud", "uhdud", "uudduhd", SHOWCASE_PATH):
+            for pairs in readings(strip_decomposition(path)):
+                assert path_from_head_tail(pairs, len(path)) == path
+        assert permutation_from_head_tail([iter((1, 1))], 2) == (2, 1)
+        assert path_from_head_tail([iter((1, 1))], 2) == "ud"
+        # Tuple pairs are handed on as they are, with no copy of any pair,
+        # also beside a pair that is read into a new tuple.
+        pairs = head_tail_pairs(SHOWCASE_321)
+        assert permutations_module._check_head_tail(pairs, 16) is pairs
+        checked = permutations_module._check_head_tail(list(pairs), 16)
+        assert all(a is b for a, b in zip(checked, pairs, strict=True))
+        mixed = permutations_module._check_head_tail([iter(pairs[0]), *pairs[1:]], 16)
+        assert mixed == pairs and all(a is b for a, b in zip(mixed[1:], pairs[1:]))
 
     def test_class_members_have_spread_tails_and_des_eq_exc(self):
         for n in range(8):
