@@ -18,34 +18,32 @@ Inversions, excedances, descents and fixed points are the usual ones, and
 
 4321 and 3412 each have one scan of prefix registers (West 1995), which
 the word test runs over the whole word (321 runs the 4321 scan behind a
-letter above them all).  The enumerators of ``I4321`` and ``I3412`` run no
-scan: an involution contains 4321 exactly when two of its 2-cycles nest,
-and 3412 exactly when two cross, so one involution tree serves all three
-involution families, each with its range of partners for the next 2-cycle,
-and leaves no dead subtree.  The barred 3-bar-1-42 is the vincular
-pattern 23-1 (Claesson 2001), tested in one pass, and the 321/barred
-avoiders have a generating tree without dead ends too.  Like
-``contains_classical``, the fast tests raise ValueError on a word that is
-not a permutation.  Each family is one ``_CLASS_RULES`` row, its word
-test (for ``in_class``, which validates the word once), its enumerator and
-its statistics tally; filtering every involution or permutation through the
-word tests is the enumerators' test reference.
+letter above them all).  The barred 3-bar-1-42 is the vincular pattern
+23-1 (Claesson 2001), tested in one pass.  Like ``contains_classical``,
+the fast tests raise ValueError on a word that is not a permutation.
+Each family is one ``_CLASS_RULES`` row: its word test (for ``in_class``,
+which validates the word once), its members and its statistics tally.
 
-The trees yield words alone.  The statistics of every family but ``ALL``
-come from one forward pass over its tree's states (``_state_pass``), not
-from its members: the future of a node depends only on a small state, so
-nodes with equal states merge, and the work grows with the distinct
-states, not with the members.  Each state carries its tally as {the
-other statistics, packed: the counts along the last one, packed}, one
-slot per value of the last statistic (nes, or inv for the 321/barred
-tree), as ``qmotzkin._PackedTableau`` packs its entries, so a step is one
-addition and one shift per entry.  A slot holds the size of the tree's
-base family (the involutions, or n!), and no count of nodes at one level
-exceeds the leaves below them, so no slot carries.  The involution state
-is the next free position and the set of open-arc ends past it; the
-321/barred state is the set of placed letters and whether the last one
-lies below the smallest unplaced letter.  Each statistic rule lives only
-in these passes.  ``_fp_exc_crs_nes_inv`` is the one statistics kernel
+Every family but ``ALL`` is one generating tree without dead subtrees,
+written once, as a factory of its root state and its ``moves``: each move
+names a child's level, state, statistics step and letter.  One involution
+tree serves the three involution families, each with its range of
+partners for the next 2-cycle, and runs no pattern scan: an involution
+contains 4321 exactly when two of its 2-cycles nest, and 3412 exactly
+when two cross.  ``_walk`` places the moves' letters depth first for
+``enumerate_class``; filtering every involution or permutation through
+the word tests is its test reference.  The statistics come from one
+forward pass over the same moves' states (``_state_pass``), not from the
+members: the future of a node depends only on its state, so nodes with
+equal states merge, and the work grows with the distinct states.  Each
+state carries its tally as {the other statistics, packed: the counts
+along the last one, packed}, one slot per value of the last statistic
+(nes, or inv for the 321/barred tree), as ``qmotzkin._PackedTableau``
+packs its entries, so a step is one addition and one shift per entry.
+A slot holds the size of the tree's base family (the involutions, or
+n!), and no count of nodes at one level exceeds the leaves below them,
+so no slot carries.  Each statistic rule lives only in these moves.
+``_fp_exc_crs_nes_inv`` is the one statistics kernel
 that ``perm_statistics``, ``ALL``'s distribution and the oracle checks
 run: one left-to-right pass with sets of letters and positions as
 bitmasks, O(n) big-int operations on n-bit masks.  The O(n^2) loop over
@@ -400,21 +398,22 @@ def contains_classical(word: Sequence[int], pattern: Sequence[int]) -> bool:
     if not p:
         raise ValueError("pattern must be nonempty")
     n, k = len(w), len(p)
-    if k > n:
-        return False
-
-    def extend(start: int, chosen: tuple[int, ...]) -> bool:
+    # Depth first without recursion: chosen holds the positions matched to
+    # p[0], p[1], ..., and pos is the next position to try for the next one.
+    chosen: list[int] = []
+    pos = 0
+    while len(chosen) < k:
         m = len(chosen)
-        if m == k:
-            return True
-        for pos in range(start, n - (k - m) + 1):
+        if pos <= n - (k - m):
             v = w[pos]
-            if all((v > c) == (p[m] > p[t]) for t, c in enumerate(chosen)):
-                if extend(pos + 1, chosen + (v,)):
-                    return True
-        return False
-
-    return extend(0, ())
+            if all((v > w[c]) == (p[m] > p[t]) for t, c in enumerate(chosen)):
+                chosen.append(pos)
+            pos += 1
+        elif chosen:
+            pos = chosen.pop() + 1
+        else:
+            return False
+    return True
 
 
 def contains_321(word: Sequence[int]) -> bool:
@@ -490,16 +489,24 @@ def _member_named(kind: type[enum.Enum], name: str, noun: str):
     raise ValueError(f"unknown {noun} {name!r} (known: {known})")
 
 
-def _involutions(
+def _next_free(i: int, arcs: int) -> tuple[int, int]:
+    # The first free position past i, where arcs has a bit for each filled
+    # position past i, and the arcs still open over it.
+    past = arcs >> (i + 1)
+    k = i + (~past & (past + 1)).bit_length()
+    return k, arcs & (-1 << k)
+
+
+def _involution_tree(
     n: int, partners: Callable[[int, int, int], tuple[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    # Pair the first free (zero) position i with itself, a fixed point, and
-    # then with each free j in range(lo, hi), the family's partner range
-    # lo, hi = partners(i, arcs, n); this order is lexicographic.  arcs has
-    # bit b for each 2-cycle (a b) with a < i < b, an arc still open over i;
-    # these b are exactly the filled positions past i.  An involution holds
-    # 4321 exactly when two of its 2-cycles nest, and 3412 exactly when two
-    # cross:
+) -> tuple:
+    # (start, moves, w, fields, slot) of the involution tree whose partner
+    # range is lo, hi = partners(i, arcs, n).  A node at level i has the
+    # positions before i filled; its state arcs has bit b for each 2-cycle
+    # (a b) with a < i < b, and these b are the filled positions past i.
+    # Its children leave i fixed, then pair it with each free j in range(lo,
+    # hi).  An involution holds 4321 exactly when two of its 2-cycles nest,
+    # and 3412 exactly when two cross:
     # * Nested 2-cycles a < c < d < b read b d c a, crossing ones
     #   a < c < b < d read b d a c.
     # * With no nesting, the letters at openers rise, the letters at
@@ -511,64 +518,21 @@ def _involutions(
     #   3412 is sum-indecomposable, so an occurrence lies in one summand,
     #   and in the block it can use neither b, first and largest, nor 1,
     #   last and smallest; induction on s and t gives the rest.
-    # A new 2-cycle (i j) nests under each open arc that closes after j and
-    # crosses each one that closes before it, so I4321 takes its partners
-    # past every open arc and I3412 before the first open arc closes; every
-    # position there is free.  Every pairing offered completes to a member
-    # (fixed points at the free positions left), so no subtree is dead.
-    # The tree carries no statistics: what follows a node depends only on
-    # (i, arcs), and ``_involution_tally`` counts them over those states.
-    word = [0] * n
-    stack: list[tuple] = []
-    i = j = arcs = 0
-    lo, hi = partners(0, 0, n) if n else (0, 0)
-    while True:
-        if j < hi:
-            word[i], word[j] = j + 1, i + 1
-            stack.append((i, j, lo, hi, arcs))
-            if j > i:
-                arcs |= 1 << j
-            i, arcs = _next_free(i, arcs)
-            lo, hi = partners(i, arcs, n) if i < n else (0, 0)
-            j = i
-            continue
-        if i == n:
-            yield tuple(word)
-        if not stack:
-            return
-        i, j, lo, hi, arcs = stack.pop()
-        word[i] = word[j] = 0
-        j = lo if j == i else j + 1
-        while j < hi and word[j]:
-            j += 1
-
-
-def _next_free(i: int, arcs: int) -> tuple[int, int]:
-    # The first free position past i, where arcs has a bit for each filled
-    # position past i, and the arcs still open over it.
-    past = arcs >> (i + 1)
-    k = i + (~past & (past + 1)).bit_length()
-    return k, arcs & (-1 << k)
-
-
-def _involution_tally(
-    n: int, partners: Callable[[int, int, int], tuple[int, int]]
-) -> dict[tuple[int, int, int, int], int]:
-    # The (fp, exc, crs, nes) tally of _involutions(n, partners), over its
-    # states (i, arcs) in ascending i.  A fixed point under an open arc makes
-    # one nesting with it, and a new 2-cycle (i j) makes two crossings with
-    # each open arc that closes before j and two nestings with each one that
-    # closes after it (Flajolet 1980: the open arcs are the height of the
-    # path).  The state keeps where each arc closes, not just how many are
-    # open, since that fixes which later pairings cross or nest them.  Each
-    # move adds to the key (fp, exc, crs) and shifts along nes; a count is
-    # at most I(n), the number of involutions, which sizes the slot.
+    # A new 2-cycle (i j) nests under each open arc closing after j and
+    # crosses each one closing before it, so I4321 takes its partners past
+    # every open arc and I3412 before the first one closes, all free, and
+    # every pairing completes to a member: no subtree is dead.  A fixed
+    # point under an open arc makes one nesting with it, and (i j) two
+    # crossings or two nestings with each (Flajolet 1980: the open arcs are
+    # the height of the path), so the state keeps where each arc closes.
+    # A move adds to the key (fp, exc, crs) and shifts along nes; a count
+    # is at most I(n), the number of involutions, which sizes the slot.
     w = _stat_width(n)
     slot = _slot_bytes(_involution_count(n))
     exc, crs, nes = 1 << w, 1 << 2 * w, 8 * slot  # key units; fp's is 1
 
-    def moves(i: int, arcs: int) -> Iterator[tuple[int, int, int, int]]:
-        yield (*_next_free(i, arcs), 1, nes * arcs.bit_count())
+    def moves(i: int, arcs: int) -> Iterator[tuple[int, int, int, int, int]]:
+        yield (*_next_free(i, arcs), 1, nes * arcs.bit_count(), i + 1)
         lo, hi = partners(i, arcs, n)
         for j in range(lo, hi):
             bit = 1 << j
@@ -576,9 +540,9 @@ def _involution_tally(
                 outer = (arcs >> j).bit_count()
                 crossed = arcs.bit_count() - outer
                 yield (*_next_free(i, arcs | bit), exc + 2 * crs * crossed,
-                       2 * nes * outer)
+                       2 * nes * outer, j + 1)
 
-    return _state_pass(n, 0, moves, w, 3, slot)
+    return 0, moves, w, 3, slot
 
 
 def _involution_count(n: int) -> int:
@@ -646,77 +610,44 @@ def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | No
     return seen, low, banned
 
 
-def _avoiders_321_barred_3142(n: int) -> Iterator[tuple[int, ...]]:
-    # Every letter not yet placed comes later.  A word holds 321 or 23-1
-    # exactly when some letter v has a later letter x < v and (a) a larger
-    # letter before it, or (b) just before it a letter between x and v.  So
-    # with s the smallest unplaced letter, v may follow a prefix when v = s,
-    # or when v is above every placed letter and the last one is below s
-    # (_next_letters).  s is always a child, so no branch dies.  The tree
-    # carries no statistics: what follows a node depends only on (placed,
-    # last < s), and ``_avoider_tally`` counts them over those states.
-    if n == 0:
-        yield ()
-        return
-    word = [0] * n
-    # Frame i chooses the letter at position i: (bits of the placed letters
-    # and of 0, untried letters with the next one last).
-    stack = [(1, _next_letters(1, True, n)[::-1])]
-    while stack:
-        placed, untried = stack[-1]
-        if not untried:
-            stack.pop()
-            continue
-        i = len(stack)
-        v = word[i - 1] = untried.pop()
-        if i == n:
-            yield tuple(word)
-            continue
-        placed |= 1 << v
-        low = v < _lowest_gap(placed)
-        stack.append((placed, _next_letters(placed, low, n)[::-1]))
-
-
-def _lowest_gap(placed: int) -> int:
-    # The smallest letter not in placed, which has bit 0 set.
-    return (~placed & (placed + 1)).bit_length() - 1
-
-
-def _next_letters(placed: int, low: bool, n: int) -> list[int]:
-    # The letters that may follow a 321/barred prefix, in increasing order:
-    # the smallest unplaced letter s, and when the last letter is below s
-    # (low), every letter above the largest placed one.
-    s = _lowest_gap(placed)
-    return [s, *range(max(placed.bit_length(), s + 1), n + 1)] if low else [s]
-
-
-def _avoider_tally(n: int) -> dict[tuple[int, int, int, int], int]:
-    # The (fp, exc, crs, nes) tally of _avoiders_321_barred_3142(n), over its
-    # states (placed, low) in ascending length.  The pass carries fp, exc
-    # and inv: letter v makes an inversion with each placed letter above it.
-    # A member avoids 321, so it has no nesting, and inv = exc + crs + 2 nes
-    # gives crs (the oracle rows class-nonnesting and inv-identity check
-    # both against the kernel).  Each move adds to the key (fp, exc) and
-    # shifts along inv; a count is at most n!, which sizes the slot.
+def _avoider_tree(n: int) -> tuple:
+    # (start, moves, w, fields, slot) of the 321/barred tree.  Every letter
+    # not yet placed comes later.  A word holds 321 or 23-1 exactly when
+    # some letter v has a later letter x < v and (a) a larger letter before
+    # it, or (b) just before it a letter between x and v.  So with s the
+    # smallest unplaced letter, v may follow a prefix when v = s, or when v
+    # is above every placed letter and the last one is below s.  s is always
+    # a child, so no branch dies, and the state is (placed, last < s), with
+    # bit 0 set in placed.  The pass carries fp, exc and inv: letter v makes
+    # an inversion with each placed letter above it.  Each move adds to the
+    # key (fp, exc) and shifts along inv; a count is at most n!, which sizes
+    # the slot.
     w = _stat_width(n)
     slot = _slot_bytes(math.factorial(n))
     exc, inv = 1 << w, 8 * slot  # key units; fp's is 1
 
     def moves(i: int, state: tuple[int, bool]) -> Iterator[tuple]:
-        # The children of _next_letters(placed, low, n).  The smallest
-        # unplaced letter s is at most i + 1, a fixed point when equal, and
-        # leaves the next smallest above it, so its child is low.  Every
-        # other letter lies above s and all i placed ones, so past i + 1: an
-        # excedance with no inversion, and the smallest unplaced is still s.
+        # s is at most i + 1, a fixed point when equal, and leaves the next
+        # smallest above it, so its child is low.  Every other letter lies
+        # above s and all i placed ones, so past i + 1: an excedance with no
+        # inversion, and the smallest unplaced is still s.
         placed, low = state
-        s = _lowest_gap(placed)
+        s = (~placed & (placed + 1)).bit_length() - 1
         yield (i + 1, (placed | 1 << s, True), 1 if s == i + 1 else 0,
-               inv * (placed >> s).bit_count())
+               inv * (placed >> s).bit_count(), s)
         if low:
             for v in range(max(placed.bit_length(), s + 1), n + 1):
-                yield i + 1, (placed | 1 << v, False), exc, 0
+                yield i + 1, (placed | 1 << v, False), exc, 0, v
 
-    tally = _state_pass(n, (1, True), moves, w, 2, slot)
+    return (1, True), moves, w, 2, slot
+
+
+def _avoider_tally(n: int) -> dict[tuple[int, int, int, int], int]:
+    # The (fp, exc, crs, nes) tally of the 321/barred tree.  A member avoids
+    # 321, so it has no nesting, and inv = exc + crs + 2 nes gives crs (the
+    # oracle rows class-nonnesting and inv-identity check both against the
+    # kernel).
+    tally = _state_pass(n, *_avoider_tree(n))
     return {(fp, e, iv - e, 0): count for (fp, e, iv), count in tally.items()}
 
 
@@ -733,8 +664,9 @@ def _state_pass(
 
     A state stands for all the nodes whose subtrees it determines; the
     root has state ``start`` at level 0, and the leaves sit at level n.
-    ``moves(i, state)`` yields (level, state, key delta, shift) per child of
-    a node at level i, each at a higher level.  Levels run in ascending
+    ``moves(i, state)`` yields (level, state, key delta, shift, letter) per
+    child of a node at level i, each at a higher level; the pass ignores
+    the letter, which ``_walk`` places.  Levels run in ascending
     order, so nodes with equal states are stepped together, not one member
     at a time, and no level is kept once it has been read.
 
@@ -755,7 +687,7 @@ def _state_pass(
     for i in range(n):
         level, levels[i] = levels[i], None
         for state, tally in level.items():
-            for k, new, dk, ds in moves(i, state):
+            for k, new, dk, ds, _ in moves(i, state):
                 target = levels[k].get(new)
                 if target is None:
                     levels[k][new] = {key + dk: c << ds for key, c in tally.items()}
@@ -777,6 +709,34 @@ def _state_pass(
     return leaves
 
 
+def _walk(
+    n: int, start: object, moves: Callable, involutive: bool
+) -> Iterator[tuple[int, ...]]:
+    # The leaves of a generating tree as words, depth first, by a stack of
+    # move iterators: a child places its letter v at its parent's level i,
+    # and in an involution tree i + 1 at position v too, so each position is
+    # written on the way to a leaf.  Moves come in increasing letter, so the
+    # words come in lexicographic order.
+    if n == 0:
+        yield ()
+        return
+    word = [0] * n
+    stack = [(0, moves(0, start))]
+    while stack:
+        i, children = stack[-1]
+        for k, state, _, _, v in children:
+            word[i] = v
+            if involutive:
+                word[v - 1] = i + 1
+            if k == n:
+                yield tuple(word)
+            else:
+                stack.append((k, moves(k, state)))
+                break
+        else:
+            stack.pop()
+
+
 def _kernel_tally(n: int) -> Counter:
     # ALL: the statistics kernel over every word of S_n.
     words = enumerate_class(n, PermClass.ALL)
@@ -784,36 +744,41 @@ def _kernel_tally(n: int) -> Counter:
 
 
 class _ClassRule(NamedTuple):
-    involutive: bool  # drawn from the involutions
+    involutive: bool  # drawn from the involutions; _walk writes both ends
     avoids: Callable | None  # word test for in_class, trusting it to validate
     members: Callable  # size n -> the members in lexicographic order
     tally: Callable  # size n -> {(fp, exc, crs, nes): number of members}
+
+
+def _tree_rule(involutive: bool, avoids, tree: Callable, tally=None) -> _ClassRule:
+    # A family grown by tree(n) = (start, moves, w, fields, slot): the walk
+    # over the moves, and the pass over their states (or ``tally``, its own).
+    return _ClassRule(
+        involutive, avoids,
+        lambda n: _walk(n, *tree(n)[:2], involutive),
+        tally or (lambda n: _state_pass(n, *tree(n))),
+    )
 
 
 _CLASS_RULES = {
     PermClass.ALL: _ClassRule(
         False, None, lambda n: itertools.permutations(range(1, n + 1)), _kernel_tally
     ),
-    PermClass.INVOLUTIONS: _ClassRule(
-        True, None,
-        lambda n: _involutions(n, _free_partners),
-        lambda n: _involution_tally(n, _free_partners),
+    PermClass.INVOLUTIONS: _tree_rule(
+        True, None, lambda n: _involution_tree(n, _free_partners)
     ),
-    PermClass.I4321: _ClassRule(
+    PermClass.I4321: _tree_rule(
         True, lambda w: _grow_4321((0, 0, 0), w) is not None,
-        lambda n: _involutions(n, _nonnesting_partners),
-        lambda n: _involution_tally(n, _nonnesting_partners),
+        lambda n: _involution_tree(n, _nonnesting_partners),
     ),
-    PermClass.I3412: _ClassRule(
+    PermClass.I3412: _tree_rule(
         True, lambda w: _grow_3412((0, 0, 0), w) is not None,
-        lambda n: _involutions(n, _noncrossing_partners),
-        lambda n: _involution_tally(n, _noncrossing_partners),
+        lambda n: _involution_tree(n, _noncrossing_partners),
     ),
-    PermClass.S321_B3142: _ClassRule(
+    PermClass.S321_B3142: _tree_rule(
         False,
         lambda w: _grow_4321((len(w) + 1, 0, 0), w) is not None and _avoids_23_1(w),
-        _avoiders_321_barred_3142,
-        _avoider_tally,
+        _avoider_tree, _avoider_tally,
     ),
 }
 
@@ -837,16 +802,15 @@ def _class_rule(cls: PermClass) -> _ClassRule:
 def enumerate_class(n: int, cls: PermClass) -> Iterator[tuple[int, ...]]:
     """Yield the family's members of size n in lexicographic order.
 
-    ``ALL`` runs ``itertools.permutations``.  The other families grow their
-    members left to right in generating trees without dead subtrees: every
-    prefix the tree keeps has a member below it.  ``I4321`` pairs the next
-    free position only past the end of every open 2-cycle (no two nest),
-    and ``I3412`` only before the first one ends (no two cross).
-    Filtering every involution or permutation through ``in_class``, which
-    runs the pattern scans, is the test reference.  The trees yield words
-    alone; ``distribution`` reads their statistics off a pass over the
-    trees' states instead, and counting over these words is its test
-    reference.
+    ``ALL`` runs ``itertools.permutations``.  The other families walk the
+    moves of their generating trees, which have no dead subtrees, placing
+    each child's letter left to right.  ``I4321`` pairs the next free
+    position only past the end of every open 2-cycle (no two nest), and
+    ``I3412`` only before the first one ends (no two cross).  Filtering
+    every involution or permutation through ``in_class``, which runs the
+    pattern scans, is the test reference.  ``distribution`` steps the same
+    moves over the trees' states, and counting over these words is its
+    test reference.
 
     >>> list(enumerate_class(3, PermClass.S321_B3142))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]

@@ -39,6 +39,7 @@ class PowerSeries:
     __slots__ = ("variables", "coeffs")
 
     def __init__(self, variables: Sequence[str], coeffs: Sequence[MultiPoly]):
+        coeffs = tuple(coeffs)  # read an iterator once
         if not coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
         variables = tuple(variables)
@@ -48,7 +49,7 @@ class PowerSeries:
             if c.variables != variables:
                 raise ValueError("coefficient variables do not match series")
         object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PowerSeries is immutable")

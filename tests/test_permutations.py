@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import re
 import sys
@@ -208,7 +209,7 @@ def dict_state_pass(n, start, moves, w, fields, slot, peak=None):
     levels[0][start] = {0: 1}
     for i in range(n):
         for state, tally in levels[i].items():
-            for k, new, dk, ds in moves(i, state):
+            for k, new, dk, ds, _ in moves(i, state):
                 d = dk + (ds // (8 * slot) << w * fields)
                 target = levels[k].setdefault(new, {})
                 for key, c in tally.items():
@@ -804,6 +805,14 @@ class TestPatterns:
     def test_pattern_longer_than_word(self):
         assert not contains_classical((1,), (1, 2))
 
+    def test_long_pattern_without_recursion(self):
+        # One letter of the pattern is one level of the search, and 1,100
+        # levels are past the interpreter's default recursion limit.
+        identity = tuple(range(1, 1101))
+        assert contains_classical(identity, identity)
+        swapped = (*identity[:-2], 1100, 1099)
+        assert not contains_classical(swapped, identity)
+
     def test_specialized_checks_match_generic(self):
         for n in range(7):
             for w in itertools.permutations(range(1, n + 1)):
@@ -917,6 +926,16 @@ class TestClasses:
             for n in range(sizes.get(cls, 10)):
                 expected = list(filtered_class(n, cls))
                 assert list(enumerate_class(n, cls)) == expected, (cls, n)
+
+    def test_member_counts_past_the_filtered_reference(self):
+        # The three Motzkin families at n = 13, and the involutions at
+        # n = 11 against I(n) = sum over k of n! / (k! (n - 2k)! 2^k).
+        for cls in (PermClass.I4321, PermClass.I3412, PermClass.S321_B3142):
+            assert sum(1 for _ in enumerate_class(13, cls)) == motzkin_number(13)
+        f = math.factorial
+        involutions = sum(f(11) // (f(k) * f(11 - 2 * k) * 2**k) for k in range(6))
+        assert involutions == 35696
+        assert sum(1 for _ in enumerate_class(11, PermClass.INVOLUTIONS)) == involutions
 
     @pytest.mark.parametrize("cls, machine", [
         (PermClass.I4321, "_grow_4321"), (PermClass.I3412, "_grow_3412"),

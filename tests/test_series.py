@@ -178,6 +178,14 @@ class TestPowerSeries:
     def test_needs_the_constant_term(self):
         with pytest.raises(ValueError, match=r"^a series needs at least the t\^0 "):
             PowerSeries(("q",), [])
+        with pytest.raises(ValueError, match=r"^a series needs at least the t\^0 "):
+            PowerSeries(("q",), iter(()))
+
+    def test_coefficients_from_an_iterator(self):
+        one = MultiPoly.one(("q",))
+        s = PowerSeries(("q",), (one for _ in range(3)))
+        assert s.order == 2 and s.coeffs == (one, one, one)
+        assert s == PowerSeries(("q",), [one] * 3)
 
     def test_value(self):
         s = named_series("Mtilde", 5)
