@@ -42,7 +42,11 @@ along the last one, packed}, one slot per value of the last statistic
 packs its entries, so a step is one addition and one shift per entry.
 A slot holds the size of the tree's base family (the involutions, or
 n!), and no count of nodes at one level exceeds the leaves below them,
-so no slot carries.  Each statistic rule lives only in these moves.
+so no slot carries; the walk reads no shift, so only the pass sizes a
+slot.  The leaves' packed entries become the joint distribution in
+``MultiPoly._from_slots``, with no statistics tuple built: the 321/barred
+tree's inv slots are read as crs = inv - exc by starting each run at
+p^-exc.  Each statistic rule lives only in these moves.
 ``_fp_exc_crs_nes_inv`` is the one statistics kernel
 that ``perm_statistics``, ``ALL``'s distribution and the oracle checks
 run: one left-to-right pass with sets of letters and positions as
@@ -82,10 +86,13 @@ their state passes, with ``StatSpec`` and the size guard, and
 above a guard (default 12, override with the CROSSNEST_ENUM_LIMIT
 environment variable or allow_large=True) are refused with
 ``SizeLimitError`` rather than silently churning.  Every statistic is a
-projection of one (fp, exc, crs, nes) tally, so each family and size is
-tallied once per process: ``_family_tally`` keeps the last 64 as immutable
-tuples, and ``distribution`` reads it only after the guard.  The uncached
-rule tally, ``_CLASS_RULES[cls].tally(n)``, is its test reference.
+projection of one joint distribution, a ``MultiPoly`` over x, y, p, q
+marking (fp, exc, crs, nes), so each family and size is tallied once per
+process: ``_family_tally`` keeps the last 64, immutable, and
+``distribution`` reads it only after the guard, returns it as it is for the
+joint statistic and maps its exponents (``MultiPoly._image``) for the
+others.  The uncached rule tally, ``_CLASS_RULES[cls].tally(n)``, is its
+test reference.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .polynomials import MultiPoly, _check_size, _slot_bytes, _slot_coeffs
+from .polynomials import MultiPoly, _check_size, _slot_bytes
 
 
 def is_permutation_word(word: Sequence[int]) -> bool:
@@ -498,9 +505,9 @@ def _next_free(i: int, arcs: int) -> tuple[int, int]:
 
 
 def _involution_tree(
-    n: int, partners: Callable[[int, int, int], tuple[int, int]]
+    n: int, partners: Callable[[int, int, int], tuple[int, int]], sized: bool
 ) -> tuple:
-    # (start, moves, w, fields, slot) of the involution tree whose partner
+    # (start, moves, w, units, slot) of the involution tree whose partner
     # range is lo, hi = partners(i, arcs, n).  A node at level i has the
     # positions before i filled; its state arcs has bit b for each 2-cycle
     # (a b) with a < i < b, and these b are the filled positions past i.
@@ -526,9 +533,10 @@ def _involution_tree(
     # crossings or two nestings with each (Flajolet 1980: the open arcs are
     # the height of the path), so the state keeps where each arc closes.
     # A move adds to the key (fp, exc, crs) and shifts along nes; a count
-    # is at most I(n), the number of involutions, which sizes the slot.
+    # is at most I(n), the number of involutions, which sizes the slot when
+    # the tree is ``sized`` for the pass (the walk reads no shift).
     w = _stat_width(n)
-    slot = _slot_bytes(_involution_count(n))
+    slot = _slot_bytes(_involution_count(n)) if sized else 0
     exc, crs, nes = 1 << w, 1 << 2 * w, 8 * slot  # key units; fp's is 1
 
     def moves(i: int, arcs: int) -> Iterator[tuple[int, int, int, int, int]]:
@@ -542,7 +550,7 @@ def _involution_tree(
                 yield (*_next_free(i, arcs | bit), exc + 2 * crs * crossed,
                        2 * nes * outer, j + 1)
 
-    return 0, moves, w, 3, slot
+    return 0, moves, w, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), slot
 
 
 def _involution_count(n: int) -> int:
@@ -610,8 +618,8 @@ def _grow_3412(regs: tuple[int, int, int], letters: Sequence[int]) -> tuple | No
     return seen, low, banned
 
 
-def _avoider_tree(n: int) -> tuple:
-    # (start, moves, w, fields, slot) of the 321/barred tree.  Every letter
+def _avoider_tree(n: int, sized: bool) -> tuple:
+    # (start, moves, w, units, slot) of the 321/barred tree.  Every letter
     # not yet placed comes later.  A word holds 321 or 23-1 exactly when
     # some letter v has a later letter x < v and (a) a larger letter before
     # it, or (b) just before it a letter between x and v.  So with s the
@@ -621,9 +629,15 @@ def _avoider_tree(n: int) -> tuple:
     # bit 0 set in placed.  The pass carries fp, exc and inv: letter v makes
     # an inversion with each placed letter above it.  Each move adds to the
     # key (fp, exc) and shifts along inv; a count is at most n!, which sizes
-    # the slot.
+    # the slot when the tree is ``sized``.  A member avoids 321, so it has no
+    # nesting, and inv = exc + crs + 2 nes gives crs = inv - exc: exc's unit
+    # is y/p, so each key's run of inv slots starts at p^-exc.  No member
+    # lands below p^0, since each excedance i starts an inversion: only i - 1
+    # of the word[i] - 1 >= i letters below word[i] fit before i.  (The
+    # oracle rows class-nonnesting and inv-identity check both against the
+    # kernel.)
     w = _stat_width(n)
-    slot = _slot_bytes(math.factorial(n))
+    slot = _slot_bytes(math.factorial(n)) if sized else 0
     exc, inv = 1 << w, 8 * slot  # key units; fp's is 1
 
     def moves(i: int, state: tuple[int, bool]) -> Iterator[tuple]:
@@ -639,16 +653,7 @@ def _avoider_tree(n: int) -> tuple:
             for v in range(max(placed.bit_length(), s + 1), n + 1):
                 yield i + 1, (placed | 1 << v, False), exc, 0, v
 
-    return (1, True), moves, w, 2, slot
-
-
-def _avoider_tally(n: int) -> dict[tuple[int, int, int, int], int]:
-    # The (fp, exc, crs, nes) tally of the 321/barred tree.  A member avoids
-    # 321, so it has no nesting, and inv = exc + crs + 2 nes gives crs (the
-    # oracle rows class-nonnesting and inv-identity check both against the
-    # kernel).
-    tally = _state_pass(n, *_avoider_tree(n))
-    return {(fp, e, iv - e, 0): count for (fp, e, iv), count in tally.items()}
+    return (1, True), moves, w, ((1, 0, 0, 0), (0, 1, -1, 0)), slot
 
 
 def _stat_width(n: int) -> int:
@@ -657,10 +662,16 @@ def _stat_width(n: int) -> int:
     return max(1, (n * n).bit_length())
 
 
+# The variables of the joint (fp, exc, crs, nes) distribution, which every
+# family's tally is and every StatSpec projects.
+_JOINT = ("x", "y", "p", "q")
+
+
 def _state_pass(
-    n: int, start: object, moves: Callable, w: int, fields: int, slot: int
-) -> dict[tuple[int, ...], int]:
-    """The tally of a generating tree's leaves, by one pass over its states.
+    n: int, start: object, moves: Callable, w: int, units: tuple, slot: int
+) -> MultiPoly:
+    """The joint distribution of a generating tree's leaves, by one pass
+    over its states.
 
     A state stands for all the nodes whose subtrees it determines; the
     root has state ``start`` at level 0, and the leaves sit at level n.
@@ -670,17 +681,22 @@ def _state_pass(
     order, so nodes with equal states are stepped together, not one member
     at a time, and no level is kept once it has been read.
 
-    Each state holds {key: counts}: the key packs the first ``fields``
-    statistics, w bits each, the first lowest, and the counts are the
-    number of nodes at each value of the last statistic, one slot of
-    ``slot`` bytes per value, lowest first, as in ``qmotzkin._PackedTableau``.
+    Each state holds {key: counts}: the key packs the first statistics, w
+    bits each, the first lowest, one per exponent tuple in ``units``, and
+    the counts are the number of nodes at each value of the last statistic,
+    one slot of ``slot`` bytes per value, lowest first, as in
+    ``qmotzkin._PackedTableau``.
     So a child adds its key delta to each key and shifts the counts left by
     its shift, 8 * ``slot`` bits per unit of the last statistic.  No slot
     carries: every count, and every partial sum of a merge, counts distinct
     nodes at one level; each has a leaf below it (no tree has a dead
     subtree), and their leaf sets are disjoint, so no count exceeds the
-    number of leaves, nor the bound that sized the slot (``_slot_bytes``).  The
-    leaves come back as {statistics tuple, the last one last: count}.
+    number of leaves, nor the bound that sized the slot (``_slot_bytes``).
+
+    The leaves' entries, summed per key, go to ``MultiPoly._from_slots`` as
+    they are: a polynomial over ``_JOINT`` in which each key field stands
+    for the monomial of its unit and the last statistic is the variable
+    after the units', so no statistics tuple is built.
     """
     levels: list = [{} for _ in range(n + 1)]
     levels[0][start] = {0: 1}
@@ -699,14 +715,8 @@ def _state_pass(
     for tally in levels[n].values():
         for key, counts in tally.items():
             total[key] = total.get(key, 0) + counts
-    mask = (1 << w) - 1
-    leaves = {}
-    for key, counts in total.items():
-        stats = tuple([key >> (w * f) & mask for f in range(fields)])
-        for last, c in enumerate(_slot_coeffs(counts, slot)):
-            if c:
-                leaves[(*stats, last)] = c
-    return leaves
+    return MultiPoly._from_slots(_JOINT, len(units), total.items(), slot, 0,
+                                 (w, units))
 
 
 def _walk(
@@ -737,26 +747,27 @@ def _walk(
             stack.pop()
 
 
-def _kernel_tally(n: int) -> Counter:
+def _kernel_tally(n: int) -> MultiPoly:
     # ALL: the statistics kernel over every word of S_n.
     words = enumerate_class(n, PermClass.ALL)
-    return Counter(_fp_exc_crs_nes_inv(w)[:4] for w in words)
+    tally = Counter(_fp_exc_crs_nes_inv(w)[:4] for w in words)
+    return MultiPoly.from_terms(_JOINT, tally)
 
 
 class _ClassRule(NamedTuple):
     involutive: bool  # drawn from the involutions; _walk writes both ends
     avoids: Callable | None  # word test for in_class, trusting it to validate
     members: Callable  # size n -> the members in lexicographic order
-    tally: Callable  # size n -> {(fp, exc, crs, nes): number of members}
+    tally: Callable  # size n -> the joint distribution, a MultiPoly on _JOINT
 
 
-def _tree_rule(involutive: bool, avoids, tree: Callable, tally=None) -> _ClassRule:
-    # A family grown by tree(n) = (start, moves, w, fields, slot): the walk
-    # over the moves, and the pass over their states (or ``tally``, its own).
+def _tree_rule(involutive: bool, avoids, tree: Callable) -> _ClassRule:
+    # A family grown by tree(n, sized) = (start, moves, w, units, slot): the
+    # walk over the moves, unsized, and the pass over their states.
     return _ClassRule(
         involutive, avoids,
-        lambda n: _walk(n, *tree(n)[:2], involutive),
-        tally or (lambda n: _state_pass(n, *tree(n))),
+        lambda n: _walk(n, *tree(n, False)[:2], involutive),
+        lambda n: _state_pass(n, *tree(n, True)),
     )
 
 
@@ -765,32 +776,32 @@ _CLASS_RULES = {
         False, None, lambda n: itertools.permutations(range(1, n + 1)), _kernel_tally
     ),
     PermClass.INVOLUTIONS: _tree_rule(
-        True, None, lambda n: _involution_tree(n, _free_partners)
+        True, None, lambda n, sized: _involution_tree(n, _free_partners, sized)
     ),
     PermClass.I4321: _tree_rule(
         True, lambda w: _grow_4321((0, 0, 0), w) is not None,
-        lambda n: _involution_tree(n, _nonnesting_partners),
+        lambda n, sized: _involution_tree(n, _nonnesting_partners, sized),
     ),
     PermClass.I3412: _tree_rule(
         True, lambda w: _grow_3412((0, 0, 0), w) is not None,
-        lambda n: _involution_tree(n, _noncrossing_partners),
+        lambda n, sized: _involution_tree(n, _noncrossing_partners, sized),
     ),
     PermClass.S321_B3142: _tree_rule(
         False,
         lambda w: _grow_4321((len(w) + 1, 0, 0), w) is not None and _avoids_23_1(w),
-        _avoider_tree, _avoider_tally,
+        _avoider_tree,
     ),
 }
 
 
 @lru_cache(maxsize=64)
-def _family_tally(cls: PermClass, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    # The rule's tally of family cls at size n as ((fp, exc, crs, nes),
-    # count) pairs, shared by every StatSpec.  A tuple, so no caller can
-    # change what the next one reads.  64 entries, as for
-    # qmotzkin._slot_for_shape, hold the oracle's distributions suite (32 at
-    # its full bounds).  Callers validate cls and n and apply the guard first.
-    return tuple(_CLASS_RULES[cls].tally(n).items())
+def _family_tally(cls: PermClass, n: int) -> MultiPoly:
+    # The rule's joint distribution of family cls at size n, shared by every
+    # StatSpec.  A MultiPoly, immutable, so no caller can change what the
+    # next one reads.  64 entries, as for qmotzkin._slot_for_shape, hold the
+    # oracle's distributions suite (32 at its full bounds).  Callers
+    # validate cls and n and apply the guard first.
+    return _CLASS_RULES[cls].tally(n)
 
 
 def _class_rule(cls: PermClass) -> _ClassRule:
@@ -872,7 +883,7 @@ _STAT_RULES = {
     StatSpec.NES: (("q",), lambda fp, exc, crs, nes: (nes,)),
     StatSpec.CRS_PLUS_NES: (("q",), lambda fp, exc, crs, nes: (crs + nes,)),
     StatSpec.JOINT_FP_EXC_CRS_NES: (
-        ("x", "y", "p", "q"), lambda fp, exc, crs, nes: (fp, exc, crs, nes)
+        _JOINT, lambda fp, exc, crs, nes: (fp, exc, crs, nes)
     ),
     StatSpec.JOINT_EXC_CRS: (("y", "q"), lambda fp, exc, crs, nes: (exc, crs)),
 }
@@ -903,18 +914,20 @@ def distribution(
     The counts are packed along the last statistic the pass carries, one
     slot per value, sized for the size of the tree's base family (the
     involutions, or n!); no count of nodes at one level exceeds the leaves
-    below them, so no slot carries (``_state_pass``).  ``ALL`` runs the
-    bitmask statistics kernel ``_fp_exc_crs_nes_inv`` on every word.  The
-    tests take the kernel, or the pair loop over every pair of positions
-    that defines the statistics, over every member of ``enumerate_class``
-    as the reference.  The spec's exponents are taken once per distinct
-    statistics tuple.
+    below them, so no slot carries, and the packed leaves are read straight
+    into the joint polynomial (``_state_pass``).  ``ALL`` runs the bitmask
+    statistics kernel ``_fp_exc_crs_nes_inv`` on every word.  The tests
+    take the kernel, or the pair loop over every pair of positions that
+    defines the statistics, over every member of ``enumerate_class`` as
+    the reference.
 
-    The tally does not depend on ``spec``, so one tally per family and size
-    serves every statistic: it is cached (the last 64 families and sizes),
-    immutable, and read only once ``spec``, ``cls``, ``n`` and the guard
-    have passed, so a size cached under ``allow_large=True`` is still
-    refused without it.
+    The joint distribution over x, y, p, q does not depend on ``spec``, so
+    one per family and size serves every statistic: it is cached (the last
+    64 families and sizes), immutable, and read only once ``spec``,
+    ``cls``, ``n`` and the guard have passed, so a size cached under
+    ``allow_large=True`` is still refused without it.  The joint spec gets
+    the cached polynomial itself; every other spec gets its image under
+    ``spec.exponents``, each term's exponents mapped once.
 
     >>> str(distribution(PermClass.I4321, 3, StatSpec.CRS_PLUS_NES))
     '3 + q'
@@ -929,10 +942,10 @@ def distribution(
             f"n={n} exceeds the enumeration guard ({limit}); raise "
             f"{ENUM_LIMIT_ENV} or pass allow_large=True"
         )
-    keys: Counter = Counter()
-    for stats, count in _family_tally(cls, n):
-        keys[spec.exponents(*stats)] += count
-    return MultiPoly.from_terms(spec.variables, keys)
+    joint = _family_tally(cls, n)
+    if spec is StatSpec.JOINT_FP_EXC_CRS_NES:
+        return joint
+    return joint._image(*_STAT_RULES[spec])
 
 
 def head_tail_pairs(word: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -45,8 +45,9 @@ coefficient and monomial text with their signs.
 from __future__ import annotations
 
 import sys
-from itertools import compress, count
-from typing import Collection, Iterable, Mapping, Sequence
+from itertools import compress, count, starmap
+from operator import lshift
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 # Exponents are packed into a single int key, _EXP_BITS bits per variable.
 # Keys of same-shape monomials add under multiplication with no carries as
@@ -439,13 +440,29 @@ class MultiPoly(_Poly):
 
     @classmethod
     def _from_slots(cls, variables: tuple[str, ...], i: int, entries: Iterable,
-                    slot: int, low: int) -> "MultiPoly":
+                    slot: int, low: int, fields: tuple = ()) -> "MultiPoly":
         """The sum over (key, packed) in ``entries`` of key (as from ``_along``)
         times the slots of packed as the powers low, low + 1, ... of variable
-        i; zero slots are skipped as read."""
+        i; zero slots are skipped as read.
+
+        Given ``fields = (width, units)``, a key instead packs one field of
+        ``width`` bits per exponent tuple in ``units``, the first lowest, and
+        stands for the product of each unit's monomial to the power of its
+        field; it is widened here, once per key.  A unit may lower variable
+        i, which starts that key's run of slots below ``low``, as long as
+        every nonzero slot lands on a nonnegative exponent.
+        """
         step = 1 << _EXP_BITS * i
+        width, units = fields or (0, ())
+        mask = (1 << width) - 1
+        wide = [(width * f, sum(map(lshift, unit, count(0, _EXP_BITS))))
+                for f, unit in enumerate(units)]
         terms: dict[int, int] = {}
         for key, packed in entries:
+            if wide:
+                narrow, key = key, 0
+                for shift, unit in wide:
+                    key += (narrow >> shift & mask) * unit
             coeffs = _slot_coeffs(packed, slot)
             terms.update(compress(zip(count(key + low * step, step), coeffs), coeffs))
         return cls._nonzero(variables, terms)
@@ -456,6 +473,21 @@ class MultiPoly(_Poly):
         shift = _EXP_BITS * i
         others = ~(_EXP_MASK << shift)
         return [(k & others, k >> shift & _EXP_MASK, c) for k, c in self._terms.items()]
+
+    def _image(self, variables: tuple[str, ...], exponents: Callable) -> "MultiPoly":
+        """The polynomial over ``variables`` that has, for each term with
+        exponent tuple e, its coefficient at the exponent tuple
+        ``exponents(*e)``, the coefficients of equal images summed.  The
+        caller keeps every image exponent in range, unchecked; each distinct
+        image is packed in C, by one ``sum(map(lshift, ...))``."""
+        shifts = range(0, _EXP_BITS * len(variables), _EXP_BITS)
+        images = starmap(exponents, _unpack(self._terms, len(self.variables)))
+        merged: dict[tuple[int, ...], int] = {}
+        for exps, c in zip(images, self._terms.values()):
+            merged[exps] = merged.get(exps, 0) + c
+        return MultiPoly._trusted(
+            variables, {sum(map(lshift, e, shifts)): c for e, c in merged.items()}
+        )
 
     def is_zero(self) -> bool:
         return not self._terms

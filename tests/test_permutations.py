@@ -198,13 +198,16 @@ def involutions_lex(n):
         j += 1
 
 
-def dict_state_pass(n, start, moves, w, fields, slot, peak=None):
-    # Reference for permutations._state_pass, with the same arguments and
-    # leaves: each state holds {packed statistics: number of nodes}, all
-    # fields + 1 statistics in one key of w bits each, the last one highest,
-    # merged entry by entry.  A move's shift is 8 * slot bits per unit of
-    # the last statistic, so shift // (8 * slot) is what it adds to it.
+def dict_state_pass(n, start, moves, w, units, slot, peak=None):
+    # Reference for permutations._state_pass, with the same arguments: each
+    # state holds {packed statistics: number of nodes}, all the tree's
+    # statistics (one per unit, then the last) in one key of w bits each,
+    # the last one highest, merged entry by entry.  A move's shift is
+    # 8 * slot bits per unit of the last statistic, so shift // (8 * slot) is
+    # what it adds to it.  The leaves come back as {the tree's statistics
+    # tuple: count}; joint_leaves turns them into (fp, exc, crs, nes).
     # peak[0], when given, ends as the largest count in any state.
+    fields = len(units)
     levels = [{} for _ in range(n + 1)]
     levels[0][start] = {0: 1}
     for i in range(n):
@@ -225,6 +228,18 @@ def dict_state_pass(n, start, moves, w, fields, slot, peak=None):
         tuple(key >> (w * f) & mask for f in range(fields + 1)): count
         for key, count in leaves.items()
     }
+
+
+def joint_leaves(cls, leaves):
+    # The (fp, exc, crs, nes) tally of a tree's dict-pass leaves.  The
+    # 321/barred tree carries (fp, exc, inv); its members avoid 321, so have
+    # no nesting, and inv = exc + crs + 2 nes gives crs.
+    if cls is PermClass.S321_B3142:
+        return {(fp, e, iv - e, 0): c for (fp, e, iv), c in leaves.items()}
+    return leaves
+
+
+JOINT = StatSpec.JOINT_FP_EXC_CRS_NES
 
 
 TREES = [cls for cls in PermClass if cls is not PermClass.ALL]
@@ -1012,16 +1027,19 @@ class TestClasses:
                         cls, n, spec)
 
     def test_packed_pass_matches_the_dict_pass(self, monkeypatch):
-        # The tree families' tallies, with each state's counts packed along
-        # the last statistic, equal those of the reference pass that keeps
-        # one dict entry per full statistics tuple.
+        # The tree families' joint distributions, with each state's counts
+        # packed along the last statistic and read back by _from_slots, equal
+        # the leaves of the reference pass that keeps one dict entry per full
+        # statistics tuple, made (fp, exc, crs, nes) by joint_leaves.
         rules = permutations_module._CLASS_RULES
         sizes = {cls: range(17) for cls in TREES}
         sizes[PermClass.I4321] = sizes[PermClass.I3412] = [*range(17), 18]
         packed = {(cls, n): rules[cls].tally(n) for cls in TREES for n in sizes[cls]}
         monkeypatch.setattr(permutations_module, "_state_pass", dict_state_pass)
-        for (cls, n), tally in packed.items():
-            assert tally == rules[cls].tally(n), (cls, n)
+        for (cls, n), joint in packed.items():
+            assert type(joint) is MultiPoly and joint.variables == JOINT.variables
+            leaves = joint_leaves(cls, rules[cls].tally(n))
+            assert joint == MultiPoly.from_terms(JOINT.variables, leaves), (cls, n)
 
     def test_slot_bound_covers_every_count(self, monkeypatch):
         # Each pass sizes its slot from a bound on its leaves; no count in
@@ -1049,6 +1067,24 @@ class TestClasses:
                     base = (involutions_lex(n) if cls in INVOLUTIVE
                             else itertools.permutations(range(n)))
                     assert tops[0] == sum(1 for _ in base), (cls, n)
+                    # The walk over the same moves reads no shift and sizes
+                    # no slot.
+                    tops.clear()
+                    assert next(enumerate_class(n, cls)) == tuple(range(1, n + 1))
+                    assert tops == [], (cls, n)
+
+    def test_walk_counts_no_involutions(self, monkeypatch):
+        # The walk yields its first word without sizing the pass's slot, so
+        # without counting I(n), a loop of big-int steps quadratic in n.
+        def unused(n):
+            raise AssertionError("the walk counted the involutions")
+
+        monkeypatch.setattr(permutations_module, "_involution_count", unused)
+        for cls in INVOLUTIVE:
+            assert next(enumerate_class(500, cls)) == tuple(range(1, 501)), cls
+        # The pass still sizes its slot by I(n).
+        with pytest.raises(AssertionError, match="counted the involutions"):
+            permutations_module._CLASS_RULES[PermClass.I4321].tally(7)
 
     def test_state_pass_enumerates_no_member(self, monkeypatch):
         # The tree families' distributions come from their states alone;
@@ -1068,18 +1104,31 @@ class TestClasses:
                 ones = dict.fromkeys(poly.variables, 1)
                 assert poly.evaluate(ones) == sum(1 for _ in filtered_class(n, cls))
 
-    def test_cached_tally_is_the_rule_tally(self):
-        # One tally per family and size serves every spec: on a warm cache
-        # each spec reads the projection of the uncached rule tally, which
-        # the cache holds as a tuple of pairs, so no caller can change it.
+    def test_cached_tally_is_the_rule_tally(self, monkeypatch):
+        # One joint distribution per family and size serves every spec: the
+        # cache holds an immutable MultiPoly, equal to the uncached rule
+        # tally and to the reference tally (the dict pass's leaves for a
+        # tree, the kernel over every member for ALL); a warm joint call
+        # returns that very object, and each other spec reads its projection.
         rules = permutations_module._CLASS_RULES
         for cls in PermClass:
             for n in range(8 if cls is PermClass.ALL else 11):
-                reference = rules[cls].tally(n)
+                if cls is PermClass.ALL:
+                    words = enumerate_class(n, cls)
+                    reference = Counter(_fp_exc_crs_nes_inv(w)[:4] for w in words)
+                else:
+                    with monkeypatch.context() as patch:
+                        patch.setattr(permutations_module, "_state_pass",
+                                      dict_state_pass)
+                        reference = joint_leaves(cls, rules[cls].tally(n))
                 distribution(cls, n, StatSpec.CRS)
                 cached = permutations_module._family_tally(cls, n)
-                assert type(cached) is tuple and {type(p) for p in cached} == {tuple}
-                assert dict(cached) == reference, (cls, n)
+                assert type(cached) is MultiPoly
+                assert distribution(cls, n, JOINT) is cached, (cls, n)
+                assert cached == rules[cls].tally(n), (cls, n)
+                assert cached == MultiPoly.from_terms(JOINT.variables, reference)
+                with pytest.raises(AttributeError, match="immutable"):
+                    cached.variables = ("q",)
                 for spec in StatSpec:
                     expected = Counter()
                     for stats, count in reference.items():

@@ -430,6 +430,69 @@ class TestMultiPoly:
         ]
         assert MultiPoly._from_slots(v, i, entries, slot, low) == poly
 
+    @settings(max_examples=100)
+    @given(
+        st.dictionaries(st.tuples(*[st.integers(0, 12)] * 3), st.integers(1, 10**30)),
+        st.integers(1, 8),
+    )
+    def test_narrow_keys_widen_with_their_units(self, terms, width):
+        # Keys of two width-bit fields (a, b), each with a run of slots
+        # along s, read back by _from_slots with the units x and y/q: the
+        # term x^a y^b q^(s - b), as from_terms builds it.  A run starts at
+        # q^-b, below every nonzero slot, which sits at s >= b.
+        mask = (1 << width) - 1
+        terms = {(a & mask, b & mask, s + (b & mask)): c
+                 for (a, b, s), c in terms.items()}
+        rows: dict[int, dict[int, int]] = {}
+        for (a, b, s), c in terms.items():
+            rows.setdefault(a | b << width, {})[s] = c
+        slot = _slot_bytes(max(terms.values(), default=0))
+        entries = [
+            (key, _pack_slots([row.get(j, 0) for j in range(max(row) + 1)], slot))
+            for key, row in rows.items()
+        ]
+        v = ("x", "y", "q")
+        got = MultiPoly._from_slots(v, 2, entries, slot, 0,
+                                    (width, ((1, 0, 0), (0, 1, -1))))
+        expected = {(a, b, s - b): c for (a, b, s), c in terms.items()}
+        assert got == MultiPoly.from_terms(v, expected)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_image_matches_the_term_route(self, data):
+        # _image against the slow route: every term read by terms_sorted,
+        # its exponents mapped, and the images summed by from_terms.  Both
+        # sides have 1 to 4 variables; each image exponent is a constant
+        # plus a nonnegative combination of the exponents, so a zero
+        # weight merges terms, whose coefficients may cancel.
+        m, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 5)] * m), st.integers(-3, 3), max_size=12))
+        forms = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                      st.integers(0, 3)),
+            min_size=k, max_size=k))
+
+        def exponents(*e):
+            return tuple(base + sum(map(operator.mul, weights, e))
+                         for weights, base in forms)
+
+        poly = MultiPoly.from_terms(("a", "b", "c", "d")[:m], terms)
+        images: dict[tuple[int, ...], int] = {}
+        for e, c in poly.terms_sorted():
+            images[exponents(*e)] = images.get(exponents(*e), 0) + c
+        variables = ("x", "y", "p", "q")[:k]
+        assert poly._image(variables, exponents) == MultiPoly.from_terms(
+            variables, images)
+
+    def test_image_of_zero_and_of_cancelling_terms(self):
+        v = ("x", "y")
+        assert MultiPoly.zero(v)._image(("q",), lambda a, b: (a,)).is_zero()
+        poly = MultiPoly.from_terms(v, {(1, 0): 2, (1, 3): -2, (0, 1): 5})
+        image = poly._image(("q",), lambda a, b: (a,))
+        assert image == MultiPoly.from_terms(("q",), {(0,): 5})
+        assert image._terms == {0: 5}
+
 
 U = UniPoly((1, 2))
 M = MultiPoly.variable(("q",), "q")
